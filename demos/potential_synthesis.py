@@ -33,8 +33,7 @@ def main():
     # Band-limited data rings at ~2e-4 near the ends, so skip the decay gate.
     x = np.arange(-55.0, 46.0 + 1e-9, 0.2)
     t0 = time.time()
-    rec = recover_potential(data, x, ds=0.15, tail_tol=5e-8, threads=4,
-                            check_decay=False)
+    rec = recover_potential(data, x, ds=0.15, tail_tol=5e-8, check_decay=False)
     print(f"recovered potential on [{x[0]:.0f}, {x[-1]:.0f}] "
           f"({time.time() - t0:.1f} s), max |Q| = {np.max(np.abs(rec.q)):.3f}\n")
 

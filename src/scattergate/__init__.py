@@ -16,6 +16,8 @@ Submodules:
   data of pulses, and the dipole-coupled two-qubit model.
 - fuchsian: monodromy of first-order Fuchsian systems and its match with
   two-level scattering matrices for rational pulses.
+- codec: the JSON document form of every parameter and data type
+  (to_json / from_json).
 - cli: command-line entry points wrapping the above.
 """
 
@@ -38,6 +40,7 @@ from .algebra import (
     su11_to_su2,
     tau,
 )
+from .codec import from_json, to_json
 from .direct1d import (
     BoundState,
     LorentzianSum,
@@ -51,7 +54,6 @@ from .direct1d import (
     fields_from_potentials,
     find_bound_states,
     momentum_grid,
-    potential_from_json,
     solve_grid,
     solve_scattering,
 )
@@ -61,7 +63,6 @@ from .dispersion import (
     build_scattering_data,
     principal_value_integral,
     reconstruct_transmission,
-    reflection_from_json,
     sample_reflection,
 )
 from .errors import InfeasibleTargetError, NumericalError
@@ -70,9 +71,7 @@ from .fuchsian import (
     FuchsianSystem,
     Loop,
     PolylineLoop,
-    fuchsian_from_json,
     gauge_to_su2,
-    loop_from_json,
     lorentzian_to_fuchsian,
     monodromy,
     monodromy_product,
@@ -85,10 +84,7 @@ from .glm import (
     TwoLevelScatteringData,
     recover_potential,
     recover_pulse,
-    recovered_potential_from_json,
-    recovered_pulse_from_json,
     transmission_a_two_level,
-    two_level_from_json,
 )
 from .twolevel import (
     DipoleParams,
@@ -99,10 +95,7 @@ from .twolevel import (
     RectangularPulse,
     TabulatedPulse,
     dipole_hamiltonian,
-    dipole_params_from_json,
-    envelope_from_json,
     f_matrix,
-    pulse_from_json,
     rect_pulse_smatrix,
     scattering_matrix,
     scattering_scan,
@@ -126,6 +119,8 @@ __all__ = [
     "phase_gate",
     "su11_to_su2",
     "tau",
+    "from_json",
+    "to_json",
     "BoundState",
     "LorentzianSum",
     "PotentialSpec",
@@ -138,7 +133,6 @@ __all__ = [
     "fields_from_potentials",
     "find_bound_states",
     "momentum_grid",
-    "potential_from_json",
     "solve_grid",
     "solve_scattering",
     "GateTarget",
@@ -146,7 +140,6 @@ __all__ = [
     "build_scattering_data",
     "principal_value_integral",
     "reconstruct_transmission",
-    "reflection_from_json",
     "sample_reflection",
     "InfeasibleTargetError",
     "NumericalError",
@@ -154,9 +147,7 @@ __all__ = [
     "FuchsianSystem",
     "Loop",
     "PolylineLoop",
-    "fuchsian_from_json",
     "gauge_to_su2",
-    "loop_from_json",
     "lorentzian_to_fuchsian",
     "monodromy",
     "monodromy_product",
@@ -167,10 +158,7 @@ __all__ = [
     "TwoLevelScatteringData",
     "recover_potential",
     "recover_pulse",
-    "recovered_potential_from_json",
-    "recovered_pulse_from_json",
     "transmission_a_two_level",
-    "two_level_from_json",
     "DipoleParams",
     "LorentzianPulse",
     "LorentzianPulseSum",
@@ -179,10 +167,7 @@ __all__ = [
     "RectangularPulse",
     "TabulatedPulse",
     "dipole_hamiltonian",
-    "dipole_params_from_json",
-    "envelope_from_json",
     "f_matrix",
-    "pulse_from_json",
     "rect_pulse_smatrix",
     "scattering_matrix",
     "scattering_scan",

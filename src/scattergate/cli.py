@@ -31,12 +31,19 @@ from .algebra import (
     phase_gate,
     tau,
 )
-from .direct1d import Tabulated, momentum_grid, potential_from_json, solve_grid, solve_scattering
-from .dispersion import GateTarget, build_scattering_data, reflection_from_json
+from .codec import from_json, to_json
+from .direct1d import PotentialSpec, momentum_grid, solve_grid, solve_scattering
+from .dispersion import GateTarget, ReflectionData, build_scattering_data
 from .errors import InfeasibleTargetError, NumericalError
-from .fuchsian import fuchsian_from_json, loop_from_json, monodromy
-from .glm import recover_potential, recover_pulse, two_level_from_json
-from .twolevel import PulseSpec, pulse_from_json, scattering_matrix, scattering_scan
+from .fuchsian import FuchsianSystem, Loop, monodromy
+from .glm import TwoLevelScatteringData, recover_potential, recover_pulse
+from .twolevel import (
+    DipoleParams,
+    PulseSpec,
+    f_matrix,
+    scattering_matrix,
+    scattering_scan,
+)
 
 log = logging.getLogger("scattergate.cli")
 
@@ -110,22 +117,12 @@ def _load_json(path: str) -> dict:
         raise CliError(2, "parse", f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_potential(path: str):
-    doc = _load_json(path)
-    if "variant" in doc:
-        return potential_from_json(doc)
-    if "x" in doc and "q" in doc:
-        # bare sample table, e.g. an `inverse` result document
-        return Tabulated(x=np.asarray(doc["x"], dtype=float), q=np.asarray(doc["q"], dtype=float))
-    raise CliError(2, "parse", f"{path} holds neither a potential variant nor (x, q) samples")
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each returns (doc, table-or-None)
 
 
 def _run_direct(args):
-    pot = _load_potential(args.potential)
+    pot = from_json(PotentialSpec, _load_json(args.potential))
     ks = momentum_grid(args.kmin, args.kmax, args.n)
     kw = {} if args.tol is None else {"rtol": args.tol}
     log.info("direct solve of %s at %d momenta", pot.variant, ks.size)
@@ -152,7 +149,7 @@ def _run_inverse(args):
     grid = np.linspace(args.kmin, args.kmax, args.n)
     kw = {} if args.tol is None else {"tail_tol": args.tol}
     if "poles" in doc_in:
-        data = two_level_from_json(doc_in)
+        data = from_json(TwoLevelScatteringData, doc_in)
         log.info("pulse recovery on %d nodes", grid.size)
         rec = recover_pulse(data, grid, threads=args.threads,
                             check_decay=not args.keep_ends, **kw)
@@ -160,18 +157,11 @@ def _run_inverse(args):
         table = (["t", "re_E", "im_E"],
                  [[t, e.real, e.imag] for t, e in zip(rec.t, rec.E)])
         return doc, table
-    data = reflection_from_json(doc_in)
+    data = from_json(ReflectionData, doc_in)
     log.info("potential recovery on %d nodes", grid.size)
     rec = recover_potential(data, grid, threads=args.threads,
                             check_decay=not args.keep_ends, **kw)
-    doc = {
-        "subcommand": "inverse",
-        "kind": "potential",
-        "variant": "tabulated",
-        "x": rec.x.tolist(),
-        "q": rec.q.tolist(),
-        "window": [rec.x[0], rec.x[-1]],
-    }
+    doc = {"subcommand": "inverse", "kind": "potential", **rec.to_potential().to_json()}
     return doc, (["x", "q"], [[xi, qi] for xi, qi in zip(rec.x, rec.q)])
 
 
@@ -240,7 +230,7 @@ def _run_gate(args):
         "target": "hadamard",
         "example": example,
         "pipeline": {
-            "targets": [{"k": g.k, "t": _c(g.t), "r": _c(g.r)} for g in targets],
+            "targets": [to_json(g) for g in targets],
             "achieved": achieved,
             "max_error": worst,
         },
@@ -250,7 +240,7 @@ def _run_gate(args):
 
 
 def _run_twolevel(args):
-    pulse = pulse_from_json(_load_json(args.pulse))
+    pulse = from_json(PulseSpec, _load_json(args.pulse))
     kw = {} if args.tol is None else {"rtol": args.tol}
     if args.n is not None:
         if args.zeta is not None:
@@ -282,9 +272,7 @@ def _run_twolevel(args):
 
 
 def _run_entangle(args):
-    from .twolevel import dipole_params_from_json, f_matrix
-
-    params = dipole_params_from_json(_load_json(args.params))
+    params = from_json(DipoleParams, _load_json(args.params))
     f = f_matrix(params)
     sd = operator_schmidt(f)
     doc = {
@@ -296,8 +284,8 @@ def _run_entangle(args):
 
 
 def _run_monodromy(args):
-    system = fuchsian_from_json(_load_json(args.system))
-    loop = loop_from_json(_load_json(args.loop))
+    system = from_json(FuchsianSystem, _load_json(args.system))
+    loop = from_json(Loop, _load_json(args.loop))
     kw = {} if args.tol is None else {"rtol": args.tol}
     log.info("continuing around a %s loop past %d poles", loop.kind, len(system.poles))
     m = monodromy(system, loop, **kw)

@@ -1,0 +1,194 @@
+"""JSON documents: the one module that knows how scattergate's types are written.
+
+A document is a dict of plain JSON values built from a dataclass's fields
+and their type hints:
+
+- a real array field ``f`` is a list, and a complex one is split into the
+  lists ``re_f`` and ``im_f``;
+- a complex scalar is a pair ``[re, im]``, so a tuple of complex numbers is
+  a list of pairs and a complex matrix inside a tuple a nested list of pairs;
+- a nested dataclass (a bound state, the envelope of a pulse spec) is a
+  nested document.
+
+Types whose variants share one base (potentials and pulse envelopes by
+``"variant"``, loops by ``"kind"``) write that tag first, and potentials end
+with their derived ``"window"``.  A subclass that sets no tag of its own
+(the recovered sample tables) is written bare, without tag or window.
+
+``from_json(cls, doc)`` inverts ``to_json``.  For a base it builds the variant
+the tag names; a document without a tag is read as the ``"tabulated"``
+variant when it holds that variant's fields, and a bare variant document
+stands for the object wrapping it (a pulse spec around an envelope).  Keys
+left out take the field's default.  Derived values are never read back:
+they are recomputed from the parameters, so a stored document cannot
+smuggle in a window that breaks the decay contract.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import types
+import typing
+
+import numpy as np
+
+
+class Document:
+    """Base of every type with a JSON document form.
+
+    A base of variants names its tag, the noun its error messages use and
+    the derived properties written after the fields::
+
+        class PotentialSpec(Document, tag="variant", noun="potential", derived=("window",))
+
+    and every subclass that sets the tag attribute in its own body is
+    registered as that variant.
+    """
+
+    def __init_subclass__(cls, tag=None, noun=None, derived=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        if tag is not None:
+            cls._tag, cls._noun, cls._derived, cls._variants = tag, noun, tuple(derived), {}
+        elif getattr(cls, "_tag", None) in vars(cls):
+            cls._variants[vars(cls)[cls._tag]] = cls
+
+    def to_json(self) -> dict:
+        return to_json(self)
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _is_base(hint) -> bool:
+    return isinstance(hint, type) and "_variants" in vars(hint)
+
+
+def _optional(hint):
+    # (X, True) for X | None, else (hint, False)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        rest = [a for a in typing.get_args(hint) if a is not type(None)]
+        return rest[0], True
+    return hint, False
+
+
+def _items(hint, value) -> list:
+    # element hints of a tuple hint, matched to the values present
+    args = typing.get_args(hint)
+    if args[-1:] == (Ellipsis,):
+        return [args[0]] * len(value)
+    if len(value) < len(args):
+        raise ValueError(f"expected {len(args)} values, got {len(value)}")
+    return list(args)
+
+
+def _encode(hint, value):
+    hint, _ = _optional(hint)
+    if value is None:
+        return None
+    if dataclasses.is_dataclass(value):
+        return to_json(value)
+    if typing.get_origin(hint) is tuple:
+        return [_encode(h, v) for h, v in zip(_items(hint, value), value)]
+    if hint is complex:
+        z = complex(value)
+        return [z.real, z.imag]
+    if hint is np.ndarray:
+        return np.stack((value.real, value.imag), axis=-1).tolist()
+    if hint in (float, int, bool):
+        return hint(value)
+    return value
+
+
+def to_json(obj) -> dict:
+    """The JSON document of a dataclass instance: plain dicts, lists and numbers."""
+    cls = type(obj)
+    tag = getattr(cls, "_tag", None)
+    tagged = tag is not None and cls._variants.get(getattr(cls, tag, None)) is cls
+    doc = {tag: getattr(cls, tag)} if tagged else {}
+    hints = _hints(cls)
+    for f in dataclasses.fields(cls):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray) and np.iscomplexobj(value):
+            doc["re_" + f.name] = value.real.tolist()
+            doc["im_" + f.name] = value.imag.tolist()
+        elif isinstance(value, np.ndarray):
+            doc[f.name] = value.tolist()
+        else:
+            doc[f.name] = _encode(hints[f.name], value)
+    if tagged:
+        doc.update((name, list(getattr(obj, name))) for name in cls._derived)
+    return doc
+
+
+def _pairs(value) -> np.ndarray:
+    # complex array from [re, im] pairs along the last axis, built exactly
+    a = np.asarray(value, dtype=float)
+    if a.ndim == 0 or a.shape[-1] < 2:
+        raise ValueError("complex values are written as [re, im] pairs")
+    out = np.empty(a.shape[:-1], dtype=complex)
+    out.real, out.imag = a[..., 0], a[..., 1]
+    return out
+
+
+def _decode(hint, value):
+    hint, optional = _optional(hint)
+    if optional and not value:
+        return None
+    if typing.get_origin(hint) is tuple:
+        return tuple(_decode(h, v) for h, v in zip(_items(hint, value), value))
+    if hint is complex:
+        return complex(_pairs(value)) if isinstance(value, (list, tuple)) else complex(value)
+    if hint is np.ndarray:
+        return _pairs(value)
+    if hint in (float, int, bool):
+        return hint(value)
+    if dataclasses.is_dataclass(hint) or _is_base(hint):
+        return from_json(hint, value)
+    return value
+
+
+def _has_fields(cls, doc) -> bool:
+    return all(f.name in doc or "re_" + f.name in doc for f in dataclasses.fields(cls))
+
+
+def _variant(base, doc):
+    name = doc.get(base._tag)
+    table = base._variants.get("tabulated")
+    if name is None and table is not None and _has_fields(table, doc):
+        return table
+    if isinstance(name, str) and name in base._variants:
+        return base._variants[name]
+    raise ValueError(f"unknown {base._noun} {base._tag}: {name!r}")
+
+
+def from_json(cls, doc):
+    """Rebuild an instance of cls from its document; see the module notes.
+
+    For a base class (PotentialSpec, PulseEnvelope, Loop) the result is the
+    variant the document names.
+    """
+    if not isinstance(doc, dict):
+        raise TypeError(f"a {cls.__name__} document must be a JSON object")
+    if _is_base(cls):
+        cls = _variant(cls, doc)
+    hints = _hints(cls)
+    fields = dataclasses.fields(cls)
+    for f in fields:
+        if f.name not in doc and _is_base(hints[f.name]):
+            return cls(**{f.name: from_json(hints[f.name], doc)})
+    kwargs = {}
+    for f in fields:
+        name, hint = f.name, hints[f.name]
+        if hint is np.ndarray and name not in doc and "re_" + name in doc:
+            kwargs[name] = (np.asarray(doc["re_" + name], dtype=float)
+                            + 1j * np.asarray(doc["im_" + name], dtype=float))
+        elif hint is np.ndarray and name in doc:
+            kwargs[name] = np.asarray(doc[name], dtype=float)
+        elif name in doc:
+            kwargs[name] = _decode(hint, doc[name])
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise KeyError(name)
+    return cls(**kwargs)

@@ -24,33 +24,29 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+from ._samples import SampleTable, checked_grid
 from .algebra import SU11Element, tau
+from .codec import Document
 from .errors import NumericalError
 
 _RTOL = 1e-10
 _ATOL = 1e-12
 
 
-class PotentialSpec:
+class PotentialSpec(Document, tag="variant", noun="potential", derived=("window",)):
     """Base class for real potentials decaying at both infinities.
 
     Subclasses expose a support window outside which |Q| <= 1e-10 (widened
     automatically for the analytic families) and vectorized evaluation.
     """
 
-    variant = "abstract"
-
     @property
     def window(self) -> tuple[float, float]:
         raise NotImplementedError
 
     def __call__(self, x):
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
         raise NotImplementedError
 
 
@@ -68,9 +64,6 @@ class Zero(PotentialSpec):
         out = np.zeros_like(np.asarray(x, dtype=float))
         return out if out.ndim else 0.0
 
-    def to_json(self):
-        return {"variant": "zero", "window": [0.0, 0.0]}
-
 
 @dataclass(frozen=True, eq=False)
 class SquareWell(PotentialSpec):
@@ -83,6 +76,8 @@ class SquareWell(PotentialSpec):
     variant = "square_well"
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.q0, self.x0, self.length])):
+            raise ValueError("square-well parameters must be finite")
         if not self.length > 0:
             raise ValueError("length must be positive")
 
@@ -94,15 +89,6 @@ class SquareWell(PotentialSpec):
         x = np.asarray(x, dtype=float)
         out = np.where((x >= self.x0) & (x <= self.x0 + self.length), float(self.q0), 0.0)
         return out if out.ndim else float(out)
-
-    def to_json(self):
-        return {
-            "variant": "square_well",
-            "q0": float(self.q0),
-            "x0": float(self.x0),
-            "length": float(self.length),
-            "window": list(self.window),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +105,8 @@ class SechSquared(PotentialSpec):
     variant = "sech_squared"
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.eta, self.center])):
+            raise ValueError("eta and center must be finite")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
 
@@ -135,14 +123,6 @@ class SechSquared(PotentialSpec):
         out = 2.0 * self.eta**2 * sech * sech
         return out if out.ndim else float(out)
 
-    def to_json(self):
-        return {
-            "variant": "sech_squared",
-            "eta": float(self.eta),
-            "center": float(self.center),
-            "window": list(self.window),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class LorentzianSum(PotentialSpec):
@@ -153,12 +133,14 @@ class LorentzianSum(PotentialSpec):
     slower than for the exponentially confined families.
     """
 
-    pairs: tuple
+    pairs: tuple[tuple[float, float], ...]
 
     variant = "lorentzian_sum"
 
     def __post_init__(self):
         pairs = tuple((float(a), float(b)) for a, b in self.pairs)
+        if not np.all(np.isfinite(pairs)):
+            raise ValueError("pair parameters must be finite")
         if any(a <= 0 for a, _ in pairs):
             raise ValueError("widths a_j must be positive")
         object.__setattr__(self, "pairs", pairs)
@@ -179,13 +161,6 @@ class LorentzianSum(PotentialSpec):
             out = out + 2.0 * a * b / (x * x + a * a)
         return out if out.ndim else float(out)
 
-    def to_json(self):
-        return {
-            "variant": "lorentzian_sum",
-            "pairs": [[a, b] for a, b in self.pairs],
-            "window": list(self.window),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class Tabulated(PotentialSpec):
@@ -197,54 +172,17 @@ class Tabulated(PotentialSpec):
     variant = "tabulated"
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        if x.ndim != 1 or x.size < 4 or x.shape != q.shape:
-            raise ValueError("need matching 1-D arrays with at least 4 samples")
-        if not np.all(np.diff(x) > 0):
-            raise ValueError("sample grid must be strictly ascending")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
-            raise ValueError("samples must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_spline", CubicSpline(x, q))
+        table = SampleTable(self.x, self.q)
+        object.__setattr__(self, "x", table.grid)
+        object.__setattr__(self, "q", table.values)
+        object.__setattr__(self, "_table", table)
 
     @property
     def window(self):
         return (float(self.x[0]), float(self.x[-1]))
 
     def __call__(self, xq):
-        xx = np.asarray(xq, dtype=float)
-        out = np.where((xx >= self.x[0]) & (xx <= self.x[-1]), self._spline(xx), 0.0)
-        return out if out.ndim else float(out)
-
-    def to_json(self):
-        return {
-            "variant": "tabulated",
-            "x": self.x.tolist(),
-            "q": self.q.tolist(),
-            "window": list(self.window),
-        }
-
-
-def potential_from_json(doc: dict) -> PotentialSpec:
-    """Rebuild a PotentialSpec from its JSON form (see to_json on each variant).
-
-    Windows of analytic variants are re-derived from the parameters, so a
-    stored document never smuggles in a window violating the decay contract.
-    """
-    kind = doc.get("variant")
-    if kind == "zero":
-        return Zero()
-    if kind == "square_well":
-        return SquareWell(q0=float(doc["q0"]), x0=float(doc["x0"]), length=float(doc["length"]))
-    if kind == "sech_squared":
-        return SechSquared(eta=float(doc["eta"]), center=float(doc.get("center", 0.0)))
-    if kind == "lorentzian_sum":
-        return LorentzianSum(pairs=tuple((float(a), float(b)) for a, b in doc["pairs"]))
-    if kind == "tabulated":
-        return Tabulated(x=np.asarray(doc["x"], dtype=float), q=np.asarray(doc["q"], dtype=float))
-    raise ValueError(f"unknown potential variant: {kind!r}")
+        return self._table(xq)
 
 
 def momentum_grid(kmin: float, kmax: float, n: int) -> np.ndarray:
@@ -438,9 +376,7 @@ def fields_from_potentials(u: PotentialSpec, v: PotentialSpec, x):
     Returns the sampled arrays (A, Q) on the supplied grid, which must cover
     both support windows.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0):
-        raise ValueError("evaluation grid must be strictly ascending")
+    x = checked_grid(x, min_size=2)
     lo = min(u.window[0], v.window[0])
     hi = max(u.window[1], v.window[1])
     if x[0] > lo or x[-1] < hi:

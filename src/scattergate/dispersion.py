@@ -26,6 +26,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+from ._samples import checked_samples
+from .codec import Document
 from .direct1d import BoundState, find_bound_states, solve_grid
 from .errors import InfeasibleTargetError, NumericalError
 
@@ -55,20 +57,15 @@ def principal_value_integral(x, f, x0):
 
 
 @dataclass(frozen=True, eq=False)
-class ReflectionData:
+class ReflectionData(Document):
     """Reflection samples R(k) on an axis-spanning grid plus bound states."""
 
     k: np.ndarray
     R: np.ndarray
-    bound_states: tuple = ()
+    bound_states: tuple[BoundState, ...] = ()
 
     def __post_init__(self):
-        k = np.asarray(self.k, dtype=float)
-        R = np.asarray(self.R, dtype=complex)
-        if k.ndim != 1 or k.size < 2 or k.shape != R.shape:
-            raise ValueError("need matching 1-D grids")
-        if not np.all(np.diff(k) > 0):
-            raise ValueError("momentum grid must be strictly ascending")
+        k, R = checked_samples(self.k, self.R, complex, min_size=2)
         if not (k[0] < 0.0 < k[-1]):
             raise ValueError("grid must cover negative and positive momenta")
         mod = np.abs(R)
@@ -87,25 +84,6 @@ class ReflectionData:
         re = np.interp(k, self.k, self.R.real)
         im = np.interp(k, self.k, self.R.imag)
         return complex(re + 1j * im)
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k.tolist(),
-            "re_R": self.R.real.tolist(),
-            "im_R": self.R.imag.tolist(),
-            "bound_states": [
-                {"eta": s.eta, "norming": s.norming} for s in self.bound_states
-            ],
-        }
-
-
-def reflection_from_json(doc: dict) -> ReflectionData:
-    R = np.asarray(doc["re_R"], dtype=float) + 1j * np.asarray(doc["im_R"], dtype=float)
-    states = tuple(
-        BoundState(eta=float(s["eta"]), norming=float(s["norming"]))
-        for s in doc.get("bound_states", ())
-    )
-    return ReflectionData(k=np.asarray(doc["k"], dtype=float), R=R, bound_states=states)
 
 
 def reconstruct_transmission(data: ReflectionData, k: float) -> complex:
@@ -199,6 +177,8 @@ class GateTarget:
     r: complex
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.k, self.t, self.r])):
+            raise ValueError("target momentum and amplitudes must be finite")
         if not self.k > 0:
             raise ValueError("target momentum must be positive")
         if not abs(self.t) > 0:

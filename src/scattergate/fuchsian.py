@@ -23,6 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .algebra import HADAMARD, SIGMA3
+from .codec import Document
 from .errors import NumericalError
 
 _RTOL = 1e-10
@@ -31,11 +32,11 @@ _EXCLUSION = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
-class FuchsianSystem:
+class FuchsianSystem(Document):
     """Simple-pole matrix 1-form omega = sum_j A_j dz / (z - s_j)."""
 
-    poles: tuple
-    residues: tuple
+    poles: tuple[complex, ...]
+    residues: tuple[np.ndarray, ...]
     weight_note: str = ""
 
     def __post_init__(self):
@@ -61,28 +62,8 @@ class FuchsianSystem:
             out += m / (z - s)
         return out
 
-    def to_json(self):
-        return {
-            "poles": [[s.real, s.imag] for s in self.poles],
-            "residues": [
-                [[[v.real, v.imag] for v in row] for row in m] for m in self.residues
-            ],
-            "weight_note": self.weight_note,
-        }
 
-
-def fuchsian_from_json(doc: dict) -> FuchsianSystem:
-    poles = tuple(complex(re, im) for re, im in doc["poles"])
-    residues = tuple(
-        np.array([[complex(v[0], v[1]) for v in row] for row in m])
-        for m in doc["residues"]
-    )
-    return FuchsianSystem(
-        poles=poles, residues=residues, weight_note=doc.get("weight_note", "")
-    )
-
-
-class Loop:
+class Loop(Document, tag="kind", noun="loop"):
     """Closed integration path; subclasses give the parametrization.
 
     samples bounds the coarsest internal step of the adaptive integrator,
@@ -91,8 +72,6 @@ class Loop:
     sit on the path; such loops carry principal-value meaning and are
     rejected by direct integration.
     """
-
-    kind = "abstract"
 
     @property
     def base_point(self) -> complex:
@@ -103,9 +82,6 @@ class Loop:
         raise NotImplementedError
 
     def pole_distance(self, s: complex) -> float:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
         raise NotImplementedError
 
 
@@ -151,16 +127,6 @@ class CircleLoop(Loop):
     def pole_distance(self, s):
         return abs(abs(s - self.center) - self.radius)
 
-    def to_json(self):
-        return {
-            "kind": "circle",
-            "center": [self.center.real, self.center.imag],
-            "radius": self.radius,
-            "orientation": self.orientation,
-            "samples": self.samples,
-            "on_contour": self.on_contour,
-        }
-
 
 def _point_segment_distance(p, z0, z1):
     seg = z1 - z0
@@ -175,7 +141,7 @@ def _point_segment_distance(p, z0, z1):
 class PolylineLoop(Loop):
     """Closed polyline through the listed points (first must equal last)."""
 
-    points: tuple
+    points: tuple[complex, ...]
     samples: int = 256
     on_contour: bool = False
 
@@ -208,34 +174,6 @@ class PolylineLoop(Loop):
             _point_segment_distance(s, a, b)
             for a, b in zip(self.points, self.points[1:])
         )
-
-    def to_json(self):
-        return {
-            "kind": "polyline",
-            "points": [[p.real, p.imag] for p in self.points],
-            "samples": self.samples,
-            "on_contour": self.on_contour,
-        }
-
-
-def loop_from_json(doc: dict) -> Loop:
-    kind = doc.get("kind")
-    if kind == "circle":
-        re, im = doc["center"]
-        return CircleLoop(
-            center=complex(re, im),
-            radius=float(doc["radius"]),
-            orientation=int(doc.get("orientation", 1)),
-            samples=int(doc.get("samples", 256)),
-            on_contour=bool(doc.get("on_contour", False)),
-        )
-    if kind == "polyline":
-        return PolylineLoop(
-            points=tuple(complex(re, im) for re, im in doc["points"]),
-            samples=int(doc.get("samples", 256)),
-            on_contour=bool(doc.get("on_contour", False)),
-        )
-    raise ValueError(f"unknown loop kind: {kind!r}")
 
 
 def monodromy(sys: FuchsianSystem, loop: Loop, rtol: float = _RTOL, atol: float = _ATOL) -> np.ndarray:

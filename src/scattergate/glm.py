@@ -24,15 +24,16 @@ the pulse envelope is read off the diagonal of the solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import InitVar, dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from ._samples import SampleTable, checked_grid, checked_samples
+from .codec import Document
 from .direct1d import Tabulated
 from .dispersion import ReflectionData, principal_value_integral
 from .errors import NumericalError
+from .twolevel import TabulatedPulse
 
 _FOURIER_CHUNK = 64
 
@@ -87,31 +88,30 @@ def bound_state_weights(data: ReflectionData) -> tuple:
 
 @dataclass(frozen=True)
 class MarchenkoKernel:
-    """Tabulated real kernel C(z): spline for the reflection integral,
-    analytic exponentials for the bound-state part."""
+    """Tabulated kernel C(z): spline for the reflection integral, analytic
+    exponentials g exp(-eta z) for the bound-state part.
+
+    The kernel is real for potential data.  Pulse data gives a complex
+    reflection integral and complex rates eta = -i zeta_j (Re eta > 0).
+    """
 
     z: np.ndarray
     refl: np.ndarray
     bound_terms: tuple = ()
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        refl = np.asarray(self.refl, dtype=float)
-        if z.ndim != 1 or z.size < 4 or z.shape != refl.shape:
-            raise ValueError("need matching 1-D arrays with at least 4 samples")
-        dz = np.diff(z)
-        if not (np.all(dz > 0) and np.allclose(dz, dz[0], rtol=1e-9)):
+        dtype = complex if np.iscomplexobj(self.refl) else float
+        table = SampleTable(self.z, self.refl, dtype)
+        dz = np.diff(table.grid)
+        if not np.allclose(dz, dz[0], rtol=1e-9):
             raise ValueError("tabulation grid must be uniform ascending")
         for eta, g in self.bound_terms:
-            if not eta > 0:
+            if not np.real(eta) > 0:
                 raise ValueError("bound-term decay rates must be positive")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "refl", refl)
+        object.__setattr__(self, "z", table.grid)
+        object.__setattr__(self, "refl", table.values)
         object.__setattr__(self, "bound_terms", tuple(self.bound_terms))
-
-    @cached_property
-    def _spline(self):
-        return CubicSpline(self.z, self.refl)
+        object.__setattr__(self, "_table", table)
 
     def __call__(self, z):
         zz = np.atleast_1d(np.asarray(z, dtype=float))
@@ -120,10 +120,10 @@ class MarchenkoKernel:
                 f"kernel tabulated for z >= {self.z[0]:g}; got {np.min(zz):g}"
             )
         # beyond the right edge the reflection integral has decayed: tail only
-        out = np.where(zz <= self.z[-1], self._spline(np.minimum(zz, self.z[-1])), 0.0)
+        out = self._table(np.maximum(zz, self.z[0]))
         for eta, g in self.bound_terms:
             out = out + g * np.exp(-eta * zz)
-        return out if np.ndim(z) else float(out[0])
+        return out if np.ndim(z) else out[0].item()
 
 
 def marchenko_kernel(data: ReflectionData, z) -> MarchenkoKernel:
@@ -150,6 +150,19 @@ def _simpson_weights(n, ds):
     return w
 
 
+def _hankel_system(kernel, x, ds):
+    # right-hand side -C(2x + s) and weighted matrix C(2x + s + s') w(s')
+    # of the Nystroem discretization at x, on the Simpson grid s = j ds
+    n = int(np.floor((kernel.z[-1] / 2.0 - x) / ds)) + 1
+    if n % 2 == 0:
+        n -= 1
+    if n < 5:
+        raise ValueError("node too close to the kernel truncation edge")
+    c2 = kernel(2.0 * x + ds * np.arange(2 * n - 1))
+    idx = np.arange(n)
+    return -c2[:n], c2[np.add.outer(idx, idx)] * _simpson_weights(n, ds)[None, :]
+
+
 def _fredholm_solve(a, rhs):
     try:
         sol = np.linalg.solve(a, rhs)
@@ -174,67 +187,42 @@ def marchenko_diagonal(kernel: MarchenkoKernel, x: float, ds: float = 0.05) -> f
     """
     if not ds > 0:
         raise ValueError("ds must be positive")
-    x_cut = kernel.z[-1] / 2.0
-    n = int(np.floor((x_cut - x) / ds)) + 1
-    if n % 2 == 0:
-        n -= 1
-    if n < 5:
-        raise ValueError("x too close to the kernel truncation edge")
-    c2 = kernel(2.0 * x + ds * np.arange(2 * n - 1))
-    w = _simpson_weights(n, ds)
-    idx = np.arange(n)
-    a = np.eye(n) + c2[np.add.outer(idx, idx)] * w[None, :]
-    return float(_fredholm_solve(a, -c2[:n])[0])
+    rhs, m = _hankel_system(kernel, x, ds)
+    return float(_fredholm_solve(np.eye(rhs.size) + m, rhs)[0])
 
 
 _END_DECAY = 1e-4
 
 
-@dataclass(frozen=True)
-class RecoveredPotential:
+@dataclass(frozen=True, eq=False)
+class _Recovered:
+    # end-decay contract shared by the recovered sample tables
+    check_decay: InitVar[bool] = True
+
+    def __post_init__(self, check_decay):
+        super().__post_init__()
+        ends = self._table.values[[0, -1]]
+        if check_decay and np.max(np.abs(ends)) >= _END_DECAY:
+            raise ValueError(
+                "recovered samples have not decayed below 1e-4 at the window "
+                "ends; widen the grid (or pass check_decay=False for "
+                "band-limited data)"
+            )
+
+
+@dataclass(frozen=True, eq=False)
+class RecoveredPotential(_Recovered, Tabulated):
     """Potential samples produced by the inverse transform.
 
     By default the samples must have decayed below 1e-4 at both window
     ends (so truncating to the window is harmless downstream).  Band-limited
     data leaves ringing that never decays that far; pass check_decay=False
-    for those, at your own risk.
+    for those, at your own risk.  The document is the bare (x, q) table.
     """
 
-    x: np.ndarray
-    q: np.ndarray
-    check_decay: bool = True
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        if x.ndim != 1 or x.size < 4 or x.shape != q.shape:
-            raise ValueError("need matching 1-D arrays with at least 4 samples")
-        if not np.all(np.diff(x) > 0):
-            raise ValueError("sample grid must be strictly ascending")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
-            raise ValueError("samples must be finite")
-        if self.check_decay and max(abs(q[0]), abs(q[-1])) >= _END_DECAY:
-            raise ValueError(
-                "recovered potential has not decayed below 1e-4 at the window "
-                "ends; widen the x grid (or pass check_decay=False for "
-                "band-limited data)"
-            )
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "q", q)
-
     def to_potential(self) -> Tabulated:
+        """The samples as a plain Tabulated potential (tagged document)."""
         return Tabulated(x=self.x, q=self.q)
-
-    def to_json(self) -> dict:
-        return {"x": self.x.tolist(), "q": self.q.tolist()}
-
-
-def recovered_potential_from_json(doc: dict) -> RecoveredPotential:
-    return RecoveredPotential(
-        x=np.asarray(doc["x"], dtype=float),
-        q=np.asarray(doc["q"], dtype=float),
-        check_decay=False,
-    )
 
 
 def solve_marchenko(
@@ -251,9 +239,7 @@ def solve_marchenko(
     The per-node Fredholm solves are independent and run on a thread pool
     when threads > 1.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 4 or not np.all(np.diff(x) > 0):
-        raise ValueError("need an ascending 1-D grid of at least 4 nodes")
+    x = checked_grid(x)
 
     def node(xi):
         hi = marchenko_diagonal(kernel, xi + fd_step, ds)
@@ -301,9 +287,7 @@ def recover_potential(
     to the right until |C| falls below tail_tol (absolute), then solves the
     integral equation at each node.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 4 or not np.all(np.diff(x) > 0):
-        raise ValueError("need an ascending 1-D grid of at least 4 nodes")
+    x = checked_grid(x)
     if dz is None:
         dz = min(0.094 / np.max(np.abs(data.k)), 0.25)
     z_lo = 2.0 * (x[0] - fd_step) - 1e-6
@@ -325,24 +309,17 @@ def recover_potential(
 
 
 @dataclass(frozen=True)
-class TwoLevelScatteringData:
+class TwoLevelScatteringData(Document):
     """Reflection ratio r on the real frequency axis plus the zeros of the
     transmission amplitude in the upper half plane with norming constants."""
 
     zeta: np.ndarray
     r: np.ndarray
-    poles: tuple = ()
-    norming: tuple = ()
+    poles: tuple[complex, ...] = ()
+    norming: tuple[complex, ...] = ()
 
     def __post_init__(self):
-        zeta = np.asarray(self.zeta, dtype=float)
-        r = np.asarray(self.r, dtype=complex)
-        if zeta.ndim != 1 or zeta.size < 2 or zeta.shape != r.shape:
-            raise ValueError("need matching 1-D grids")
-        if not np.all(np.diff(zeta) > 0):
-            raise ValueError("frequency grid must be strictly ascending")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("reflection ratio must be finite")
+        zeta, r = checked_samples(self.zeta, self.r, complex, min_size=2)
         if abs(r[0]) >= 1e-6 or abs(r[-1]) >= 1e-6:
             raise ValueError("reflection ratio must decay below 1e-6 at the ends")
         poles = tuple(complex(p) for p in self.poles)
@@ -355,25 +332,6 @@ class TwoLevelScatteringData:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "norming", norming)
-
-    def to_json(self) -> dict:
-        return {
-            "zeta": self.zeta.tolist(),
-            "re_r": self.r.real.tolist(),
-            "im_r": self.r.imag.tolist(),
-            "poles": [[p.real, p.imag] for p in self.poles],
-            "norming": [[d.real, d.imag] for d in self.norming],
-        }
-
-
-def two_level_from_json(doc: dict) -> TwoLevelScatteringData:
-    r = np.asarray(doc["re_r"], dtype=float) + 1j * np.asarray(doc["im_r"], dtype=float)
-    return TwoLevelScatteringData(
-        zeta=np.asarray(doc["zeta"], dtype=float),
-        r=r,
-        poles=tuple(complex(p[0], p[1]) for p in doc.get("poles", ())),
-        norming=tuple(complex(d[0], d[1]) for d in doc.get("norming", ())),
-    )
 
 
 def transmission_a_two_level(data: TwoLevelScatteringData, zeta) -> complex:
@@ -415,64 +373,13 @@ def transmission_derivative_at_pole(data: TwoLevelScatteringData, j: int) -> com
     return rest * np.exp(integral / (2j * np.pi)) / (p - np.conj(p))
 
 
-@dataclass(frozen=True)
-class RecoveredPulse:
+@dataclass(frozen=True, eq=False)
+class RecoveredPulse(_Recovered, TabulatedPulse):
     """Complex pulse envelope samples produced by the inverse transform.
 
-    Same end-decay contract as RecoveredPotential.
+    Same end-decay contract as RecoveredPotential; the document is the bare
+    (t, re_E, im_E) table, which `twolevel --pulse` reads back.
     """
-
-    t: np.ndarray
-    E: np.ndarray
-    check_decay: bool = True
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        E = np.asarray(self.E, dtype=complex)
-        if t.ndim != 1 or t.size < 4 or t.shape != E.shape:
-            raise ValueError("need matching 1-D arrays with at least 4 samples")
-        if not np.all(np.diff(t) > 0):
-            raise ValueError("sample grid must be strictly ascending")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(E))):
-            raise ValueError("samples must be finite")
-        if self.check_decay and max(abs(E[0]), abs(E[-1])) >= _END_DECAY:
-            raise ValueError(
-                "recovered pulse has not decayed below 1e-4 at the window "
-                "ends; widen the t grid (or pass check_decay=False)"
-            )
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "E", E)
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.t.tolist(),
-            "re_E": self.E.real.tolist(),
-            "im_E": self.E.imag.tolist(),
-        }
-
-
-def recovered_pulse_from_json(doc: dict) -> RecoveredPulse:
-    E = np.asarray(doc["re_E"], dtype=float) + 1j * np.asarray(doc["im_E"], dtype=float)
-    return RecoveredPulse(t=np.asarray(doc["t"], dtype=float), E=E, check_decay=False)
-
-
-class _PulseKernel:
-    # complex analogue of MarchenkoKernel, internal to recover_pulse
-
-    def __init__(self, z, refl, terms):
-        self.z = z
-        self.terms = terms
-        self._spline = CubicSpline(z, refl)
-
-    def __call__(self, z):
-        out = np.where(
-            z <= self.z[-1],
-            self._spline(np.minimum(z, self.z[-1])),
-            0.0 + 0.0j,
-        )
-        for pole, m in self.terms:
-            out = out + m * np.exp(1j * pole * z)
-        return out
 
 
 def recover_pulse(
@@ -493,11 +400,10 @@ def recover_pulse(
         u(y) - int_t^inf conj(F(s + y)) v(s) ds = 0,
         v(y) + int_t^inf F(s + y) u(s) ds = -F(t + y).
     """
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or t.size < 4 or not np.all(np.diff(t) > 0):
-        raise ValueError("need an ascending 1-D grid of at least 4 nodes")
+    t = checked_grid(t)
+    # m_j e^{i zeta_j z} as a bound term g e^{-eta z} with rate eta = -i zeta_j
     terms = tuple(
-        (p, d / transmission_derivative_at_pole(data, j))
+        (-1j * p, d / transmission_derivative_at_pole(data, j))
         for j, (p, d) in enumerate(zip(data.poles, data.norming))
     )
     if dz is None:
@@ -506,28 +412,18 @@ def recover_pulse(
 
     def build(z_hi):
         z = np.arange(z_lo, z_hi + dz, dz)
-        return _PulseKernel(z, _fourier_rows(data.zeta, data.r, z), terms)
+        return MarchenkoKernel(z=z, refl=_fourier_rows(data.zeta, data.r, z), bound_terms=terms)
 
     pad = 12.0
     if terms:
         mmax = max(abs(m) for _, m in terms)
-        rate = min(p.imag for p, _ in terms)
+        rate = min(eta.real for eta, _ in terms)
         pad = max(pad, 2.0 + np.log(max(mmax, 1.0) / tail_tol) / rate)
     kernel = _extend_until_decayed(build, 2.0 * t[-1], pad, tail_tol)
-    x_cut = kernel.z[-1] / 2.0
 
     def node(ti):
-        n = int(np.floor((x_cut - ti) / ds)) + 1
-        if n % 2 == 0:
-            n -= 1
-        if n < 5:
-            raise ValueError("t too close to the kernel truncation edge")
-        c2 = kernel(2.0 * ti + ds * np.arange(2 * n - 1))
-        w = _simpson_weights(n, ds)
-        idx = np.arange(n)
-        m = c2[np.add.outer(idx, idx)] * w[None, :]
-        a = np.eye(n) + m @ np.conj(m)
-        return -2j * _fredholm_solve(a, -c2[:n])[0]
+        rhs, m = _hankel_system(kernel, ti, ds)
+        return -2j * _fredholm_solve(np.eye(rhs.size) + m @ np.conj(m), rhs)[0]
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -288,6 +288,23 @@ class TestFailureModes:
         assert code == 2
         assert "JSON" in json.loads(err)["error"]["message"]
 
+    def test_non_finite_parameter_is_parse_error(self, capsys, tmp_path):
+        # JSON "Infinity" used to pass the eta > 0 check and solve a free particle
+        path = tmp_path / "inf.json"
+        path.write_text('{"variant": "sech_squared", "eta": Infinity}')
+        code, out, err = run_cli(capsys, ["direct", "--potential", str(path), "--n", "4"])
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "finite" in json.loads(err)["error"]["message"]
+
+    def test_non_json_object_document(self, capsys, tmp_path):
+        sys_doc = write_json(tmp_path / "sys.json", {"poles": [[0.0, 0.0]],
+                                                      "residues": [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]]})
+        loop = write_json(tmp_path / "loop.json", [1.0, 2.0])
+        code, _, err = run_cli(capsys, ["monodromy", "--system", sys_doc, "--loop", loop])
+        assert code == 2
+        assert json.loads(err)["error"]["kind"] == "parse"
+
     def test_unknown_flag(self, capsys, sech_file):
         code, _, err = run_cli(capsys, ["direct", "--potential", sech_file, "--bogus"])
         assert code == 2

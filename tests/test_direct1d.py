@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from scattergate import direct1d
+from scattergate.codec import from_json
 from scattergate.direct1d import (
     BoundState,
     LorentzianSum,
+    PotentialSpec,
     SechSquared,
     SquareWell,
     Tabulated,
@@ -13,7 +15,6 @@ from scattergate.direct1d import (
     fields_from_potentials,
     find_bound_states,
     momentum_grid,
-    potential_from_json,
     solve_grid,
     solve_scattering,
 )
@@ -238,13 +239,13 @@ class TestSerialization:
         ]
         grid = np.linspace(-1.5, 1.5, 7)
         for pot in pots:
-            back = potential_from_json(pot.to_json())
+            back = from_json(PotentialSpec, pot.to_json())
             assert back.variant == pot.variant
             np.testing.assert_allclose(back(grid), pot(grid), atol=1e-14)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            potential_from_json({"variant": "bogus"})
+            from_json(PotentialSpec, {"variant": "bogus"})
 
     def test_tabulated_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scattergate.codec import from_json
 from scattergate.direct1d import BoundState, SechSquared, SquareWell, solve_scattering
 from scattergate.dispersion import (
     GateTarget,
@@ -8,7 +9,6 @@ from scattergate.dispersion import (
     build_scattering_data,
     principal_value_integral,
     reconstruct_transmission,
-    reflection_from_json,
     sample_reflection,
 )
 from scattergate.errors import InfeasibleTargetError
@@ -132,7 +132,7 @@ class TestReflectionData:
         R = 0.3 * np.exp(-(k**2) * 4) * np.exp(0.7j * k)
         R = np.where(np.abs(k) > 1.8, 0.0, R)
         data = ReflectionData(k=k, R=R, bound_states=(BoundState(1.0, 2.0),))
-        back = reflection_from_json(data.to_json())
+        back = from_json(ReflectionData, data.to_json())
         np.testing.assert_allclose(back.k, data.k)
         np.testing.assert_allclose(back.R, data.R)
         assert back.bound_states == data.bound_states

@@ -3,14 +3,14 @@ import pytest
 from scipy.linalg import expm
 
 from scattergate.algebra import SIGMA3
+from scattergate.codec import from_json
 from scattergate.errors import NumericalError
 from scattergate.fuchsian import (
     CircleLoop,
     FuchsianSystem,
+    Loop,
     PolylineLoop,
-    fuchsian_from_json,
     gauge_to_su2,
-    loop_from_json,
     lorentzian_to_fuchsian,
     monodromy,
     monodromy_product,
@@ -69,20 +69,20 @@ class TestSystemAndLoops:
 
     def test_system_json_round_trip(self):
         sys = two_pole_system()
-        back = fuchsian_from_json(sys.to_json())
+        back = from_json(FuchsianSystem, sys.to_json())
         assert back.poles == sys.poles
         for m, n in zip(back.residues, sys.residues):
             np.testing.assert_allclose(m, n)
 
     def test_loop_json_round_trips(self):
         circ = CircleLoop(center=0.5j, radius=0.5, orientation=-1, samples=128)
-        back = loop_from_json(circ.to_json())
+        back = from_json(Loop, circ.to_json())
         assert back.center == circ.center and back.orientation == -1
         poly = PolylineLoop(points=(0.0, 1.0, 1.0j, 0.0), on_contour=True)
-        back = loop_from_json(poly.to_json())
+        back = from_json(Loop, poly.to_json())
         assert back.points == poly.points and back.on_contour
         with pytest.raises(ValueError, match="loop kind"):
-            loop_from_json({"kind": "arc"})
+            from_json(Loop, {"kind": "arc"})
 
 
 class TestMonodromy:

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from scattergate.direct1d import BoundState, SquareWell, solve_scattering
+from scattergate.codec import from_json
+from scattergate.direct1d import BoundState, SquareWell, Tabulated, solve_scattering
 from scattergate.dispersion import (
     GateTarget,
     ReflectionData,
@@ -32,13 +33,11 @@ from scattergate.glm import (
     marchenko_kernel,
     recover_potential,
     recover_pulse,
-    recovered_potential_from_json,
-    recovered_pulse_from_json,
     solve_marchenko,
     transmission_a_two_level,
     transmission_derivative_at_pole,
-    two_level_from_json,
 )
+from scattergate.twolevel import TabulatedPulse
 
 
 def soliton_data(states):
@@ -180,7 +179,7 @@ class TestPotentialRecovery:
         rec = RecoveredPotential(
             x=np.linspace(0, 1, 5), q=np.arange(5.0), check_decay=False
         )
-        back = recovered_potential_from_json(rec.to_json())
+        back = from_json(Tabulated, rec.to_json())
         np.testing.assert_allclose(back.x, rec.x)
         np.testing.assert_allclose(back.q, rec.q)
 
@@ -250,12 +249,12 @@ class TestPulseRecovery:
 
     def test_json_round_trips(self):
         data = pole_data()
-        back = two_level_from_json(data.to_json())
+        back = from_json(TwoLevelScatteringData, data.to_json())
         np.testing.assert_allclose(back.zeta, data.zeta)
         np.testing.assert_allclose(back.r, data.r)
         assert back.poles == data.poles and back.norming == data.norming
         rec = RecoveredPulse(
             t=np.linspace(0, 1, 5), E=np.arange(5.0) * 1j, check_decay=False
         )
-        again = recovered_pulse_from_json(rec.to_json())
+        again = from_json(TabulatedPulse, rec.to_json())
         np.testing.assert_allclose(again.E, rec.E)

@@ -14,20 +14,19 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from scattergate.algebra import SIGMA1, entanglement_verdict, operator_schmidt
+from scattergate.codec import from_json
 from scattergate.errors import NumericalError
 from scattergate.twolevel import (
     DipoleParams,
     LorentzianPulse,
     LorentzianPulseSum,
+    PulseEnvelope,
     PulseSpec,
     RectangularPulse,
     TabulatedPulse,
     dipole_hamiltonian,
-    dipole_params_from_json,
-    envelope_from_json,
     f_matrix,
     propagate,
-    pulse_from_json,
     rect_pulse_smatrix,
     scattering_matrix,
     scattering_scan,
@@ -79,7 +78,7 @@ class TestEnvelopes:
             TabulatedPulse(t=np.linspace(0, 1, 5), E=np.arange(5.0) * (1 + 2j)),
         ]
         for env in envs:
-            back = envelope_from_json(env.to_json())
+            back = from_json(PulseEnvelope, env.to_json())
             assert type(back) is type(env)
             tt = np.linspace(-0.5, 1.5, 7)
             np.testing.assert_allclose(back(tt), env(tt), atol=1e-12)
@@ -101,7 +100,7 @@ class TestPulseSpec:
 
     def test_pulse_json_round_trip(self):
         spec = PulseSpec(envelope=LorentzianPulse(a=2.0, b=0.1), detuning=-0.3)
-        back = pulse_from_json(spec.to_json())
+        back = from_json(PulseSpec, spec.to_json())
         assert back.detuning == spec.detuning
         assert back.window == spec.window
         assert back.envelope.a == 2.0
@@ -112,12 +111,12 @@ class TestPulseSpec:
             "re_E": [0.0, 0.1, 0.1, 0.0],
             "im_E": [0.0, 0.0, 0.1, 0.0],
         }
-        spec = pulse_from_json(doc)
+        spec = from_json(PulseSpec, doc)
         assert isinstance(spec.envelope, TabulatedPulse)
         assert spec.detuning == 0.0
-        assert pulse_from_json({"variant": "lorentzian", "a": 1.0, "b": 0.0}).detuning == 0.0
+        assert from_json(PulseSpec, {"variant": "lorentzian", "a": 1.0, "b": 0.0}).detuning == 0.0
         with pytest.raises(ValueError, match="pulse"):
-            pulse_from_json({"bogus": 1})
+            from_json(PulseSpec, {"bogus": 1})
 
 
 class TestPropagate:
@@ -308,5 +307,5 @@ class TestDipolePair:
         with pytest.raises(ValueError, match="positive"):
             generic_params(T=0.0)
         p = generic_params()
-        back = dipole_params_from_json(p.to_json())
+        back = from_json(DipoleParams, p.to_json())
         assert back == p
