@@ -9,7 +9,8 @@ inputs is byte-identical and values survive a round trip exactly.
 Exit codes: 0 success, 2 parse or validation failure, 3 numeric failure,
 4 infeasible gate target.  Failures print a machine-readable
 ``{"error": {...}}`` object to stderr.  The SCATTERGATE_LOG environment
-variable (error, info or debug) sets stderr log verbosity.
+variable (error, info or debug) sets stderr log verbosity; numeric warnings
+are logged at debug level.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -126,7 +128,7 @@ def _run_direct(args):
     ks = momentum_grid(args.kmin, args.kmax, args.n)
     kw = {} if args.tol is None else {"rtol": args.tol}
     log.info("direct solve of %s at %d momenta", pot.variant, ks.size)
-    coeffs = solve_grid(pot, ks, threads=args.threads, **kw)
+    coeffs = solve_grid(pot, ks, **kw)
     rows = [
         [c.k, c.a.real, c.a.imag, c.b.real, c.b.imag,
          abs(c.transmission) ** 2, abs(c.reflection) ** 2]
@@ -151,16 +153,14 @@ def _run_inverse(args):
     if "poles" in doc_in:
         data = from_json(TwoLevelScatteringData, doc_in)
         log.info("pulse recovery on %d nodes", grid.size)
-        rec = recover_pulse(data, grid, threads=args.threads,
-                            check_decay=not args.keep_ends, **kw)
+        rec = recover_pulse(data, grid, check_decay=not args.keep_ends, **kw)
         doc = {"subcommand": "inverse", "kind": "pulse", **rec.to_json()}
         table = (["t", "re_E", "im_E"],
                  [[t, e.real, e.imag] for t, e in zip(rec.t, rec.E)])
         return doc, table
     data = from_json(ReflectionData, doc_in)
     log.info("potential recovery on %d nodes", grid.size)
-    rec = recover_potential(data, grid, threads=args.threads,
-                            check_decay=not args.keep_ends, **kw)
+    rec = recover_potential(data, grid, check_decay=not args.keep_ends, **kw)
     doc = {"subcommand": "inverse", "kind": "potential", **rec.to_potential().to_json()}
     return doc, (["x", "q"], [[xi, qi] for xi, qi in zip(rec.x, rec.q)])
 
@@ -207,8 +207,7 @@ def _run_gate(args):
     x = np.linspace(args.kmin, args.kmax, args.n)
     kw = {} if args.tol is None else {"tail_tol": args.tol}
     log.info("recovering the realizing potential on %d nodes", x.size)
-    rec = recover_potential(data, x, ds=0.15, threads=args.threads,
-                            check_decay=False, **kw)
+    rec = recover_potential(data, x, ds=0.15, check_decay=False, **kw)
     pot = rec.to_potential()
     achieved = []
     worst = 0.0
@@ -248,7 +247,7 @@ def _run_twolevel(args):
         zetas = np.linspace(args.kmin, args.kmax, args.n)
         log.info("scattering scan at %d spectral points", zetas.size)
         # spectral point zeta probes the envelope detuned by -2 zeta
-        mats = scattering_scan(pulse, -2.0 * zetas, threads=args.threads, **kw)
+        mats = scattering_scan(pulse, -2.0 * zetas, **kw)
         doc = {
             "subcommand": "twolevel",
             "zeta": zetas.tolist(),
@@ -317,6 +316,13 @@ def _positive_int(text):
     return n
 
 
+def _positive_float(text):
+    x = float(text)
+    if not (np.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError("must be a positive finite number")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="scattergate", description="quantum gates as scattering matrices")
     sub = p.add_subparsers(dest="subcommand", required=True)
@@ -324,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, grid=None):
         sp.add_argument("--out", help="output file; a .csv suffix selects the flat table")
         sp.add_argument("--threads", type=_positive_int, default=1,
-                        help="parallel map width (1 gives identical output)")
-        sp.add_argument("--tol", type=float, default=None,
+                        help="accepted for compatibility; work runs serially")
+        sp.add_argument("--tol", type=_positive_float, default=None,
                         help="numeric tolerance override for this pipeline")
         if grid:
             lo, hi, n, what = grid
@@ -410,21 +416,29 @@ def _fail(code, kind, message) -> int:
     return code
 
 
+def _log_warning(message, category, filename, lineno, file=None, line=None):
+    log.debug("%s:%d: %s: %s", filename, lineno, category.__name__, message)
+
+
 def main(argv=None) -> int:
-    try:
-        _configure_logging()
-        args = build_parser().parse_args(argv)
-        doc, table = run(args)
-        _emit(doc, table, args)
-        return 0
-    except CliError as exc:
-        return _fail(exc.code, exc.kind, str(exc))
-    except InfeasibleTargetError as exc:
-        return _fail(4, "infeasible", str(exc))
-    except NumericalError as exc:
-        return _fail(3, "numeric", str(exc))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        return _fail(2, "parse", f"{type(exc).__name__}: {exc}")
+    # warnings go to the logger so a failure stays one line on stderr; the
+    # context restores the caller's warning state (main also runs in-process)
+    with warnings.catch_warnings():
+        warnings.showwarning = _log_warning
+        try:
+            _configure_logging()
+            args = build_parser().parse_args(argv)
+            doc, table = run(args)
+            _emit(doc, table, args)
+            return 0
+        except CliError as exc:
+            return _fail(exc.code, exc.kind, str(exc))
+        except InfeasibleTargetError as exc:
+            return _fail(4, "infeasible", str(exc))
+        except NumericalError as exc:
+            return _fail(3, "numeric", str(exc))
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            return _fail(2, "parse", f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -19,13 +19,13 @@ a = v(x_max), b = u(x_max).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 
+from ._ode import integrate
 from ._samples import SampleTable, checked_grid
 from .algebra import SU11Element, tau
 from .codec import Document
@@ -244,7 +244,7 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL, atol: floa
     """Solve the direct problem at momentum k > 0.
 
     Launches phi = e^{-ikx} at the left window edge, integrates the envelope
-    system with an adaptive RK (DOP853), and reads (a, b) at the right edge.
+    system with an adaptive 8th-order RK, and reads (a, b) at the right edge.
     """
     k = float(k)
     if not k > 0:
@@ -252,26 +252,19 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL, atol: floa
     x0, x1 = q.window
     if not x1 > x0:
         return ScatterCoeffs(k=k, a=1.0 + 0.0j, b=0.0j)
-    sol = solve_ivp(
-        _envelope_rhs(q, k),
-        (x0, x1),
-        np.array([0.0j, 1.0 + 0.0j]),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
+    u, v = integrate(
+        _envelope_rhs(q, k), (x0, x1), np.array([0.0j, 1.0 + 0.0j]),
+        rtol, atol, f"scattering (k = {k})",
     )
-    if not sol.success:
-        raise NumericalError(f"scattering integration failed at k = {k}: {sol.message}")
-    return ScatterCoeffs(k=k, a=complex(sol.y[1, -1]), b=complex(sol.y[0, -1]))
+    return ScatterCoeffs(k=k, a=complex(v), b=complex(u))
 
 
 def solve_grid(q: PotentialSpec, ks, threads: int = 1, rtol: float = _RTOL, atol: float = _ATOL):
-    """solve_scattering mapped over a momentum grid, order preserved."""
-    ks = [float(k) for k in np.asarray(ks, dtype=float).ravel()]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda k: solve_scattering(q, k, rtol, atol), ks))
-    return [solve_scattering(q, k, rtol, atol) for k in ks]
+    """solve_scattering mapped over a momentum grid, order preserved.
+
+    threads is accepted for compatibility; work runs serially.
+    """
+    return [solve_scattering(q, float(k), rtol, atol) for k in np.asarray(ks, dtype=float).ravel()]
 
 
 @dataclass(frozen=True)
@@ -282,32 +275,20 @@ class BoundState:
     norming: float
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if not (np.isfinite(self.eta) and np.isfinite(self.norming) and self.eta > 0):
+            raise ValueError("need a finite positive eta and a finite norming")
 
 
-def _tilted_left(q, eta, x_from, x_to):
-    # left solution in the frame w = phi e^{-eta x}: bounded for all x
+def _tilted(q, eta, x_from, x_to):
+    # left solution in the frame w = phi e^{-eta x}: bounded for all x; at
+    # -eta, integrated leftward from the right edge, this is the right
+    # solution in the frame v = psi e^{+eta x}
     def rhs(x, y):
         w, chi = y
         return (chi - eta * w, (eta * eta - q(x)) * w - eta * chi)
 
-    sol = solve_ivp(rhs, (x_from, x_to), np.array([1.0, eta]), method="DOP853", rtol=_RTOL, atol=_ATOL)
-    if not sol.success:
-        raise NumericalError(f"bound-state integration failed at eta = {eta}: {sol.message}")
-    return sol.y[0, -1], sol.y[1, -1]
-
-
-def _tilted_right(q, eta, x_from, x_to):
-    # right solution in the frame v = psi e^{+eta x}, integrated leftward
-    def rhs(x, y):
-        v, u = y
-        return (u + eta * v, (eta * eta - q(x)) * v + eta * u)
-
-    sol = solve_ivp(rhs, (x_from, x_to), np.array([1.0, -eta]), method="DOP853", rtol=_RTOL, atol=_ATOL)
-    if not sol.success:
-        raise NumericalError(f"bound-state integration failed at eta = {eta}: {sol.message}")
-    return sol.y[0, -1], sol.y[1, -1]
+    return integrate(rhs, (x_from, x_to), np.array([1.0, eta]), _RTOL, _ATOL,
+                     f"bound-state (eta = {abs(eta)})")
 
 
 def _norming_ratio(q, eta):
@@ -323,8 +304,8 @@ def _norming_ratio(q, eta):
     off = min(1.5, (x1 - x0) / 10.0)
     vals = []
     for xs in (xm - off, xm, xm + off):
-        w, chi = _tilted_left(q, eta, x0, xs)
-        v, u = _tilted_right(q, eta, x1, xs)
+        w, chi = _tilted(q, eta, x0, xs)
+        v, u = _tilted(q, -eta, x1, xs)
         vals.append(np.exp(2.0 * eta * xs) * (w * v + chi * u) / (v * v + u * u))
     vals = np.asarray(vals)
     mean = vals.mean()
@@ -352,7 +333,7 @@ def find_bound_states(q: PotentialSpec, eta_max: float, n_scan: int = None):
         n_scan = max(40, int(round(40 * eta_max)))
 
     def matching(eta):
-        w, chi = _tilted_left(q, eta, x0, x1)
+        w, chi = _tilted(q, eta, x0, x1)
         return eta * w + chi
 
     etas = np.linspace(eta_max / n_scan, eta_max, n_scan)

@@ -118,11 +118,12 @@ def sample_reflection(
     by a constant otherwise (weak or reflectionless scatterers).  |R| is
     tapered smoothly to zero above taper*kmax so the data satisfies the
     end-decay contract; push kmax up if the tail still carries weight.
+    threads is accepted for compatibility; work runs serially.
     """
     if not (0 < k_lo < taper * kmax):
         raise ValueError("need 0 < k_lo < taper*kmax")
     nodes = np.geomspace(k_lo, kmax, n_solve)
-    coeffs = solve_grid(q, nodes, threads=threads)
+    coeffs = solve_grid(q, nodes)
     r_nodes = np.array([c.reflection for c in coeffs])
     spl_re = CubicSpline(np.log(nodes), r_nodes.real)
     spl_im = CubicSpline(np.log(nodes), r_nodes.imag)

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._ode import integrate
 from .algebra import HADAMARD, SIGMA3
 from .codec import Document
 from .errors import NumericalError
@@ -46,8 +46,8 @@ class FuchsianSystem(Document):
             raise ValueError("need one residue matrix per pole")
         if any(m.shape != (2, 2) for m in residues):
             raise ValueError("residues must be 2x2 matrices")
-        if not all(np.all(np.isfinite(m)) for m in residues):
-            raise ValueError("residues must be finite")
+        if not (np.all(np.isfinite(poles)) and all(np.all(np.isfinite(m)) for m in residues)):
+            raise ValueError("poles and residues must be finite")
         for j in range(len(poles)):
             for l in range(j + 1, len(poles)):
                 if abs(poles[j] - poles[l]) <= 1e-8:
@@ -102,8 +102,8 @@ class CircleLoop(Loop):
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "orientation", int(self.orientation))
         object.__setattr__(self, "samples", int(self.samples))
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not (np.isfinite(self.center) and np.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("need a finite center and a finite positive radius")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 (ccw) or -1 (cw)")
         if self.samples < 1:
@@ -151,6 +151,8 @@ class PolylineLoop(Loop):
         pts = tuple(complex(p) for p in self.points)
         if len(pts) < 4:
             raise ValueError("need at least 3 edges")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("polyline points must be finite")
         if abs(pts[0] - pts[-1]) > 1e-12:
             raise ValueError("path must close: first and last points differ")
         object.__setattr__(self, "points", pts)
@@ -179,10 +181,10 @@ class PolylineLoop(Loop):
 def monodromy(sys: FuchsianSystem, loop: Loop, rtol: float = _RTOL, atol: float = _ATOL) -> np.ndarray:
     """Continue F = I once around the loop; returns the right factor M.
 
-    Each smooth segment is integrated with an adaptive DOP853 stepper in the
-    real parameter, with the coarsest step bounded by the loop's sample
-    count.  A pole closer than 1e-6 to the path is refused: inside that
-    radius the local error control cannot vouch for the result.
+    Each smooth segment is integrated with an adaptive 8th-order Runge-Kutta
+    stepper in the real parameter, with the coarsest step bounded by the
+    loop's sample count.  A pole closer than 1e-6 to the path is refused:
+    inside that radius the local error control cannot vouch for the result.
     """
     for j, s in enumerate(sys.poles):
         if loop.pole_distance(s) <= _EXCLUSION:
@@ -200,18 +202,7 @@ def monodromy(sys: FuchsianSystem, loop: Loop, rtol: float = _RTOL, atol: float 
         def rhs(u, y):
             return (dz(u) * (sys.omega(z(u)) @ y.reshape(2, 2))).ravel()
 
-        sol = solve_ivp(
-            rhs,
-            (0.0, 1.0),
-            f.ravel(),
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            max_step=1.0 / n,
-        )
-        if not sol.success:
-            raise NumericalError(f"monodromy integration failed: {sol.message}")
-        f = sol.y[:, -1].reshape(2, 2)
+        f = integrate(rhs, (0.0, 1.0), f, rtol, atol, "monodromy", max_step=1.0 / n)
     return f
 
 

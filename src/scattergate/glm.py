@@ -236,8 +236,7 @@ def solve_marchenko(
     """Recover the potential on the given nodes from a tabulated kernel.
 
     Q(x) = 2 dK(x, x)/dx by a central difference of half-width fd_step.
-    The per-node Fredholm solves are independent and run on a thread pool
-    when threads > 1.
+    threads is accepted for compatibility; work runs serially.
     """
     x = checked_grid(x)
 
@@ -246,13 +245,7 @@ def solve_marchenko(
         lo = marchenko_diagonal(kernel, xi - fd_step, ds)
         return (hi - lo) / fd_step
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            q = np.array(list(pool.map(node, x)))
-    else:
-        q = np.array([node(xi) for xi in x])
+    q = np.array([node(xi) for xi in x])
     return RecoveredPotential(x=x, q=q, check_decay=check_decay)
 
 
@@ -285,7 +278,8 @@ def recover_potential(
 
     Builds the kernel on a grid starting just left of 2 x_min and extended
     to the right until |C| falls below tail_tol (absolute), then solves the
-    integral equation at each node.
+    integral equation at each node.  threads is accepted for compatibility;
+    work runs serially.
     """
     x = checked_grid(x)
     if dz is None:
@@ -301,7 +295,7 @@ def recover_potential(
         gmax = max(abs(g) for g in bound_state_weights(data))
         pad = max(pad, 2.0 + np.log(max(gmax, 1.0) / tail_tol) / min(etas))
     kernel = _extend_until_decayed(build, 2.0 * x[-1] + 2.0 * fd_step, pad, tail_tol)
-    return solve_marchenko(kernel, x, ds, fd_step, threads, check_decay)
+    return solve_marchenko(kernel, x, ds, fd_step, check_decay=check_decay)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +320,8 @@ class TwoLevelScatteringData(Document):
         norming = tuple(complex(d) for d in self.norming)
         if len(poles) != len(norming):
             raise ValueError("need one norming constant per pole")
+        if not np.all(np.isfinite(poles + norming)):
+            raise ValueError("poles and norming must be finite")
         if any(p.imag <= 0 for p in poles):
             raise ValueError("transmission zeros must lie in the upper half plane")
         object.__setattr__(self, "zeta", zeta)
@@ -399,6 +395,8 @@ def recover_pulse(
 
         u(y) - int_t^inf conj(F(s + y)) v(s) ds = 0,
         v(y) + int_t^inf F(s + y) u(s) ds = -F(t + y).
+
+    threads is accepted for compatibility; work runs serially.
     """
     t = checked_grid(t)
     # m_j e^{i zeta_j z} as a bound term g e^{-eta z} with rate eta = -i zeta_j
@@ -425,11 +423,5 @@ def recover_pulse(
         rhs, m = _hankel_system(kernel, ti, ds)
         return -2j * _fredholm_solve(np.eye(rhs.size) + m @ np.conj(m), rhs)[0]
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            E = np.array(list(pool.map(node, t)))
-    else:
-        E = np.array([node(ti) for ti in t])
+    E = np.array([node(ti) for ti in t])
     return RecoveredPulse(t=t, E=E, check_decay=check_decay)

@@ -31,12 +31,11 @@ the default cutoff, and vanishes identically on resonance.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._ode import integrate
 from ._samples import SampleTable
 from .codec import Document
 from .errors import NumericalError
@@ -194,8 +193,8 @@ class PulseSpec(Document):
             object.__setattr__(self, "window", (lo, hi))
         else:
             w0, w1 = (float(self.window[0]), float(self.window[1]))
-            if not w1 >= w0:
-                raise ValueError("window must be ordered")
+            if not (np.isfinite(w0) and np.isfinite(w1) and w1 >= w0):
+                raise ValueError("window must be finite and ordered")
             if w0 > lo or w1 < hi:
                 raise ValueError(
                     "window leaves envelope values above 1e-10 outside it"
@@ -214,20 +213,6 @@ def _free_factor(zeta, dt):
         [[np.exp(-1j * zeta * dt), 0.0], [0.0, np.exp(1j * zeta * dt)]],
         dtype=complex,
     )
-
-
-def _integrate_unitary(rhs, t0, t1, rtol, atol, what):
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        np.eye(2, dtype=complex).ravel(),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise NumericalError(f"{what} integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(2, 2)
 
 
 def propagate(
@@ -256,7 +241,7 @@ def propagate(
         h = np.array([[zeta, c], [np.conj(c), -zeta]])
         return (-1j * (h @ u)).ravel()
 
-    core = _integrate_unitary(rhs, b0, b1, rtol, atol, "propagator")
+    core = integrate(rhs, (b0, b1), np.eye(2, dtype=complex), rtol, atol, "propagator")
     return _free_factor(zeta, t1 - b1) @ core @ _free_factor(zeta, b0 - t0)
 
 
@@ -339,7 +324,7 @@ def scattering_matrix(
                 * (np.array([[0.0, c], [np.conj(c), 0.0]]) @ u)
             ).ravel()
 
-        core = _integrate_unitary(rhs, lo, hi, rtol, atol, "S-matrix")
+        core = integrate(rhs, (lo, hi), np.eye(2, dtype=complex), rtol, atol, "S-matrix")
     else:
         core = np.eye(2, dtype=complex)
     s = _magnus_factor(m_right) @ core @ _magnus_factor(m_left)
@@ -356,18 +341,13 @@ def scattering_scan(pulse: PulseSpec, detunings, threads: int = 1, **kw):
     """scattering_matrix mapped over a detuning grid, order preserved.
 
     Returns an (n, 2, 2) array; entry [j] probes the Zakharov-Shabat
-    spectral point -detunings[j] / 2.
+    spectral point -detunings[j] / 2.  threads is accepted for
+    compatibility; work runs serially.
     """
-    specs = [
-        dataclasses.replace(pulse, detuning=float(d))
+    return np.array([
+        scattering_matrix(dataclasses.replace(pulse, detuning=float(d)), 0.0, **kw)
         for d in np.asarray(detunings, dtype=float).ravel()
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            out = list(pool.map(lambda p: scattering_matrix(p, 0.0, **kw), specs))
-    else:
-        out = [scattering_matrix(p, 0.0, **kw) for p in specs]
-    return np.array(out)
+    ])
 
 
 @dataclass(frozen=True)
@@ -390,13 +370,11 @@ class DipoleParams(Document):
     T: float = 1.0
 
     def __post_init__(self):
-        for name in ("d_A", "d_B", "x"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        for name in ("W_plus_A", "W_minus_A", "W_plus_B", "W_minus_B", "y", "T"):
-            value = float(getattr(self, name))
+        for f in dataclasses.fields(self):
+            value = (complex if f.type == "complex" else float)(getattr(self, f.name))
             if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+                raise ValueError(f"{f.name} must be finite")
+            object.__setattr__(self, f.name, value)
         if not self.T > 0:
             raise ValueError("half-duration T must be positive")
 
@@ -462,16 +440,6 @@ def rect_pulse_smatrix(
         del t
         return (-1j * (h_full @ y.reshape(4, 4))).ravel()
 
-    sol = solve_ivp(
-        rhs,
-        (-p.T, p.T),
-        np.eye(4, dtype=complex).ravel(),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise NumericalError(f"4-level integration failed: {sol.message}")
-    core = sol.y[:, -1].reshape(4, 4)
+    core = integrate(rhs, (-p.T, p.T), np.eye(4, dtype=complex), rtol, atol, "4-level")
     edge = _expm_i_hermitian(h_free, p.T)
     return edge @ core @ edge

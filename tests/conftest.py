@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,21 @@ def random_unitary(rng, n):
 def assert_unitary(u, atol=1e-10):
     n = u.shape[0]
     np.testing.assert_allclose(u.conj().T @ u, np.eye(n), atol=atol)
+
+
+class BudgetExceeded(Exception):
+    """Raised by the budget alarm; no handler in the package catches it."""
+
+
+@pytest.fixture
+def budget():
+    """Fail a test that runs past 10 s instead of letting a hang stall the suite."""
+
+    def expire(signum, frame):
+        raise BudgetExceeded("did not return within 10 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
