@@ -316,6 +316,13 @@ def _positive_int(text):
     return n
 
 
+def _finite_float(text):
+    x = float(text)
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError("must be a finite number")
+    return x
+
+
 def _positive_float(text):
     x = float(text)
     if not (np.isfinite(x) and x > 0):
@@ -335,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="numeric tolerance override for this pipeline")
         if grid:
             lo, hi, n, what = grid
-            sp.add_argument("--kmin", type=float, default=lo, help=f"{what} grid start")
-            sp.add_argument("--kmax", type=float, default=hi, help=f"{what} grid end")
+            sp.add_argument("--kmin", type=_finite_float, default=lo, help=f"{what} grid start")
+            sp.add_argument("--kmax", type=_finite_float, default=hi, help=f"{what} grid end")
             sp.add_argument("--n", type=_positive_int, default=n, help=f"{what} grid size")
 
     sp = sub.add_parser("direct", help="scattering amplitudes of a potential")
@@ -352,16 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gate", help="gate constructions and the synthesis round trip")
     sp.add_argument("--target", required=True, choices=("hadamard", "not", "phase"))
-    sp.add_argument("--phi", type=float, default=np.pi / 3.0,
+    sp.add_argument("--phi", type=_finite_float, default=np.pi / 3.0,
                     help="phase-family angle (phase target only)")
     common(sp, grid=(-55.0, 46.0, 506, "recovery"))
 
     sp = sub.add_parser("twolevel", help="pulse scattering matrix or spectral scan")
     sp.add_argument("--pulse", required=True, help="pulse JSON document")
-    sp.add_argument("--zeta", type=float, default=None, help="single spectral point")
+    sp.add_argument("--zeta", type=_finite_float, default=None, help="single spectral point")
     common(sp)
-    sp.add_argument("--kmin", type=float, default=-3.0, help="zeta grid start")
-    sp.add_argument("--kmax", type=float, default=3.0, help="zeta grid end")
+    sp.add_argument("--kmin", type=_finite_float, default=-3.0, help="zeta grid start")
+    sp.add_argument("--kmax", type=_finite_float, default=3.0, help="zeta grid end")
     sp.add_argument("--n", type=_positive_int, default=None,
                     help="zeta grid size (enables the scan)")
 

@@ -27,6 +27,9 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import zherk
+from scipy.linalg.lapack import dpotrf, dpotrs, zpotrf, zpotrs
 
 from ._samples import SampleTable, checked_grid, checked_samples
 from .codec import Document
@@ -46,14 +49,23 @@ def _trapezoid_weights(x):
     return w
 
 
-def _fourier_rows(k, values, z):
-    """(1/2 pi) int values(k) e^{ikz} dk on the grid, chunked over z."""
+def _fourier_rows(k, values, z, done=None):
+    """(1/2 pi) int values(k) e^{ikz} dk on the grid, chunked over z.
+
+    done holds rows already computed on a prefix of z.  Its whole chunks are
+    kept and only the chunks after them are computed, so an extended table
+    equals a one-shot build bit for bit.
+    """
     wk = _trapezoid_weights(k) * values
     out = np.empty(z.size, dtype=complex)
-    for i0 in range(0, z.size, _FOURIER_CHUNK):
+    start = 0
+    if done is not None:
+        start = done.size - done.size % _FOURIER_CHUNK
+        out[:start] = done[:start]
+    for i0 in range(start, z.size, _FOURIER_CHUNK):
         blk = np.exp(1j * np.outer(z[i0 : i0 + _FOURIER_CHUNK], k))
-        out[i0 : i0 + _FOURIER_CHUNK] = blk @ wk
-    return out / (2.0 * np.pi)
+        out[i0 : i0 + _FOURIER_CHUNK] = blk @ wk / (2.0 * np.pi)
+    return out
 
 
 def bound_state_weights(data: ReflectionData) -> tuple:
@@ -129,7 +141,10 @@ class MarchenkoKernel:
 def marchenko_kernel(data: ReflectionData, z) -> MarchenkoKernel:
     """Tabulate the inverse-scattering kernel on the given uniform z grid."""
     z = np.asarray(z, dtype=float)
-    vals = _fourier_rows(data.k, data.R, z)
+    return _potential_kernel(data, z, _fourier_rows(data.k, data.R, z))
+
+
+def _potential_kernel(data, z, vals):
     scale = max(1.0, float(np.max(np.abs(vals.real))))
     if np.max(np.abs(vals.imag)) > 1e-9 * scale:
         raise NumericalError(
@@ -150,45 +165,85 @@ def _simpson_weights(n, ds):
     return w
 
 
-def _hankel_system(kernel, x, ds):
-    # right-hand side -C(2x + s) and weighted matrix C(2x + s + s') w(s')
-    # of the Nystroem discretization at x, on the Simpson grid s = j ds
+def _nystroem_system(kernel, x, ds):
+    # samples c2 = C(2x + j ds), j < 2n - 1, and Simpson weights w of the
+    # Nystroem discretization at x on the grid s = j ds: the system is
+    # (I + H W) u = -c2[:n] with the Hankel matrix H_ij = c2[i + j]
     n = int(np.floor((kernel.z[-1] / 2.0 - x) / ds)) + 1
     if n % 2 == 0:
         n -= 1
     if n < 5:
         raise ValueError("node too close to the kernel truncation edge")
-    c2 = kernel(2.0 * x + ds * np.arange(2 * n - 1))
-    idx = np.arange(n)
-    return -c2[:n], c2[np.add.outer(idx, idx)] * _simpson_weights(n, ds)[None, :]
+    return kernel(2.0 * x + ds * np.arange(2 * n - 1)), _simpson_weights(n, ds)
 
 
-def _fredholm_solve(a, rhs):
-    try:
-        sol = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
+# The node loop keeps every BLAS/LAPACK call inside scipy's OpenBLAS.  numpy
+# links a second OpenBLAS, and when calls alternate between the two libraries
+# their thread pools contend: on a 2-core host, at n = 1241, a numpy
+# matrix-vector product right after a scipy dpotrf took 2.8 ms instead of
+# 0.29 ms.  So S is built by broadcasting and the residual by np.correlate,
+# which took 0.25 ms in the same place.
+
+
+def _scaled_hankel(c2, d):
+    # S = D H D with D = diag(d), from a zero-copy Hankel view; the outer
+    # product keeps S exactly symmetric, so S.T is S in Fortran order
+    return sliding_window_view(c2, d.size) * np.outer(d, d)
+
+
+def _hankel_apply(c2, v):
+    # (H v)_i = sum_j c2[i + j] v_j; np.correlate conjugates its second input
+    return np.correlate(c2, np.conj(v), "valid")
+
+
+def _cholesky_solve(potrf, potrs, a, rhs):
+    """Solve a x = rhs by Cholesky for a symmetric (Hermitian) positive
+    definite Nystroem matrix, I + S or I + S S^H with S = D H D.
+
+    a is Fortran-ordered and overwritten by its factor.  A failed
+    factorization means the Marchenko operator is not positive definite,
+    which physical scattering data never give.
+    """
+    factor, info = potrf(a, overwrite_a=1)
+    if info == 0:
+        sol, info = potrs(factor, rhs)
+    if info != 0:
         raise NumericalError(
-            "Nystroem system singular; refine the s-grid or reduce the data"
-        ) from None
-    resid = np.max(np.abs(a @ sol - rhs))
-    if not resid <= 1e-6 * max(1.0, np.max(np.abs(rhs))):
+            "Nystroem matrix is not positive definite; the data are not "
+            "physical scattering data"
+        )
+    return sol
+
+
+def _check_residual(resid, rhs):
+    if not np.max(np.abs(resid)) <= 1e-6 * max(1.0, np.max(np.abs(rhs))):
         raise NumericalError(
             "Nystroem solve lost accuracy (kernel too large for the window); "
             "refine the s-grid or shrink the recovery window"
         )
-    return sol
 
 
 def marchenko_diagonal(kernel: MarchenkoKernel, x: float, ds: float = 0.05) -> float:
     """Diagonal value K(x, x) of the layer-stripping solution.
 
-    Nystroem discretization on s = x + j ds with composite Simpson weights;
-    the integral is truncated where the kernel tabulation ends.
+    Nystroem discretization on s = x + j ds with composite Simpson weights w;
+    the integral is truncated where the kernel tabulation ends.  The system
+    (I + H W) u = -c is solved by Cholesky in its symmetrized form
+    (I + S) D u = -D c, with S = D H D and D = diag(sqrt(w)): I + S is
+    symmetric positive definite for physical scattering data, and a failed
+    factorization raises NumericalError.  The residual is checked on the
+    unscaled system.
     """
     if not ds > 0:
         raise ValueError("ds must be positive")
-    rhs, m = _hankel_system(kernel, x, ds)
-    return float(_fredholm_solve(np.eye(rhs.size) + m, rhs)[0])
+    c2, w = _nystroem_system(kernel, x, ds)
+    d = np.sqrt(w)
+    rhs = -c2[: w.size]
+    a = _scaled_hankel(c2, d)
+    a.flat[:: w.size + 1] += 1.0
+    u = _cholesky_solve(dpotrf, dpotrs, a.T, d * rhs) / d
+    _check_residual(u + _hankel_apply(c2, w * u) - rhs, rhs)
+    return float(u[0])
 
 
 _END_DECAY = 1e-4
@@ -249,11 +304,15 @@ def solve_marchenko(
     return RecoveredPotential(x=x, q=q, check_decay=check_decay)
 
 
-def _extend_until_decayed(build, z_hi0, pad0, tail_tol):
-    # grow the tabulation to the right until the kernel has decayed
+def _extend_until_decayed(k, values, z_lo, dz, kernel_of, z_hi0, pad0, tail_tol):
+    # grow the tabulation to the right until the kernel has decayed; each
+    # extension computes only the Fourier rows the last one did not
     pad = pad0
+    rows = None
     for _ in range(6):
-        kernel = build(z_hi0 + pad)
+        z = np.arange(z_lo, z_hi0 + pad + dz, dz)
+        rows = _fourier_rows(k, values, z, rows)
+        kernel = kernel_of(z, rows)
         tail = np.max(np.abs(kernel(kernel.z[kernel.z > kernel.z[-1] - 2.0])))
         if tail <= tail_tol:
             return kernel
@@ -285,16 +344,15 @@ def recover_potential(
     if dz is None:
         dz = min(0.094 / np.max(np.abs(data.k)), 0.25)
     z_lo = 2.0 * (x[0] - fd_step) - 1e-6
-
-    def build(z_hi):
-        return marchenko_kernel(data, np.arange(z_lo, z_hi + dz, dz))
-
     etas = [s.eta for s in data.bound_states]
     pad = 12.0
     if etas:
         gmax = max(abs(g) for g in bound_state_weights(data))
         pad = max(pad, 2.0 + np.log(max(gmax, 1.0) / tail_tol) / min(etas))
-    kernel = _extend_until_decayed(build, 2.0 * x[-1] + 2.0 * fd_step, pad, tail_tol)
+    kernel = _extend_until_decayed(
+        data.k, data.R, z_lo, dz, lambda z, rows: _potential_kernel(data, z, rows),
+        2.0 * x[-1] + 2.0 * fd_step, pad, tail_tol,
+    )
     return solve_marchenko(kernel, x, ds, fd_step, check_decay=check_decay)
 
 
@@ -369,6 +427,21 @@ def transmission_derivative_at_pole(data: TwoLevelScatteringData, j: int) -> com
     return rest * np.exp(integral / (2j * np.pi)) / (p - np.conj(p))
 
 
+def _pulse_sample(kernel, t, ds):
+    # E(t) = -2i v(t, t): with M = H W the system (I + M conj(M)) v = -c is
+    # solved by Cholesky as (I + S S^H) D v = -D c, Hermitian positive
+    # definite for any data because S = D H D is complex symmetric
+    c2, w = _nystroem_system(kernel, t, ds)
+    d = np.sqrt(w)
+    rhs = -c2[: w.size]
+    a = zherk(1.0, _scaled_hankel(c2, d).T)
+    a.flat[:: w.size + 1] += 1.0
+    v = _cholesky_solve(zpotrf, zpotrs, a, d * rhs) / d
+    mv = _hankel_apply(c2, w * np.conj(_hankel_apply(c2, w * np.conj(v))))
+    _check_residual(v + mv - rhs, rhs)
+    return -2j * v[0]
+
+
 @dataclass(frozen=True, eq=False)
 class RecoveredPulse(_Recovered, TabulatedPulse):
     """Complex pulse envelope samples produced by the inverse transform.
@@ -396,6 +469,8 @@ def recover_pulse(
         u(y) - int_t^inf conj(F(s + y)) v(s) ds = 0,
         v(y) + int_t^inf F(s + y) u(s) ds = -F(t + y).
 
+    At each node the Nystroem system for v is solved by Cholesky as the
+    Hermitian positive definite I + S S^H, S = D H D (see _pulse_sample).
     threads is accepted for compatibility; work runs serially.
     """
     t = checked_grid(t)
@@ -407,21 +482,16 @@ def recover_pulse(
     if dz is None:
         dz = min(0.094 / np.max(np.abs(data.zeta)), 0.25)
     z_lo = 2.0 * t[0] - 1e-6
-
-    def build(z_hi):
-        z = np.arange(z_lo, z_hi + dz, dz)
-        return MarchenkoKernel(z=z, refl=_fourier_rows(data.zeta, data.r, z), bound_terms=terms)
-
     pad = 12.0
     if terms:
         mmax = max(abs(m) for _, m in terms)
         rate = min(eta.real for eta, _ in terms)
         pad = max(pad, 2.0 + np.log(max(mmax, 1.0) / tail_tol) / rate)
-    kernel = _extend_until_decayed(build, 2.0 * t[-1], pad, tail_tol)
+    kernel = _extend_until_decayed(
+        data.zeta, data.r, z_lo, dz,
+        lambda z, rows: MarchenkoKernel(z=z, refl=rows, bound_terms=terms),
+        2.0 * t[-1], pad, tail_tol,
+    )
 
-    def node(ti):
-        rhs, m = _hankel_system(kernel, ti, ds)
-        return -2j * _fredholm_solve(np.eye(rhs.size) + m @ np.conj(m), rhs)[0]
-
-    E = np.array([node(ti) for ti in t])
+    E = np.array([_pulse_sample(kernel, ti, ds) for ti in t])
     return RecoveredPulse(t=t, E=E, check_decay=check_decay)

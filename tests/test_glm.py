@@ -10,10 +10,15 @@ Frozen closed forms used as oracles:
     2i sech(2t).
 """
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from scattergate import glm
+from scattergate.cli import main
 from scattergate.codec import from_json
 from scattergate.direct1d import BoundState, SquareWell, Tabulated, solve_scattering
 from scattergate.dispersion import (
@@ -258,3 +263,157 @@ class TestPulseRecovery:
         )
         again = from_json(TabulatedPulse, rec.to_json())
         np.testing.assert_allclose(again.E, rec.E)
+
+
+# ---------------------------------------------------------------------------
+# Cholesky Nystroem solves against the dense LU of the unsymmetrized system
+
+
+def nystroem_reference(kernel, x, ds):
+    """Samples c2 = C(2x + j ds), Simpson weights w and H_ij = c2[i + j],
+    assembled by fancy indexing, independently of glm's Hankel view."""
+    n = int(np.floor((kernel.z[-1] / 2.0 - x) / ds)) + 1
+    n -= 1 - n % 2
+    c2 = kernel(2.0 * x + ds * np.arange(2 * n - 1))
+    w = np.full(n, 2.0 * ds / 3.0)
+    w[1::2] = 4.0 * ds / 3.0
+    w[0] = w[-1] = ds / 3.0
+    idx = np.arange(n)
+    return c2, w, c2[np.add.outer(idx, idx)]
+
+
+def lu_diagonal(kernel, x, ds):
+    c2, w, h = nystroem_reference(kernel, x, ds)
+    return np.linalg.solve(np.eye(w.size) + h * w, -c2[: w.size])[0], w.size
+
+
+def assert_matches_lu(kernel, x, ds):
+    want, n = lu_diagonal(kernel, x, ds)
+    got = marchenko_diagonal(kernel, x, ds)
+    assert abs(got - want) <= 1e-10 * abs(want), (x, n, got, want)
+    return n
+
+
+@pytest.fixture(scope="module")
+def gate_kernel():
+    # the kernel recover_potential builds for the gate pipeline (shipped
+    # Hadamard-like targets, the gate CLI window, ds = 0.15), captured
+    # where it is handed to the node solves
+    s2 = 1.0 / np.sqrt(2.0)
+    data = build_scattering_data([GateTarget(k=1.0, t=s2, r=s2), GateTarget(k=2.0, t=s2, r=s2)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glm, "solve_marchenko", lambda kernel, *args, **kwargs: kernel)
+        kernel = recover_potential(data, np.linspace(-55.0, 46.0, 506), ds=0.15)
+    return data, kernel
+
+
+class TestCholeskySolve:
+    def test_gate_kernel_matches_lu(self, gate_kernel):
+        _, kernel = gate_kernel
+        # -55.01 is the first node's left difference point: the largest order
+        sizes = [assert_matches_lu(kernel, x, 0.15) for x in (-55.01, -54.99, -20.0, 10.0, 46.01)]
+        assert sizes[0] == 1241
+
+    def test_gate_spectrum_is_positive(self, gate_kernel):
+        _, kernel = gate_kernel
+        c2, w, _ = nystroem_reference(kernel, -55.01, 0.15)
+        s = glm._scaled_hankel(c2, np.sqrt(w))
+        ev = np.linalg.eigvalsh(np.eye(w.size) + s)
+        assert 0.3 < ev[0] and ev[-1] < 1.7
+
+    def test_extended_gate_kernel_equals_one_shot_build(self, gate_kernel):
+        data, kernel = gate_kernel
+        assert np.array_equal(kernel.refl, marchenko_kernel(data, kernel.z).refl)
+
+    # two-soliton nodes stop at x = -2: further left the condition number of
+    # I + S grows as e^{4 |x|} (3.6e6 at x = -3.5), and there LU and
+    # Cholesky differ by their shared cond * eps roundoff (1.6e-10)
+    @pytest.mark.parametrize("x", [-2.0, -1.0, 0.0, 0.4, 3.0])
+    @pytest.mark.parametrize(
+        "states",
+        [[BoundState(1.0, 1.0)], [BoundState(1.0, -1.0), BoundState(2.0, 1.0)]],
+        ids=["one", "two"],
+    )
+    def test_soliton_kernels_match_lu(self, states, x):
+        kernel = marchenko_kernel(soliton_data(states), np.arange(-8.0, 20.0, 0.02))
+        assert_matches_lu(kernel, x, 0.02)
+
+    @pytest.mark.parametrize("t", [-1.5, 0.0, 0.7])
+    def test_pulse_sample_matches_lu(self, t):
+        z = np.arange(-4.0, 14.0, 0.01)
+        refl = 0.3 * np.exp(-((z - 1.0) ** 2)) * np.exp(0.7j * z)
+        kernel = MarchenkoKernel(z=z, refl=refl, bound_terms=((1.0 - 0.5j, 0.8 + 0.3j),))
+        c2, w, h = nystroem_reference(kernel, t, 0.04)
+        m = h * w
+        want = -2j * np.linalg.solve(np.eye(w.size) + m @ np.conj(m), -c2[: w.size])[0]
+        got = glm._pulse_sample(kernel, t, 0.04)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        bumps=st.lists(
+            st.tuples(
+                st.floats(0.05, 0.2), st.floats(0.0, 3.0), st.floats(0.2, 1.0),
+                st.floats(-np.pi, np.pi),
+            ),
+            max_size=2,
+        ),
+        states=st.lists(
+            st.tuples(st.floats(0.3, 2.0), st.floats(0.2, 5.0)), max_size=2,
+            unique_by=lambda s: round(s[0], 1),
+        ),
+        x=st.floats(-1.0, 1.0),
+    )
+    def test_physical_data_are_positive_definite(self, bumps, states, x):
+        # |R| <= 0.8 from at most two mirrored bumps (R(-k) = conj R(k)) and
+        # norming signs chosen so that every kernel weight g_j is positive
+        k = np.arange(-8.0, 8.0 + 0.01, 0.01)
+        R = np.zeros(k.size, dtype=complex)
+        for amp, k0, width, phase in bumps:
+            R += amp * np.exp(-(((k - k0) / width) ** 2) + 1j * phase)
+            R += amp * np.exp(-(((k + k0) / width) ** 2) - 1j * phase)
+        bound = [BoundState(eta, b) for eta, b in states]
+        signs = np.sign(bound_state_weights(ReflectionData(k=k, R=R, bound_states=tuple(bound))))
+        bound = tuple(BoundState(s.eta, sign * s.norming) for s, sign in zip(bound, signs))
+        data = ReflectionData(k=k, R=R, bound_states=bound)
+        assert all(g > 0 for g in bound_state_weights(data))
+        kernel = marchenko_kernel(data, np.arange(-2.5, 12.0, 0.02))
+        c2, w, _ = nystroem_reference(kernel, x, 0.05)
+        ev = np.linalg.eigvalsh(np.eye(w.size) + glm._scaled_hankel(c2, np.sqrt(w)))
+        assert ev[0] > 0
+        # K(x, x) can pass through zero, so the error is relative to the
+        # larger of K(x, x) and the kernel itself
+        want, _ = lu_diagonal(kernel, x, 0.05)
+        got = marchenko_diagonal(kernel, x, 0.05)
+        assert abs(got - want) <= 1e-10 * max(abs(want), np.max(np.abs(c2)))
+
+
+NEGATIVE_NORMING = soliton_data([BoundState(1.0, -1.0)])
+
+
+class TestNonPhysicalData:
+    def test_negative_norming_raises(self):
+        with pytest.raises(NumericalError, match="not positive definite"):
+            recover_potential(NEGATIVE_NORMING, np.linspace(-3.0, 3.0, 5), check_decay=False)
+
+    def test_cli_inverse_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(NEGATIVE_NORMING.to_json()))
+        argv = ["inverse", "--data", str(path), "--kmin", "-3", "--kmax", "3", "--n", "5", "--keep-ends"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert "not physical scattering data" in json.loads(line)["error"]["message"]
+
+
+class TestKernelExtension:
+    def test_extended_rows_equal_one_shot_rows(self):
+        # prefixes whose lengths are not multiples of the chunk size
+        k = np.arange(-6.0, 6.0 + 0.01, 0.01)
+        values = 0.4 * np.exp(-(k**2)) * np.exp(0.3j * k)
+        rows = None
+        for z_hi in (3.1, 4.0, 7.77, 15.0):
+            z = np.arange(-2.0, z_hi + 0.05, 0.05)
+            rows = glm._fourier_rows(k, values, z, rows)
+            assert np.array_equal(rows, glm._fourier_rows(k, values, z))

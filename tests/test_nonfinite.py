@@ -85,14 +85,35 @@ def test_bad_tol_is_a_parse_error(case, tol, tmp_path, capsys, budget):
     assert code == 2
 
 
+# finite options whose grid span overflows: numpy warns, the grid check exits 2
+OVERFLOWING_GRID = ["--kmin=-1e308", "--kmax", "1e308"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case, option", [
+    ("direct", "--kmin"), ("direct", "--kmax"),
+    ("inverse potential", "--kmin"), ("inverse potential", "--kmax"),
+    ("gate", "--phi"), ("gate", "--kmin"), ("gate", "--kmax"),
+    ("twolevel", "--zeta"), ("twolevel", "--kmin"), ("twolevel", "--kmax"),
+])
+def test_non_finite_option_is_a_parse_error(case, option, value, tmp_path, capsys, budget):
+    argv = dict(cli_cases(str(tmp_path)), gate=["gate", "--target", "phase"])[case]
+    code = main(argv + [f"{option}={value}"])
+    out, err = capsys.readouterr()
+    assert_one_line_failure(code, out, err)
+    assert code == 2
+    assert f"argument {option}: must be a finite number" in err
+
+
 def test_numpy_warnings_stay_off_stderr(tmp_path):
     # a fresh interpreter: pytest would otherwise record the warnings itself
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(scattergate.__file__)), env.get("PYTHONPATH", "")]
     )
-    direct = cli_cases(str(tmp_path))[0][1]
-    for argv in (direct + ["--kmax", "inf"], ["gate", "--target", "phase", "--phi", "inf"]):
+    direct, inverse = (argv for _, argv in cli_cases(str(tmp_path))[:2])
+    # the subnormal momentum overflows inside the solve: numpy warns, exit 3
+    for argv in (inverse + OVERFLOWING_GRID, direct + ["--kmin", "1e-320"]):
         run = subprocess.run([sys.executable, "-m", "scattergate", *argv], env=env,
                              capture_output=True, text=True, timeout=30)
         assert_one_line_failure(run.returncode, run.stdout, run.stderr)
@@ -100,9 +121,9 @@ def test_numpy_warnings_stay_off_stderr(tmp_path):
 
 def test_warnings_reach_the_debug_log(tmp_path, capsys, monkeypatch, budget):
     monkeypatch.setenv("SCATTERGATE_LOG", "debug")
-    direct = cli_cases(str(tmp_path))[0][1]
+    inverse = cli_cases(str(tmp_path))[1][1]
     before = warnings.showwarning
-    code = main(direct + ["--kmax", "inf"])
+    code = main(inverse + OVERFLOWING_GRID)
     err = capsys.readouterr().err
     assert code == 2
     assert "RuntimeWarning" in err
