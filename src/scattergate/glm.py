@@ -20,6 +20,10 @@ ratio r on the frequency axis plus the upper-half-plane zeros of the
 transmission amplitude with their norming constants.  The kernel is complex
 and the integral equation couples two rows, but the recipe is the same and
 the pulse envelope is read off the diagonal of the solution.
+
+At each node the equation is discretized by Simpson's rule (Nystroem) and
+solved by conjugate gradients on its symmetrized, positive definite form;
+the Hankel products cost O(n log n) by FFT and no n x n matrix is formed.
 """
 
 from __future__ import annotations
@@ -27,9 +31,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.blas import zherk
-from scipy.linalg.lapack import dpotrf, dpotrs, zpotrf, zpotrs
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from ._samples import SampleTable, checked_grid, checked_samples
 from .codec import Document
@@ -177,42 +179,49 @@ def _nystroem_system(kernel, x, ds):
     return kernel(2.0 * x + ds * np.arange(2 * n - 1)), _simpson_weights(n, ds)
 
 
-# The node loop keeps every BLAS/LAPACK call inside scipy's OpenBLAS.  numpy
-# links a second OpenBLAS, and when calls alternate between the two libraries
-# their thread pools contend: on a 2-core host, at n = 1241, a numpy
-# matrix-vector product right after a scipy dpotrf took 2.8 ms instead of
-# 0.29 ms.  So S is built by broadcasting and the residual by np.correlate,
-# which took 0.25 ms in the same place.
-
-
-def _scaled_hankel(c2, d):
-    # S = D H D with D = diag(d), from a zero-copy Hankel view; the outer
-    # product keeps S exactly symmetric, so S.T is S in Fortran order
-    return sliding_window_view(c2, d.size) * np.outer(d, d)
-
-
 def _hankel_apply(c2, v):
     # (H v)_i = sum_j c2[i + j] v_j; np.correlate conjugates its second input
     return np.correlate(c2, np.conj(v), "valid")
 
 
-def _cholesky_solve(potrf, potrs, a, rhs):
-    """Solve a x = rhs by Cholesky for a symmetric (Hermitian) positive
-    definite Nystroem matrix, I + S or I + S S^H with S = D H D.
+def _fft_hankel(c2, d):
+    """The product y -> S y, S = D H D with H_ij = c2[i + j] and D = diag(d),
+    without forming a matrix: (H v)_i is entry n - 1 + i of the convolution
+    of c2 with v reversed, one FFT product on the spectrum of c2.  A cyclic
+    length of 2n - 1 already keeps the wrap-around off those n entries."""
+    n, size = d.size, next_fast_len(2 * d.size - 1)
+    forward, inverse = (fft, ifft) if np.iscomplexobj(c2) else (rfft, irfft)
+    spectrum = forward(c2, size)
+    return lambda y: d * inverse(spectrum * forward((d * y)[::-1], size), size)[n - 1 : 2 * n - 1]
 
-    a is Fortran-ordered and overwritten by its factor.  A failed
-    factorization means the Marchenko operator is not positive definite,
-    which physical scattering data never give.
-    """
-    factor, info = potrf(a, overwrite_a=1)
-    if info == 0:
-        sol, info = potrs(factor, rhs)
-    if info != 0:
-        raise NumericalError(
-            "Nystroem matrix is not positive definite; the data are not "
-            "physical scattering data"
-        )
-    return sol
+
+# The Nystroem matrices are the identity plus a discretized compact operator,
+# so their spectra cluster at 1 and CG converges superlinearly in a few
+# iterations; with r bound states and no reflection S has rank r, and CG
+# needs at most r + 1.
+def _cg_solve(apply, b):
+    """Conjugate gradients for A y = b, A = I + S or I + S S^H given as
+    y -> A y, to an updated residual of at most 1e-13 |b|.  Non-positive
+    curvature p^H A p means A is not positive definite."""
+    y, r, p = np.zeros_like(b), b.copy(), b.copy()
+    rr = np.vdot(b, b).real
+    stop, steps = 1e-26 * rr, 0
+    while rr > stop:
+        if steps == b.size:
+            raise NumericalError(f"Nystroem solve did not converge in {steps} CG iterations")
+        ap = apply(p)
+        curvature = np.vdot(p, ap).real
+        if not curvature > 0:
+            raise NumericalError(
+                "Nystroem matrix is not positive definite; the data are not "
+                "physical scattering data"
+            )
+        alpha = rr / curvature
+        y += alpha * p
+        r -= alpha * ap
+        rr, rr_old, steps = np.vdot(r, r).real, rr, steps + 1
+        p = r + (rr / rr_old) * p
+    return y
 
 
 def _check_residual(resid, rhs):
@@ -228,20 +237,25 @@ def marchenko_diagonal(kernel: MarchenkoKernel, x: float, ds: float = 0.05) -> f
 
     Nystroem discretization on s = x + j ds with composite Simpson weights w;
     the integral is truncated where the kernel tabulation ends.  The system
-    (I + H W) u = -c is solved by Cholesky in its symmetrized form
-    (I + S) D u = -D c, with S = D H D and D = diag(sqrt(w)): I + S is
-    symmetric positive definite for physical scattering data, and a failed
-    factorization raises NumericalError.  The residual is checked on the
-    unscaled system.
+    (I + H W) u = -c is solved by conjugate gradients in its symmetrized form
+    (I + S) D u = -D c, with S = D H D and D = diag(sqrt(w)), each product
+    with the Hankel matrix H taken by FFT.  I + S is symmetric positive
+    definite for physical scattering data; otherwise NumericalError is
+    raised.  The residual is checked on the unscaled system.  The kernel
+    must be real: pulse kernels go through recover_pulse.
     """
     if not ds > 0:
         raise ValueError("ds must be positive")
     c2, w = _nystroem_system(kernel, x, ds)
+    if np.iscomplexobj(c2):
+        raise ValueError(
+            "marchenko_diagonal needs a real (potential) kernel; pulse kernels "
+            "go through recover_pulse"
+        )
     d = np.sqrt(w)
     rhs = -c2[: w.size]
-    a = _scaled_hankel(c2, d)
-    a.flat[:: w.size + 1] += 1.0
-    u = _cholesky_solve(dpotrf, dpotrs, a.T, d * rhs) / d
+    s = _fft_hankel(c2, d)
+    u = _cg_solve(lambda y: y + s(y), d * rhs) / d
     _check_residual(u + _hankel_apply(c2, w * u) - rhs, rhs)
     return float(u[0])
 
@@ -429,14 +443,14 @@ def transmission_derivative_at_pole(data: TwoLevelScatteringData, j: int) -> com
 
 def _pulse_sample(kernel, t, ds):
     # E(t) = -2i v(t, t): with M = H W the system (I + M conj(M)) v = -c is
-    # solved by Cholesky as (I + S S^H) D v = -D c, Hermitian positive
-    # definite for any data because S = D H D is complex symmetric
+    # solved by conjugate gradients as (I + S S^H) D v = -D c, Hermitian
+    # positive definite for any data because S = D H D is complex symmetric,
+    # so S^H y = conj(S conj(y))
     c2, w = _nystroem_system(kernel, t, ds)
     d = np.sqrt(w)
     rhs = -c2[: w.size]
-    a = zherk(1.0, _scaled_hankel(c2, d).T)
-    a.flat[:: w.size + 1] += 1.0
-    v = _cholesky_solve(zpotrf, zpotrs, a, d * rhs) / d
+    s = _fft_hankel(c2, d)
+    v = _cg_solve(lambda y: y + s(np.conj(s(np.conj(y)))), d * rhs) / d
     mv = _hankel_apply(c2, w * np.conj(_hankel_apply(c2, w * np.conj(v))))
     _check_residual(v + mv - rhs, rhs)
     return -2j * v[0]
@@ -469,8 +483,9 @@ def recover_pulse(
         u(y) - int_t^inf conj(F(s + y)) v(s) ds = 0,
         v(y) + int_t^inf F(s + y) u(s) ds = -F(t + y).
 
-    At each node the Nystroem system for v is solved by Cholesky as the
-    Hermitian positive definite I + S S^H, S = D H D (see _pulse_sample).
+    At each node the Nystroem system for v is solved by conjugate gradients
+    as the Hermitian positive definite I + S S^H, S = D H D, with FFT
+    Hankel products (see _pulse_sample).
     threads is accepted for compatibility; work runs serially.
     """
     t = checked_grid(t)

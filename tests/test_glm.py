@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from scattergate import glm
@@ -266,7 +266,8 @@ class TestPulseRecovery:
 
 
 # ---------------------------------------------------------------------------
-# Cholesky Nystroem solves against the dense LU of the unsymmetrized system
+# conjugate-gradient Nystroem solves against the dense LU of the
+# unsymmetrized system
 
 
 def nystroem_reference(kernel, x, ds):
@@ -280,6 +281,12 @@ def nystroem_reference(kernel, x, ds):
     w[0] = w[-1] = ds / 3.0
     idx = np.arange(n)
     return c2, w, c2[np.add.outer(idx, idx)]
+
+
+def scaled_reference(w, h):
+    # S = D H D with D = diag(sqrt(w)), as a dense matrix
+    d = np.sqrt(w)
+    return d[:, None] * h * d
 
 
 def lu_diagonal(kernel, x, ds):
@@ -308,6 +315,8 @@ def gate_kernel():
 
 
 class TestCholeskySolve:
+    """Nystroem node solves against dense LU, and the spectrum they rely on."""
+
     def test_gate_kernel_matches_lu(self, gate_kernel):
         _, kernel = gate_kernel
         # -55.01 is the first node's left difference point: the largest order
@@ -316,9 +325,8 @@ class TestCholeskySolve:
 
     def test_gate_spectrum_is_positive(self, gate_kernel):
         _, kernel = gate_kernel
-        c2, w, _ = nystroem_reference(kernel, -55.01, 0.15)
-        s = glm._scaled_hankel(c2, np.sqrt(w))
-        ev = np.linalg.eigvalsh(np.eye(w.size) + s)
+        _, w, h = nystroem_reference(kernel, -55.01, 0.15)
+        ev = np.linalg.eigvalsh(np.eye(w.size) + scaled_reference(w, h))
         assert 0.3 < ev[0] and ev[-1] < 1.7
 
     def test_extended_gate_kernel_equals_one_shot_build(self, gate_kernel):
@@ -378,14 +386,111 @@ class TestCholeskySolve:
         data = ReflectionData(k=k, R=R, bound_states=bound)
         assert all(g > 0 for g in bound_state_weights(data))
         kernel = marchenko_kernel(data, np.arange(-2.5, 12.0, 0.02))
-        c2, w, _ = nystroem_reference(kernel, x, 0.05)
-        ev = np.linalg.eigvalsh(np.eye(w.size) + glm._scaled_hankel(c2, np.sqrt(w)))
+        c2, w, h = nystroem_reference(kernel, x, 0.05)
+        ev = np.linalg.eigvalsh(np.eye(w.size) + scaled_reference(w, h))
         assert ev[0] > 0
         # K(x, x) can pass through zero, so the error is relative to the
         # larger of K(x, x) and the kernel itself
         want, _ = lu_diagonal(kernel, x, 0.05)
         got = marchenko_diagonal(kernel, x, 0.05)
         assert abs(got - want) <= 1e-10 * max(abs(want), np.max(np.abs(c2)))
+
+
+def random_kernel(n, dtype, seed):
+    # random samples on a grid whose truncation gives Nystroem order n at
+    # x = 0, ds = 0.1 (half a step of margin below the next order)
+    rng = np.random.default_rng(seed)
+    z = np.linspace(-1.0, 0.2 * (n - 1) + 0.1, 4 * n)
+    refl = rng.standard_normal(z.size)
+    if dtype is complex:
+        refl = refl + 1j * rng.standard_normal(z.size)
+    return MarchenkoKernel(z=z, refl=refl), rng
+
+
+class TestConjugateGradientSolve:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [5, 157, 1241])
+    def test_fft_hankel_matches_indexed_matrix(self, n, dtype):
+        kernel, rng = random_kernel(n, dtype, n)
+        c2, w, h = nystroem_reference(kernel, 0.0, 0.1)
+        assert w.size == n and np.iscomplexobj(c2) == (dtype is complex)
+        v = rng.standard_normal(n).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.standard_normal(n)
+        for d, matrix in ((np.ones(n), h), (np.sqrt(w), scaled_reference(w, h))):
+            want = matrix @ v
+            got = glm._fft_hankel(c2, d)(v)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        bumps=st.lists(
+            st.tuples(
+                st.floats(0.05, 0.4), st.floats(-1.0, 3.0), st.floats(0.3, 1.5),
+                st.floats(-2.0, 2.0), st.floats(-np.pi, np.pi),
+            ),
+            min_size=1, max_size=3,
+        ),
+        pole=st.tuples(st.floats(-2.0, 2.0), st.floats(0.3, 1.5)),
+        norming=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        t=st.floats(-1.0, 1.0),
+    )
+    def test_pulse_sample_matches_lu_on_random_data(self, bumps, pole, norming, t):
+        # complex Gaussian bumps exp(i nu z) plus the term m e^{i zeta z} of
+        # one transmission zero zeta in the upper half plane
+        z = np.arange(-3.0, 10.0, 0.02)
+        refl = sum(
+            amp * np.exp(-(((z - z0) / width) ** 2) + 1j * (nu * z + phase))
+            for amp, z0, width, nu, phase in bumps
+        )
+        zeta = complex(*pole)
+        kernel = MarchenkoKernel(z=z, refl=refl, bound_terms=((-1j * zeta, complex(*norming)),))
+        c2, w, h = nystroem_reference(kernel, t, 0.05)
+        m = h * w
+        want = -2j * np.linalg.solve(np.eye(w.size) + m @ np.conj(m), -c2[: w.size])[0]
+        got = glm._pulse_sample(kernel, t, 0.05)
+        assert abs(got - want) <= 1e-10 * max(abs(want), np.max(np.abs(c2)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        bumps=st.lists(
+            st.tuples(
+                st.floats(0.05, 0.2), st.floats(0.0, 3.0), st.floats(0.2, 1.0),
+                st.floats(-np.pi, np.pi),
+            ),
+            max_size=2,
+        ),
+        states=st.lists(
+            st.tuples(st.floats(0.3, 2.0), st.floats(0.2, 5.0), st.sampled_from([-1.0, 1.0])),
+            min_size=1, max_size=2, unique_by=lambda s: round(s[0], 1),
+        ),
+        x=st.floats(-1.0, 1.0),
+    )
+    def test_indefinite_data_raise(self, bumps, states, x):
+        # bound states of either sign: wherever the dense spectrum of I + S
+        # has a negative eigenvalue the solve must refuse the data
+        k = np.arange(-8.0, 8.0 + 0.01, 0.01)
+        R = np.zeros(k.size, dtype=complex)
+        for amp, k0, width, phase in bumps:
+            R += amp * np.exp(-(((k - k0) / width) ** 2) + 1j * phase)
+            R += amp * np.exp(-(((k + k0) / width) ** 2) - 1j * phase)
+        bound = tuple(BoundState(eta, sign * b) for eta, b, sign in states)
+        data = ReflectionData(k=k, R=R, bound_states=bound)
+        kernel = marchenko_kernel(data, np.arange(-2.5, 12.0, 0.02))
+        _, w, h = nystroem_reference(kernel, x, 0.05)
+        assume(np.linalg.eigvalsh(np.eye(w.size) + scaled_reference(w, h))[0] < 0)
+        with pytest.raises(NumericalError):
+            marchenko_diagonal(kernel, x, 0.05)
+
+    def test_complex_kernel_refused(self):
+        z = np.arange(-2.0, 10.0, 0.05)
+        kernel = MarchenkoKernel(z=z, refl=0.1 * np.exp(-(z**2)) * np.exp(1j * z))
+        with pytest.raises(ValueError, match="real .* kernel.*recover_pulse"):
+            marchenko_diagonal(kernel, 0.0, 0.1)
+
+    def test_zero_kernel_gives_zero(self):
+        kernel = MarchenkoKernel(z=np.arange(-2.0, 10.0, 0.05), refl=np.zeros(240))
+        assert marchenko_diagonal(kernel, 0.0, 0.1) == 0.0
 
 
 NEGATIVE_NORMING = soliton_data([BoundState(1.0, -1.0)])

@@ -193,15 +193,15 @@ GOLDEN_STDOUT = {
     ),
     "inverse potential": (
         '{"subcommand": "inverse", "kind": "potential", "variant": "tabulated", '
-        '"x": [-3, -1.5, 0, 1.5, 3], "q": [0.019733348523609529, 0.36143045894887482, '
-        '1.9999322262513441, 0.3614308220096632, 0.019733370305059263], '
+        '"x": [-3, -1.5, 0, 1.5, 3], "q": [0.019733348513395477, 0.36143045894929671, '
+        '1.9999322262513664, 0.36143082200966459, 0.019733370305059263], '
         '"window": [-3, 3]}\n'
     ),
     "inverse pulse": (
         '{"subcommand": "inverse", "kind": "pulse", "t": [-2, -1, 0, 1, 2], '
-        '"re_E": [0, 0, 0, 0, 0], "im_E": [0.073237905695847413, '
-        '0.53160387831272848, 1.9999988902383368, 0.5316044470588096, '
-        '0.073237986920153431]}\n'
+        '"re_E": [0, 0, 0, 0, 0], "im_E": [0.073237905695967803, '
+        '0.53160387831272549, 1.9999988902383377, 0.53160444705880949, '
+        '0.0732379869201535]}\n'
     ),
     "twolevel": (
         '{"subcommand": "twolevel", "S": [[[0.8210543515578439, '

@@ -12,7 +12,14 @@ from scipy.integrate import solve_ivp
 from scattergate._ode import integrate
 from scattergate.direct1d import PotentialSpec, find_bound_states, solve_scattering
 from scattergate.errors import NumericalError
-from scattergate.twolevel import PulseEnvelope, PulseSpec, propagate, scattering_matrix
+from scattergate.twolevel import (
+    LorentzianPulseSum,
+    PulseEnvelope,
+    PulseSpec,
+    RectangularPulse,
+    propagate,
+    scattering_matrix,
+)
 
 
 def linear_rhs(rng, n, dtype):
@@ -48,6 +55,16 @@ def test_state_keeps_the_shape_of_y0():
     assert u.shape == (2, 2)
     np.testing.assert_allclose(u, [[np.cos(0.5), -1j * np.sin(0.5)],
                                    [-1j * np.sin(0.5), np.cos(0.5)]], atol=1e-10)
+
+
+@pytest.mark.parametrize("pulse", [
+    PulseSpec(RectangularPulse(x=1.2741396422353426e-159j, half_width=1.0)),
+    PulseSpec(LorentzianPulseSum(terms=((2.0, 7.710184765299076e-160),))),
+])
+def test_underflowing_error_norm_does_not_fail_the_solve(pulse):
+    # derivatives near 1e-160 drive scipy's squared error norms to 0/0
+    s = scattering_matrix(pulse, 0.0)
+    np.testing.assert_allclose(s, np.eye(2), atol=1e-150)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-10])
