@@ -28,7 +28,7 @@ def main():
     # one resonant pulse: two poles inside the image circle
     sys_one, loop = lorentzian_to_fuchsian(2.0, 0.25)
     m = gauge_to_su2(monodromy(sys_one, loop))
-    s = scattering_matrix(PulseSpec(LorentzianPulse(2.0, 0.25)), 0.0)
+    s = scattering_matrix(PulseSpec(LorentzianPulse(2.0, 0.25)))
     print("poles of the system:", np.array_str(np.asarray(sys_one.poles), precision=4))
     print(f"loop monodromy vs time-domain S: max diff = {np.max(np.abs(m - s)):.2e}\n")
 
@@ -47,9 +47,7 @@ def main():
         points=(base, -0.15 + 0.29j, -0.15 + 0.45j, 0.15 + 0.45j, base)
     )
     prod = monodromy_product(combined, (around_third, around_quarter))
-    s_sum = scattering_matrix(
-        PulseSpec(LorentzianPulseSum(((2.0, 0.1), (3.0, 0.15)))), 0.0
-    )
+    s_sum = scattering_matrix(PulseSpec(LorentzianPulseSum(((2.0, 0.1), (3.0, 0.15)))))
     print("loop product vs summed-pulse S: max diff =",
           f"{np.max(np.abs(gauge_to_su2(prod) - s_sum)):.2e}\n")
 

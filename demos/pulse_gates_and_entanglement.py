@@ -32,7 +32,7 @@ def main():
     ]
     target = np.array([[0.0, -1j], [-1j, 0.0]])
     for name, env in envelopes:
-        s = scattering_matrix(PulseSpec(env), 0.0)
+        s = scattering_matrix(PulseSpec(env))
         print(f"  {name:16s} max |S - [[0,-i],[-i,0]]| = "
               f"{np.max(np.abs(s - target)):.2e}")
 

@@ -109,6 +109,15 @@ def _cmat(m) -> list:
     return [[_c(v) for v in row] for row in np.asarray(m)]
 
 
+def _grid(args) -> np.ndarray:
+    """The --kmin/--kmax/--n grid; a span that overflows is refused here,
+    where linspace would only warn and return non-finite points."""
+    if not np.isfinite(args.kmax - args.kmin):
+        raise CliError(2, "parse", f"--kmin/--kmax span from {args.kmin:g} to "
+                       f"{args.kmax:g} overflows")
+    return np.linspace(args.kmin, args.kmax, args.n)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -148,7 +157,7 @@ def _run_direct(args):
 
 def _run_inverse(args):
     doc_in = _load_json(args.data)
-    grid = np.linspace(args.kmin, args.kmax, args.n)
+    grid = _grid(args)
     kw = {} if args.tol is None else {"tail_tol": args.tol}
     if "poles" in doc_in:
         data = from_json(TwoLevelScatteringData, doc_in)
@@ -202,9 +211,9 @@ def _run_gate(args):
         "distance_to_hadamard": gate_distance(m, HADAMARD),
     }
     targets = [GateTarget(k=1.0, t=s2, r=s2), GateTarget(k=2.0, t=s2, r=s2)]
+    x = _grid(args)
     log.info("building reflection data for %d targets", len(targets))
     data = build_scattering_data(targets)
-    x = np.linspace(args.kmin, args.kmax, args.n)
     kw = {} if args.tol is None else {"tail_tol": args.tol}
     log.info("recovering the realizing potential on %d nodes", x.size)
     rec = recover_potential(data, x, ds=0.15, check_decay=False, **kw)
@@ -244,7 +253,7 @@ def _run_twolevel(args):
     if args.n is not None:
         if args.zeta is not None:
             raise CliError(2, "parse", "--zeta and a zeta grid are mutually exclusive")
-        zetas = np.linspace(args.kmin, args.kmax, args.n)
+        zetas = _grid(args)
         log.info("scattering scan at %d spectral points", zetas.size)
         # spectral point zeta probes the envelope detuned by -2 zeta
         mats = scattering_scan(pulse, -2.0 * zetas, **kw)
@@ -260,7 +269,7 @@ def _run_twolevel(args):
         return doc, table
     if args.zeta is not None:
         pulse = PulseSpec(pulse.envelope, detuning=-2.0 * args.zeta)
-    s = scattering_matrix(pulse, 0.0, **kw)
+    s = scattering_matrix(pulse, **kw)
     doc = {
         "subcommand": "twolevel",
         "S": _cmat(s),
@@ -336,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, grid=None):
         sp.add_argument("--out", help="output file; a .csv suffix selects the flat table")
-        sp.add_argument("--threads", type=_positive_int, default=1,
-                        help="accepted for compatibility; work runs serially")
         sp.add_argument("--tol", type=_positive_float, default=None,
                         help="numeric tolerance override for this pipeline")
         if grid:

@@ -205,7 +205,10 @@ class ScatterCoeffs:
     b: complex
 
     def __post_init__(self):
-        defect = (1.0 + abs(self.b) ** 2) / abs(self.a) ** 2 - 1.0
+        try:
+            defect = (1.0 + abs(self.b) ** 2) / abs(self.a) ** 2 - 1.0
+        except OverflowError:  # float ** raises where |a| or |b| exceed 1e154
+            defect = np.inf
         if not np.isfinite(defect) or abs(defect) > 1e-8:
             raise NumericalError(
                 f"|T|^2 + |R|^2 - 1 = {defect:.3e} at k = {self.k} exceeds 1e-8"
@@ -240,7 +243,7 @@ def _envelope_rhs(q, k):
     return rhs
 
 
-def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL, atol: float = _ATOL) -> ScatterCoeffs:
+def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> ScatterCoeffs:
     """Solve the direct problem at momentum k > 0.
 
     Launches phi = e^{-ikx} at the left window edge, integrates the envelope
@@ -249,22 +252,21 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL, atol: floa
     k = float(k)
     if not k > 0:
         raise ValueError(f"momentum must be positive, got {k}")
+    if not np.isfinite(0.5 / k):
+        raise ValueError(f"momentum {k} is too small: 1/(2k) overflows")
     x0, x1 = q.window
     if not x1 > x0:
         return ScatterCoeffs(k=k, a=1.0 + 0.0j, b=0.0j)
     u, v = integrate(
         _envelope_rhs(q, k), (x0, x1), np.array([0.0j, 1.0 + 0.0j]),
-        rtol, atol, f"scattering (k = {k})",
+        rtol, _ATOL, f"scattering (k = {k})",
     )
     return ScatterCoeffs(k=k, a=complex(v), b=complex(u))
 
 
-def solve_grid(q: PotentialSpec, ks, threads: int = 1, rtol: float = _RTOL, atol: float = _ATOL):
-    """solve_scattering mapped over a momentum grid, order preserved.
-
-    threads is accepted for compatibility; work runs serially.
-    """
-    return [solve_scattering(q, float(k), rtol, atol) for k in np.asarray(ks, dtype=float).ravel()]
+def solve_grid(q: PotentialSpec, ks, *, rtol: float = _RTOL):
+    """solve_scattering mapped over a momentum grid, order preserved."""
+    return [solve_scattering(q, float(k), rtol) for k in np.asarray(ks, dtype=float).ravel()]
 
 
 @dataclass(frozen=True)
@@ -317,20 +319,20 @@ def _norming_ratio(q, eta):
     return float(vals[1])
 
 
-def find_bound_states(q: PotentialSpec, eta_max: float, n_scan: int = None):
+def find_bound_states(q: PotentialSpec, eta_max: float):
     """Locate all bound states with eta in (0, eta_max].
 
     The matching determinant m(eta) (the coefficient of the growing
     exponential of the left solution at the right edge, ~ 2 eta a(i eta))
-    is scanned for sign changes and each bracket is refined by brentq.
+    is scanned for sign changes on max(40, 40 eta_max) points and each
+    bracket is refined by brentq.
     """
     if not eta_max > 0:
         raise ValueError("eta_max must be positive")
     x0, x1 = q.window
     if not x1 > x0:
         return []
-    if n_scan is None:
-        n_scan = max(40, int(round(40 * eta_max)))
+    n_scan = max(40, int(round(40 * eta_max)))
 
     def matching(eta):
         w, chi = _tilted(q, eta, x0, x1)
@@ -370,14 +372,14 @@ def fields_from_potentials(u: PotentialSpec, v: PotentialSpec, x):
     return a, a * a + 0.5 * (uu + vv)
 
 
-def em_spin_smatrix(u: PotentialSpec, v: PotentialSpec, k: float, rtol: float = _RTOL, atol: float = _ATOL) -> np.ndarray:
+def em_spin_smatrix(u: PotentialSpec, v: PotentialSpec, k: float, rtol: float = _RTOL) -> np.ndarray:
     """Block scattering gate diag(S_U, S_V) of the spin particle.
 
     The spin-up channel scatters on U and the spin-down channel on V; the
     off-diagonal blocks vanish identically.
     """
-    s_u = solve_scattering(u, k, rtol, atol).smatrix
-    s_v = solve_scattering(v, k, rtol, atol).smatrix
+    s_u = solve_scattering(u, k, rtol).smatrix
+    s_v = solve_scattering(v, k, rtol).smatrix
     out = np.zeros((4, 4), dtype=complex)
     out[:2, :2] = s_u
     out[2:, 2:] = s_v

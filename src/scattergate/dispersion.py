@@ -32,6 +32,12 @@ from .direct1d import BoundState, find_bound_states, solve_grid
 from .errors import InfeasibleTargetError, NumericalError
 
 
+_K_LO = 0.04        # lowest directly solved momentum of sample_reflection
+_TAPER = 0.8        # sample_reflection tapers |R| to zero above _TAPER * kmax
+_PHASE_TOL = 1e-4   # arg T residual the phase solve must reach (rad)
+_MAX_SWEEPS = 50
+
+
 def principal_value_integral(x, f, x0):
     """PV int f(t)/(t - x0) dt over the grid [x[0], x[-1]].
 
@@ -105,24 +111,23 @@ def sample_reflection(
     kmax: float = 10.0,
     dk: float = 2.5e-4,
     n_solve: int = 420,
-    k_lo: float = 0.04,
-    taper: float = 0.8,
+    *,
     threads: int = 1,
 ) -> ReflectionData:
     """Sample R(k) = b/a of a potential onto a dense symmetric grid.
 
-    Direct solves run on a geometric node set in [k_lo, kmax] and are
-    interpolated (cubic in ln k) onto the uniform output grid.  Below k_lo
+    Direct solves run on a geometric node set in [0.04, kmax] and are
+    interpolated (cubic in ln k) onto the uniform output grid.  Below 0.04
     the samples are extended by the generic total-reflection model
-    ln(1-|R|^2) ~ 2 ln k + const when |R(k_lo)| is already close to 1, and
+    ln(1-|R|^2) ~ 2 ln k + const when |R(0.04)| is already close to 1, and
     by a constant otherwise (weak or reflectionless scatterers).  |R| is
-    tapered smoothly to zero above taper*kmax so the data satisfies the
+    tapered smoothly to zero above 0.8 kmax so the data satisfies the
     end-decay contract; push kmax up if the tail still carries weight.
     threads is accepted for compatibility; work runs serially.
     """
-    if not (0 < k_lo < taper * kmax):
-        raise ValueError("need 0 < k_lo < taper*kmax")
-    nodes = np.geomspace(k_lo, kmax, n_solve)
+    if not _K_LO < _TAPER * kmax:
+        raise ValueError(f"need kmax > {_K_LO / _TAPER:g}")
+    nodes = np.geomspace(_K_LO, kmax, n_solve)
     coeffs = solve_grid(q, nodes)
     r_nodes = np.array([c.reflection for c in coeffs])
     spl_re = CubicSpline(np.log(nodes), r_nodes.real)
@@ -130,15 +135,15 @@ def sample_reflection(
 
     kk = np.arange(dk, kmax + 0.5 * dk, dk)
     R = np.empty(kk.size, dtype=complex)
-    body = kk >= k_lo
+    body = kk >= _K_LO
     R[body] = spl_re(np.log(kk[body])) + 1j * spl_im(np.log(kk[body]))
 
     head = ~body
     r0 = r_nodes[0]
     if abs(r0) ** 2 > 0.5:
-        # near-total reflection at k_lo: |T|^2 vanishes like k^2 at the origin
+        # near-total reflection at _K_LO: |T|^2 vanishes like k^2 at the origin
         h0 = np.log1p(-abs(r0) ** 2)
-        hh = h0 + 2.0 * np.log(kk[head] / k_lo)
+        hh = h0 + 2.0 * np.log(kk[head] / _K_LO)
         mod = np.sqrt(-np.expm1(hh))
         args = np.unwrap(np.angle(r_nodes[:3]))
         slope = (args[2] - args[0]) / (nodes[2] - nodes[0])
@@ -151,9 +156,9 @@ def sample_reflection(
     if np.any(over):
         R[over] *= (1.0 - 1e-9) / np.abs(R[over])
 
-    edge = kk > taper * kmax
+    edge = kk > _TAPER * kmax
     win = np.ones(kk.size)
-    win[edge] = np.cos(0.5 * np.pi * (kk[edge] - taper * kmax) / ((1.0 - taper) * kmax)) ** 2
+    win[edge] = np.cos(0.5 * np.pi * (kk[edge] - _TAPER * kmax) / ((1.0 - _TAPER) * kmax)) ** 2
     win[-1] = 0.0
     R *= win
 
@@ -259,8 +264,6 @@ def build_scattering_data(
     targets,
     width: float = None,
     dk: float = None,
-    phase_tol: float = 1e-4,
-    max_sweeps: int = 50,
 ) -> ReflectionData:
     """Synthesize reflection data hitting the given gate targets.
 
@@ -269,6 +272,7 @@ def build_scattering_data(
     arg t_j.  One auxiliary amplitude moves the phase only a few hundredths
     of a radian around the baseline (about +-0.05 at |r| ~ 0.7); targets
     beyond that raise InfeasibleTargetError.  No bound states are introduced.
+    The phase solve sweeps at most 50 times, to a residual of 1e-4 rad.
     """
     targets = list(targets)
     if not targets:
@@ -291,11 +295,11 @@ def build_scattering_data(
                 f"reachable band [{_wrap(want[j] + lo):.4f}, {_wrap(want[j] + hi):.4f}]"
             )
 
-    for sweep in range(max_sweeps):
+    for sweep in range(_MAX_SWEEPS):
         moved = 0.0
         for j in range(n):
             r = err(j, s[j])
-            if abs(r) <= 0.3 * phase_tol:
+            if abs(r) <= 0.3 * _PHASE_TOL:
                 continue
             lo, hi = err(j, -_AUX_MAX), err(j, _AUX_MAX)
             if lo > 0 or hi < 0:
@@ -307,11 +311,11 @@ def build_scattering_data(
             moved = max(moved, abs(root - s[j]))
             s[j] = root
         resid = max(abs(err(j, s[j])) for j in range(n))
-        if resid <= phase_tol:
+        if resid <= _PHASE_TOL:
             break
     else:
         raise NumericalError(
-            f"phase solve did not reach {phase_tol} in {max_sweeps} sweeps "
+            f"phase solve did not reach {_PHASE_TOL} in {_MAX_SWEEPS} sweeps "
             f"(residual {resid:.2e})"
         )
 

@@ -37,7 +37,6 @@ class FuchsianSystem(Document):
 
     poles: tuple[complex, ...]
     residues: tuple[np.ndarray, ...]
-    weight_note: str = ""
 
     def __post_init__(self):
         poles = tuple(complex(s) for s in self.poles)
@@ -178,7 +177,7 @@ class PolylineLoop(Loop):
         )
 
 
-def monodromy(sys: FuchsianSystem, loop: Loop, rtol: float = _RTOL, atol: float = _ATOL) -> np.ndarray:
+def monodromy(sys: FuchsianSystem, loop: Loop, rtol: float = _RTOL) -> np.ndarray:
     """Continue F = I once around the loop; returns the right factor M.
 
     Each smooth segment is integrated with an adaptive 8th-order Runge-Kutta
@@ -202,11 +201,11 @@ def monodromy(sys: FuchsianSystem, loop: Loop, rtol: float = _RTOL, atol: float 
         def rhs(u, y):
             return (dz(u) * (sys.omega(z(u)) @ y.reshape(2, 2))).ravel()
 
-        f = integrate(rhs, (0.0, 1.0), f, rtol, atol, "monodromy", max_step=1.0 / n)
+        f = integrate(rhs, (0.0, 1.0), f, rtol, _ATOL, "monodromy", max_step=1.0 / n)
     return f
 
 
-def monodromy_product(sys: FuchsianSystem, loops, rtol: float = _RTOL, atol: float = _ATOL) -> np.ndarray:
+def monodromy_product(sys: FuchsianSystem, loops, rtol: float = _RTOL) -> np.ndarray:
     """Product of the individual monodromies in the listed order.
 
     The loops must share a base point, so the product represents the
@@ -221,7 +220,7 @@ def monodromy_product(sys: FuchsianSystem, loops, rtol: float = _RTOL, atol: flo
         if abs(lp.base_point - base) > 1e-12:
             raise ValueError("loops do not share a base point")
     for lp in loops:
-        out = out @ monodromy(sys, lp, rtol=rtol, atol=atol)
+        out = out @ monodromy(sys, lp, rtol=rtol)
     return out
 
 
@@ -280,7 +279,6 @@ def odd_lorentzian_to_fuchsian(a: float):
     sys = FuchsianSystem(
         poles=(0.0, p, q),
         residues=(b1 * SIGMA3, b2 * SIGMA3, b3 * SIGMA3),
-        weight_note="scalar factor (1/z + i) absorbed by partial fractions",
     )
     loop = CircleLoop(center=0.5j, radius=0.5, orientation=-1, on_contour=True)
     return sys, loop

@@ -41,6 +41,7 @@ from .errors import NumericalError
 from .twolevel import TabulatedPulse
 
 _FOURIER_CHUNK = 64
+_FD_STEP = 0.01  # half-width of the central difference Q = 2 dK(x, x)/dx
 
 
 def _trapezoid_weights(x):
@@ -143,20 +144,24 @@ class MarchenkoKernel:
 def marchenko_kernel(data: ReflectionData, z) -> MarchenkoKernel:
     """Tabulate the inverse-scattering kernel on the given uniform z grid."""
     z = np.asarray(z, dtype=float)
-    return _potential_kernel(data, z, _fourier_rows(data.k, data.R, z))
+    refl = _real_rows(_fourier_rows(data.k, data.R, z))
+    return MarchenkoKernel(z=z, refl=refl, bound_terms=_potential_terms(data))
 
 
-def _potential_kernel(data, z, vals):
+def _potential_terms(data):
+    return tuple(
+        (s.eta, g) for s, g in zip(data.bound_states, bound_state_weights(data))
+    )
+
+
+def _real_rows(vals):
     scale = max(1.0, float(np.max(np.abs(vals.real))))
     if np.max(np.abs(vals.imag)) > 1e-9 * scale:
         raise NumericalError(
             "kernel came out complex; reflection data must satisfy "
             "R(-k) = conj(R(k))"
         )
-    terms = tuple(
-        (s.eta, g) for s, g in zip(data.bound_states, bound_state_weights(data))
-    )
-    return MarchenkoKernel(z=z, refl=vals.real, bound_terms=terms)
+    return vals.real
 
 
 def _simpson_weights(n, ds):
@@ -298,35 +303,41 @@ def solve_marchenko(
     kernel: MarchenkoKernel,
     x,
     ds: float = 0.05,
-    fd_step: float = 0.01,
-    threads: int = 1,
+    *,
     check_decay: bool = True,
 ) -> RecoveredPotential:
     """Recover the potential on the given nodes from a tabulated kernel.
 
-    Q(x) = 2 dK(x, x)/dx by a central difference of half-width fd_step.
-    threads is accepted for compatibility; work runs serially.
+    Q(x) = 2 dK(x, x)/dx by a central difference of half-width 0.01.
     """
     x = checked_grid(x)
 
     def node(xi):
-        hi = marchenko_diagonal(kernel, xi + fd_step, ds)
-        lo = marchenko_diagonal(kernel, xi - fd_step, ds)
-        return (hi - lo) / fd_step
+        hi = marchenko_diagonal(kernel, xi + _FD_STEP, ds)
+        lo = marchenko_diagonal(kernel, xi - _FD_STEP, ds)
+        return (hi - lo) / _FD_STEP
 
     q = np.array([node(xi) for xi in x])
     return RecoveredPotential(x=x, q=q, check_decay=check_decay)
 
 
-def _extend_until_decayed(k, values, z_lo, dz, kernel_of, z_hi0, pad0, tail_tol):
-    # grow the tabulation to the right until the kernel has decayed; each
-    # extension computes only the Fourier rows the last one did not
-    pad = pad0
+def _tabulate_kernel(k, values, terms, z_lo, z_hi, tail_tol, real):
+    """Kernel of the data (k, values) and the ready bound terms (eta, g) on
+    a uniform grid from z_lo, grown to the right of z_hi until |C| has
+    decayed below tail_tol; each extension computes only the Fourier rows
+    the last one did not.  real selects the real (potential) kernel."""
+    dz = min(0.094 / np.max(np.abs(k)), 0.25)
+    pad = 12.0
+    if terms:
+        gmax = max(abs(g) for _, g in terms)
+        rate = min(eta.real for eta, _ in terms)
+        pad = max(pad, 2.0 + np.log(max(gmax, 1.0) / tail_tol) / rate)
     rows = None
     for _ in range(6):
-        z = np.arange(z_lo, z_hi0 + pad + dz, dz)
+        z = np.arange(z_lo, z_hi + pad + dz, dz)
         rows = _fourier_rows(k, values, z, rows)
-        kernel = kernel_of(z, rows)
+        refl = _real_rows(rows) if real else rows
+        kernel = MarchenkoKernel(z=z, refl=refl, bound_terms=terms)
         tail = np.max(np.abs(kernel(kernel.z[kernel.z > kernel.z[-1] - 2.0])))
         if tail <= tail_tol:
             return kernel
@@ -341,11 +352,10 @@ def recover_potential(
     data: ReflectionData,
     x,
     ds: float = 0.05,
-    fd_step: float = 0.01,
+    *,
     tail_tol: float = 1e-8,
     threads: int = 1,
     check_decay: bool = True,
-    dz: float = None,
 ) -> RecoveredPotential:
     """Recover the potential from reflection data on the given nodes.
 
@@ -355,19 +365,11 @@ def recover_potential(
     work runs serially.
     """
     x = checked_grid(x)
-    if dz is None:
-        dz = min(0.094 / np.max(np.abs(data.k)), 0.25)
-    z_lo = 2.0 * (x[0] - fd_step) - 1e-6
-    etas = [s.eta for s in data.bound_states]
-    pad = 12.0
-    if etas:
-        gmax = max(abs(g) for g in bound_state_weights(data))
-        pad = max(pad, 2.0 + np.log(max(gmax, 1.0) / tail_tol) / min(etas))
-    kernel = _extend_until_decayed(
-        data.k, data.R, z_lo, dz, lambda z, rows: _potential_kernel(data, z, rows),
-        2.0 * x[-1] + 2.0 * fd_step, pad, tail_tol,
+    kernel = _tabulate_kernel(
+        data.k, data.R, _potential_terms(data), 2.0 * (x[0] - _FD_STEP) - 1e-6,
+        2.0 * x[-1] + 2.0 * _FD_STEP, tail_tol, real=True,
     )
-    return solve_marchenko(kernel, x, ds, fd_step, check_decay=check_decay)
+    return solve_marchenko(kernel, x, ds, check_decay=check_decay)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +472,8 @@ def recover_pulse(
     t,
     ds: float = 0.05,
     tail_tol: float = 1e-8,
-    threads: int = 1,
+    *,
     check_decay: bool = True,
-    dz: float = None,
 ) -> RecoveredPulse:
     """Recover the complex pulse envelope on the given nodes.
 
@@ -486,7 +487,6 @@ def recover_pulse(
     At each node the Nystroem system for v is solved by conjugate gradients
     as the Hermitian positive definite I + S S^H, S = D H D, with FFT
     Hankel products (see _pulse_sample).
-    threads is accepted for compatibility; work runs serially.
     """
     t = checked_grid(t)
     # m_j e^{i zeta_j z} as a bound term g e^{-eta z} with rate eta = -i zeta_j
@@ -494,18 +494,8 @@ def recover_pulse(
         (-1j * p, d / transmission_derivative_at_pole(data, j))
         for j, (p, d) in enumerate(zip(data.poles, data.norming))
     )
-    if dz is None:
-        dz = min(0.094 / np.max(np.abs(data.zeta)), 0.25)
-    z_lo = 2.0 * t[0] - 1e-6
-    pad = 12.0
-    if terms:
-        mmax = max(abs(m) for _, m in terms)
-        rate = min(eta.real for eta, _ in terms)
-        pad = max(pad, 2.0 + np.log(max(mmax, 1.0) / tail_tol) / rate)
-    kernel = _extend_until_decayed(
-        data.zeta, data.r, z_lo, dz,
-        lambda z, rows: MarchenkoKernel(z=z, refl=rows, bound_terms=terms),
-        2.0 * t[-1], pad, tail_tol,
+    kernel = _tabulate_kernel(
+        data.zeta, data.r, terms, 2.0 * t[0] - 1e-6, 2.0 * t[-1], tail_tol, real=False
     )
 
     E = np.array([_pulse_sample(kernel, ti, ds) for ti in t])

@@ -61,47 +61,9 @@ class PulseEnvelope(Document, tag="variant", noun="pulse envelope"):
         raise NotImplementedError
 
 
-@dataclass(frozen=True, eq=False)
-class LorentzianPulse(PulseEnvelope):
-    """E(t) = 2 a b / (t^2 + a^2), area 2 pi b."""
-
-    a: float
-    b: float
-
-    variant = "lorentzian"
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not (self.a > 0 and np.isfinite(self.a) and np.isfinite(self.b)):
-            raise ValueError("need width a > 0 and finite real height b")
-
-    @property
-    def window(self):
-        pad = max(12.0 * self.a, np.sqrt(2.0 * self.a * abs(self.b) / _WINDOW_FLOOR))
-        return (-float(pad), float(pad))
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = (2.0 * self.a * self.b / (t * t + self.a * self.a)).astype(complex)
-        return out if out.ndim else complex(out)
-
-
-@dataclass(frozen=True, eq=False)
-class LorentzianPulseSum(PulseEnvelope):
-    """E(t) = sum_k 2 a_k b_k / (t^2 + a_k^2), area 2 pi sum b_k."""
-
-    terms: tuple[tuple[float, float], ...]
-
-    variant = "lorentzian_sum"
-
-    def __post_init__(self):
-        terms = tuple((float(a), float(b)) for a, b in self.terms)
-        if not np.all(np.isfinite(terms)):
-            raise ValueError("term parameters must be finite")
-        if any(a <= 0 for a, _ in terms):
-            raise ValueError("widths a_k must be positive")
-        object.__setattr__(self, "terms", terms)
+class _LorentzianTerms(PulseEnvelope):
+    # E(t) = sum_k 2 a_k b_k / (t^2 + a_k^2) over self.terms; unregistered,
+    # so it has no document of its own
 
     @property
     def window(self):
@@ -118,6 +80,43 @@ class LorentzianPulseSum(PulseEnvelope):
         for a, b in self.terms:
             out = out + 2.0 * a * b / (t * t + a * a)
         return out if out.ndim else complex(out)
+
+
+@dataclass(frozen=True, eq=False)
+class LorentzianPulse(_LorentzianTerms):
+    """E(t) = 2 a b / (t^2 + a^2), area 2 pi b."""
+
+    a: float
+    b: float
+
+    variant = "lorentzian"
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "b", float(self.b))
+        if not (self.a > 0 and np.isfinite(self.a) and np.isfinite(self.b)):
+            raise ValueError("need width a > 0 and finite real height b")
+
+    @property
+    def terms(self):
+        return ((self.a, self.b),)
+
+
+@dataclass(frozen=True, eq=False)
+class LorentzianPulseSum(_LorentzianTerms):
+    """E(t) = sum_k 2 a_k b_k / (t^2 + a_k^2), area 2 pi sum b_k."""
+
+    terms: tuple[tuple[float, float], ...]
+
+    variant = "lorentzian_sum"
+
+    def __post_init__(self):
+        terms = tuple((float(a), float(b)) for a, b in self.terms)
+        if not np.all(np.isfinite(terms)):
+            raise ValueError("term parameters must be finite")
+        if any(a <= 0 for a, _ in terms):
+            raise ValueError("widths a_k must be positive")
+        object.__setattr__(self, "terms", terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +215,7 @@ def _free_factor(zeta, dt):
 
 
 def propagate(
-    pulse: PulseSpec, zeta: float, t0: float, t1: float,
-    rtol: float = _RTOL, atol: float = _ATOL,
+    pulse: PulseSpec, zeta: float, t0: float, t1: float, rtol: float = _RTOL,
 ) -> np.ndarray:
     """Lab-frame propagator U(t1, t0) with i U' = H(t) U, U(t0) = I.
 
@@ -228,7 +226,7 @@ def propagate(
     if t1 == t0:
         return np.eye(2, dtype=complex)
     if t1 < t0:
-        u = propagate(pulse, zeta, t1, t0, rtol, atol)
+        u = propagate(pulse, zeta, t1, t0, rtol)
         return u.conj().T
     w0, w1 = pulse.window
     b0, b1 = max(t0, w0), min(t1, w1)
@@ -241,7 +239,7 @@ def propagate(
         h = np.array([[zeta, c], [np.conj(c), -zeta]])
         return (-1j * (h @ u)).ravel()
 
-    core = integrate(rhs, (b0, b1), np.eye(2, dtype=complex), rtol, atol, "propagator")
+    core = integrate(rhs, (b0, b1), np.eye(2, dtype=complex), rtol, _ATOL, "propagator")
     return _free_factor(zeta, t1 - b1) @ core @ _free_factor(zeta, b0 - t0)
 
 
@@ -292,24 +290,18 @@ def _lorentzian_tails(terms, delta, cut):
 
 
 def scattering_matrix(
-    pulse: PulseSpec, zeta: float,
-    rtol: float = _RTOL, atol: float = _ATOL, tail_cut: float = _TAIL_CUT,
+    pulse: PulseSpec, *, rtol: float = _RTOL, tail_cut: float = _TAIL_CUT,
 ) -> np.ndarray:
     """Full-window limit of the free-evolution-stripped propagator.
 
     Integrates the interaction-picture system over the pulse support (plus
     Magnus tail factors for the algebraic envelopes) and returns the SU(2)
-    S-matrix [[a, -conj(b)], [b, conj(a)]].
+    S-matrix [[a, -conj(b)], [b, conj(a)]].  The limit does not depend on
+    the level splitting zeta, so none is taken.
     """
-    del zeta  # the stripped limit is independent of the level splitting
     env = pulse.envelope
-    terms = None
-    if isinstance(env, LorentzianPulse):
-        terms = ((env.a, env.b),)
-    elif isinstance(env, LorentzianPulseSum):
-        terms = env.terms
-    if terms is not None:
-        t_core, m_right, m_left = _lorentzian_tails(terms, pulse.detuning, tail_cut)
+    if isinstance(env, _LorentzianTerms):
+        t_core, m_right, m_left = _lorentzian_tails(env.terms, pulse.detuning, tail_cut)
         lo, hi = -t_core, t_core
     else:
         m_right = m_left = 0.0j
@@ -324,7 +316,7 @@ def scattering_matrix(
                 * (np.array([[0.0, c], [np.conj(c), 0.0]]) @ u)
             ).ravel()
 
-        core = integrate(rhs, (lo, hi), np.eye(2, dtype=complex), rtol, atol, "S-matrix")
+        core = integrate(rhs, (lo, hi), np.eye(2, dtype=complex), rtol, _ATOL, "S-matrix")
     else:
         core = np.eye(2, dtype=complex)
     s = _magnus_factor(m_right) @ core @ _magnus_factor(m_left)
@@ -332,20 +324,19 @@ def scattering_matrix(
     # written so that a NaN defect fails the gate too
     if not (defect <= 1e-8 and abs(np.linalg.det(s) - 1.0) <= 1e-8):
         raise NumericalError(
-            f"S-matrix left SU(2) by {defect:.2e}; tighten rtol/atol"
+            f"S-matrix left SU(2) by {defect:.2e}; tighten rtol"
         )
     return s
 
 
-def scattering_scan(pulse: PulseSpec, detunings, threads: int = 1, **kw):
+def scattering_scan(pulse: PulseSpec, detunings, **kw):
     """scattering_matrix mapped over a detuning grid, order preserved.
 
     Returns an (n, 2, 2) array; entry [j] probes the Zakharov-Shabat
-    spectral point -detunings[j] / 2.  threads is accepted for
-    compatibility; work runs serially.
+    spectral point -detunings[j] / 2.
     """
     return np.array([
-        scattering_matrix(dataclasses.replace(pulse, detuning=float(d)), 0.0, **kw)
+        scattering_matrix(dataclasses.replace(pulse, detuning=float(d)), **kw)
         for d in np.asarray(detunings, dtype=float).ravel()
     ])
 
@@ -424,9 +415,7 @@ def f_matrix(p: DipoleParams) -> np.ndarray:
     return edge @ _expm_i_hermitian(h_full, -2.0 * p.T) @ edge
 
 
-def rect_pulse_smatrix(
-    p: DipoleParams, rtol: float = _RTOL, atol: float = _ATOL
-) -> np.ndarray:
+def rect_pulse_smatrix(p: DipoleParams, rtol: float = _RTOL) -> np.ndarray:
     """4x4 S-matrix of the rectangular drive by direct time integration.
 
     Independent route to f_matrix: the core is integrated with an adaptive
@@ -440,6 +429,6 @@ def rect_pulse_smatrix(
         del t
         return (-1j * (h_full @ y.reshape(4, 4))).ravel()
 
-    core = integrate(rhs, (-p.T, p.T), np.eye(4, dtype=complex), rtol, atol, "4-level")
+    core = integrate(rhs, (-p.T, p.T), np.eye(4, dtype=complex), rtol, _ATOL, "4-level")
     edge = _expm_i_hermitian(h_free, p.T)
     return edge @ core @ edge

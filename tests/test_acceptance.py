@@ -92,7 +92,7 @@ def test_direct_solver_against_closed_forms():
     assert abs(t2 - 0.715) <= 1e-3
 
     sech = SechSquared(eta=1.0)
-    for c in solve_grid(sech, np.linspace(0.5, 5.0, 10), threads=2):
+    for c in solve_grid(sech, np.linspace(0.5, 5.0, 10)):
         assert abs(c.reflection) <= 1e-6
     assert abs(solve_scattering(sech, 1.0).transmission - 1j) <= 1e-6
 
@@ -107,7 +107,7 @@ def test_amplitude_pair_and_smatrix_invariants():
     ]
     ks = momentum_grid(0.3, 6.0, 64)
     for q in potentials:
-        for c in solve_grid(q, ks, threads=4):
+        for c in solve_grid(q, ks):
             assert abs(abs(c.a) ** 2 - abs(c.b) ** 2 - 1.0) <= 1e-8
             s = c.smatrix
             assert np.linalg.norm(s.conj().T @ s - np.eye(2)) <= 1e-8
@@ -173,9 +173,9 @@ def test_spin_field_smatrix_is_block_diagonal():
 
 def test_resonant_pulse_gate_and_area_invariance():
     quarter = np.array([[0.0, -1j], [-1j, 0.0]])
-    s1 = scattering_matrix(PulseSpec(LorentzianPulse(1.0, 0.25)), 0.0)
+    s1 = scattering_matrix(PulseSpec(LorentzianPulse(1.0, 0.25)))
     assert np.max(np.abs(s1 - quarter)) <= 1e-6
-    s3 = scattering_matrix(PulseSpec(LorentzianPulse(3.0, 0.25)), 0.0)
+    s3 = scattering_matrix(PulseSpec(LorentzianPulse(3.0, 0.25)))
     assert np.max(np.abs(s1 - s3)) <= 1e-6
 
 
@@ -191,7 +191,7 @@ def test_pulse_inversion_round_trip():
 
     pulse = PulseSpec(TabulatedPulse(rec.t, rec.E))
     zg = np.linspace(-2.0, 2.0, 21)
-    s = scattering_scan(pulse, -2.0 * zg, threads=4)
+    s = scattering_scan(pulse, -2.0 * zg)
     a = s[:, 0, 0]
     assert np.max(np.abs(s[:, 0, 1])) <= 5e-3
     assert np.max(np.abs(s[:, 1, 0])) <= 5e-3
@@ -236,7 +236,7 @@ def test_monodromy_matches_pulse_smatrix():
     # single resonant pulse through the gauge bridge
     sys_one, loop = lorentzian_to_fuchsian(2.0, 0.25)
     m = monodromy(sys_one, loop)
-    s = scattering_matrix(PulseSpec(LorentzianPulse(2.0, 0.25)), 0.0)
+    s = scattering_matrix(PulseSpec(LorentzianPulse(2.0, 0.25)))
     assert np.max(np.abs(gauge_to_su2(m) - s)) <= 1e-6
 
     # one enclosed pole integrates to the exponential of its residue
@@ -260,10 +260,10 @@ def test_monodromy_matches_pulse_smatrix():
     )
     prod = monodromy_product(combined, (around_third, around_quarter))
     np.testing.assert_allclose(prod, expm(-2j * np.pi * 0.25 * SIGMA3), atol=1e-6)
-    s_sum = scattering_matrix(PulseSpec(LorentzianPulseSum(((2.0, 0.1), (3.0, 0.15)))), 0.0)
+    s_sum = scattering_matrix(PulseSpec(LorentzianPulseSum(((2.0, 0.1), (3.0, 0.15)))))
     assert np.max(np.abs(gauge_to_su2(prod) - s_sum)) <= 1e-6
 
     # on-contour pole: principal value against the symmetric-window limit
     t = np.arange(-50.0, 50.0 + 1e-9, 0.05)
-    s_odd = scattering_matrix(PulseSpec(TabulatedPulse(t, 2.0 * t / (t**2 + 4.0))), 0.0)
+    s_odd = scattering_matrix(PulseSpec(TabulatedPulse(t, 2.0 * t / (t**2 + 4.0))))
     assert np.max(np.abs(gauge_to_su2(pv_monodromy_example4(2.0)) - s_odd)) <= 1e-3

@@ -60,12 +60,6 @@ class TestDirect:
         _, second, _ = run_cli(capsys, argv)
         assert first == second
 
-    def test_threads_do_not_change_output(self, capsys, sech_file):
-        base = ["direct", "--potential", sech_file, "--n", "8"]
-        _, one, _ = run_cli(capsys, base + ["--threads", "1"])
-        _, four, _ = run_cli(capsys, base + ["--threads", "4"])
-        assert one == four
-
     def test_json_out_round_trips_17_digits(self, capsys, sech_file, tmp_path):
         out_path = tmp_path / "direct.json"
         code, _, _ = run_cli(
@@ -196,7 +190,7 @@ class TestTwoLevel:
         doc = json.loads(out)
         for z, a in zip(doc["zeta"], doc["a"]):
             spec = PulseSpec(LorentzianPulse(2.0, 0.2), detuning=-2.0 * z)
-            expect = scattering_matrix(spec, 0.0)
+            expect = scattering_matrix(spec)
             assert abs(complex(*a) - expect[0, 0]) < 1e-9
 
     def test_zeta_flag_sets_spectral_point(self, capsys, tmp_path):
@@ -204,7 +198,7 @@ class TestTwoLevel:
         code, out, _ = run_cli(capsys, ["twolevel", "--pulse", pulse_path, "--zeta", "0.7"])
         assert code == 0
         doc = json.loads(out)
-        expect = scattering_matrix(PulseSpec(LorentzianPulse(2.0, 0.2), detuning=-1.4), 0.0)
+        expect = scattering_matrix(PulseSpec(LorentzianPulse(2.0, 0.2), detuning=-1.4))
         assert abs(complex(*doc["a"]) - expect[0, 0]) < 1e-9
 
     def test_zeta_and_grid_conflict(self, capsys, tmp_path):

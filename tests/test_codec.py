@@ -112,7 +112,7 @@ def fuchsian_systems(draw):
     assume(all(abs(p - q) > 1e-6 for i, p in enumerate(poles) for q in poles[i + 1:]))
     residues = [np.array(draw(st.lists(complexes, min_size=4, max_size=4))).reshape(2, 2)
                 for _ in poles]
-    return FuchsianSystem(tuple(poles), tuple(residues), draw(st.text(max_size=8)))
+    return FuchsianSystem(tuple(poles), tuple(residues))
 
 
 @st.composite
@@ -254,4 +254,4 @@ def test_nan_smatrix_fails_the_su2_gate():
     # bypass the constructor check to reach the gate with NaN tail moments
     object.__setattr__(env, "terms", ((1.0, float("nan")),))
     with pytest.raises(NumericalError, match="SU\\(2\\)"):
-        scattering_matrix(spec, 0.0)
+        scattering_matrix(spec)

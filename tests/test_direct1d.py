@@ -128,14 +128,6 @@ class TestSolveScattering:
         with pytest.raises(ValueError):
             solve_scattering(Zero(), -1.0)
 
-    def test_grid_threads_identical(self):
-        pot = SquareWell(q0=-3.0, x0=0.0, length=1.0)
-        ks = momentum_grid(0.5, 3.0, 6)
-        seq = solve_grid(pot, ks, threads=1)
-        par = solve_grid(pot, ks, threads=3)
-        for c1, c2 in zip(seq, par):
-            assert c1.a == c2.a and c1.b == c2.b
-
 
 class TestBoundStates:
     def test_free_particle_none(self):

@@ -194,7 +194,7 @@ class TestLorentzianBridge:
         np.testing.assert_allclose(
             m, expm(-2j * np.pi * 0.25 * SIGMA3), atol=1e-9
         )
-        s = scattering_matrix(PulseSpec(LorentzianPulse(a, 0.25)), 0.0)
+        s = scattering_matrix(PulseSpec(LorentzianPulse(a, 0.25)))
         np.testing.assert_allclose(gauge_to_su2(m), s, atol=1e-6)
 
     def test_two_pulse_product_formula(self):
@@ -217,9 +217,7 @@ class TestLorentzianBridge:
         np.testing.assert_allclose(
             prod, expm(-2j * np.pi * 0.25 * SIGMA3), atol=1e-6
         )
-        s = scattering_matrix(
-            PulseSpec(LorentzianPulseSum(((2.0, 0.1), (3.0, 0.15)))), 0.0
-        )
+        s = scattering_matrix(PulseSpec(LorentzianPulseSum(((2.0, 0.1), (3.0, 0.15)))))
         np.testing.assert_allclose(gauge_to_su2(prod), s, atol=1e-6)
 
 
@@ -242,7 +240,7 @@ class TestPrincipalValue:
     def test_pv_matches_symmetric_window_pulse(self):
         t = np.arange(-50.0, 50.0 + 1e-9, 0.05)
         pulse = PulseSpec(TabulatedPulse(t, 2.0 * t / (t**2 + 4.0)))
-        s = scattering_matrix(pulse, 0.0)
+        s = scattering_matrix(pulse)
         np.testing.assert_allclose(
             gauge_to_su2(pv_monodromy_example4(2.0)), s, atol=1e-3
         )

@@ -13,6 +13,7 @@ import pytest
 
 from scattergate.algebra import SIGMA3
 from scattergate.cli import main
+from scattergate.codec import from_json
 from scattergate.direct1d import (
     BoundState,
     LorentzianSum,
@@ -69,7 +70,6 @@ def instances():
         ("FuchsianSystem", FuchsianSystem(
             poles=(0.5j, -0.25),
             residues=(0.5 * SIGMA3, np.array([[0.0, 1.0j], [0.5, 0.0]])),
-            weight_note="note",
         )),
         ("CircleLoop", CircleLoop(center=0.5j, radius=0.5, orientation=-1, samples=64)),
         ("PolylineLoop", PolylineLoop(points=(0.0, 1.0, 1.0 + 1.0j, 0.0), on_contour=True)),
@@ -169,7 +169,7 @@ GOLDEN_DOCS = {
     "FuchsianSystem": (
         '{"poles": [[0.0, 0.5], [-0.25, 0.0]], "residues": [[[[0.5, 0.0], [0.0, '
         '0.0]], [[0.0, 0.0], [-0.5, 0.0]]], [[[0.0, 0.0], [0.0, 1.0]], [[0.5, 0.0], '
-        '[0.0, 0.0]]]], "weight_note": "note"}'
+        '[0.0, 0.0]]]]}'
     ),
     "CircleLoop": (
         '{"kind": "circle", "center": [0.0, 0.5], "radius": 0.5, "orientation": -1, '
@@ -248,3 +248,17 @@ def test_cli_stdout_bytes(case, tmp_path, capsys):
     name, argv = cli_cases(str(tmp_path))[case]
     assert main(argv) == 0
     assert capsys.readouterr().out == GOLDEN_STDOUT[name]
+
+
+def test_legacy_weight_note_is_ignored(tmp_path, capsys):
+    # documents written before FuchsianSystem dropped its weight_note field
+    argv = dict(cli_cases(str(tmp_path)))["monodromy"]
+    path = argv[argv.index("--system") + 1]
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    legacy = dict(doc, weight_note="scalar factor (1/z + i) absorbed by partial fractions")
+    assert from_json(FuchsianSystem, legacy).to_json() == from_json(FuchsianSystem, doc).to_json()
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(legacy, fh)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == GOLDEN_STDOUT["monodromy"]

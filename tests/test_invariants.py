@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scattergate.direct1d import SechSquared, SquareWell, solve_scattering
 from scattergate.fuchsian import CircleLoop, FuchsianSystem, monodromy
 from scattergate.twolevel import (
+    LorentzianPulse,
     LorentzianPulseSum,
     PulseSpec,
     RectangularPulse,
@@ -46,7 +47,7 @@ def assert_su2(s):
 )
 def test_lorentzian_sum_smatrix_is_su2(terms, detuning):
     pulse = PulseSpec(LorentzianPulseSum(terms=tuple(terms)), detuning=detuning)
-    assert_su2(scattering_matrix(pulse, 0.0))
+    assert_su2(scattering_matrix(pulse))
 
 
 @FEW
@@ -56,7 +57,7 @@ def test_lorentzian_sum_smatrix_is_su2(terms, detuning):
 )
 def test_rectangular_smatrix_is_su2(re, im, half_width, detuning):
     pulse = PulseSpec(RectangularPulse(x=complex(re, im), half_width=half_width), detuning=detuning)
-    assert_su2(scattering_matrix(pulse, 0.0))
+    assert_su2(scattering_matrix(pulse))
 
 
 @FEW
@@ -74,3 +75,19 @@ def test_monodromy_determinant_obeys_liouville(entries, inside, outside):
     m = monodromy(system, CircleLoop(center=0.0, radius=1.0))
     expect = np.exp(2j * np.pi * np.trace(a_in))
     assert abs(np.linalg.det(m) - expect) <= 1e-8 * abs(expect)
+
+
+@FEW
+@given(
+    a=st.floats(0.3, 3.0), b=st.floats(-0.3, 0.3),
+    detuning=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+)
+def test_lorentzian_pulse_is_the_one_term_sum(a, b, detuning):
+    one, sum_ = LorentzianPulse(a, b), LorentzianPulseSum(((a, b),))
+    assert one.window == sum_.window
+    t = np.linspace(*one.window, 101)
+    assert np.asarray(one(t)).tobytes() == np.asarray(sum_(t)).tobytes()
+    assert np.asarray(one(0.3)).tobytes() == np.asarray(sum_(0.3)).tobytes()
+    s_one = scattering_matrix(PulseSpec(one, detuning=detuning))
+    s_sum = scattering_matrix(PulseSpec(sum_, detuning=detuning))
+    assert s_one.tobytes() == s_sum.tobytes()

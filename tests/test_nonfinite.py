@@ -85,8 +85,10 @@ def test_bad_tol_is_a_parse_error(case, tol, tmp_path, capsys, budget):
     assert code == 2
 
 
-# finite options whose grid span overflows: numpy warns, the grid check exits 2
+# finite options whose grid span overflows
 OVERFLOWING_GRID = ["--kmin=-1e308", "--kmax", "1e308"]
+# a positive momentum whose solve overflows: numpy warns and the solve exits 3
+WARNING_MOMENTUM = ["--kmin", "1e-308"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -111,21 +113,48 @@ def test_numpy_warnings_stay_off_stderr(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(scattergate.__file__)), env.get("PYTHONPATH", "")]
     )
-    direct, inverse = (argv for _, argv in cli_cases(str(tmp_path))[:2])
-    # the subnormal momentum overflows inside the solve: numpy warns, exit 3
-    for argv in (inverse + OVERFLOWING_GRID, direct + ["--kmin", "1e-320"]):
-        run = subprocess.run([sys.executable, "-m", "scattergate", *argv], env=env,
-                             capture_output=True, text=True, timeout=30)
-        assert_one_line_failure(run.returncode, run.stdout, run.stderr)
+    direct = cli_cases(str(tmp_path))[0][1]
+    run = subprocess.run([sys.executable, "-m", "scattergate", *direct, *WARNING_MOMENTUM],
+                         env=env, capture_output=True, text=True, timeout=30)
+    assert_one_line_failure(run.returncode, run.stdout, run.stderr)
 
 
 def test_warnings_reach_the_debug_log(tmp_path, capsys, monkeypatch, budget):
     monkeypatch.setenv("SCATTERGATE_LOG", "debug")
-    inverse = cli_cases(str(tmp_path))[1][1]
+    direct = cli_cases(str(tmp_path))[0][1]
     before = warnings.showwarning
-    code = main(inverse + OVERFLOWING_GRID)
+    code = main(direct + WARNING_MOMENTUM)
     err = capsys.readouterr().err
-    assert code == 2
+    assert code == 3
     assert "RuntimeWarning" in err
     assert err.splitlines()[-1].startswith('{"error"')
     assert warnings.showwarning is before
+
+
+@pytest.mark.parametrize("case", ["inverse potential", "gate", "twolevel"])
+def test_overflowing_grid_span_names_the_options(case, tmp_path, capsys, budget):
+    cases = dict(cli_cases(str(tmp_path)))
+    pulse = cases["twolevel"][2]
+    argv = dict(cases, gate=["gate", "--target", "hadamard"],
+                twolevel=["twolevel", "--pulse", pulse, "--n", "3"])[case]
+    code = main(argv + OVERFLOWING_GRID)
+    out, err = capsys.readouterr()
+    assert_one_line_failure(code, out, err)
+    assert code == 2
+    assert "--kmin/--kmax span" in err and "overflows" in err
+
+
+@pytest.mark.parametrize("kmin, code, words", [
+    ("1e-320", 2, "momentum 1e-320 is too small: 1/(2k) overflows"),
+    # the solve finishes, but |a|^2 overflows a Python float
+    ("1e-200", 3, "|T|^2 + |R|^2 - 1 = inf at k = 1e-200"),
+])
+def test_tiny_momentum_fails_on_one_line(kmin, code, words, tmp_path, capsys, budget):
+    sech = os.path.join(str(tmp_path), "sech.json")
+    with open(sech, "w", encoding="utf-8") as fh:
+        json.dump({"variant": "sech_squared", "eta": 1.0}, fh)
+    got = main(["direct", "--potential", sech, "--kmin", kmin, "--n", "1"])
+    out, err = capsys.readouterr()
+    assert_one_line_failure(got, out, err)
+    assert got == code
+    assert words in json.loads(err)["error"]["message"]

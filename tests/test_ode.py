@@ -63,7 +63,7 @@ def test_state_keeps_the_shape_of_y0():
 ])
 def test_underflowing_error_norm_does_not_fail_the_solve(pulse):
     # derivatives near 1e-160 drive scipy's squared error norms to 0/0
-    s = scattering_matrix(pulse, 0.0)
+    s = scattering_matrix(pulse)
     np.testing.assert_allclose(s, np.eye(2), atol=1e-150)
 
 
@@ -117,7 +117,7 @@ class NanEnvelope(PulseEnvelope):
 @pytest.mark.parametrize("solve", [
     lambda: solve_scattering(NanPotential(), 1.0),
     lambda: find_bound_states(NanPotential(), 1.0),
-    lambda: scattering_matrix(PulseSpec(NanEnvelope()), 0.0),
+    lambda: scattering_matrix(PulseSpec(NanEnvelope())),
     lambda: propagate(PulseSpec(NanEnvelope()), 0.5, -2.0, 2.0),
 ], ids=["solve_scattering", "find_bound_states", "scattering_matrix", "propagate"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -152,18 +152,18 @@ class TestPropagate:
 class TestScatteringMatrix:
     def test_zero_envelope_identity(self):
         spec = PulseSpec(envelope=LorentzianPulse(a=1.0, b=0.0))
-        np.testing.assert_allclose(scattering_matrix(spec, 0.3), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(scattering_matrix(spec), np.eye(2), atol=1e-12)
 
     def test_resonant_lorentzian_quarter(self):
         # area 2 pi 0.25 -> S = -i sigma1
         spec = PulseSpec(envelope=LorentzianPulse(a=1.0, b=0.25))
-        s = scattering_matrix(spec, 1.0)
+        s = scattering_matrix(spec)
         np.testing.assert_allclose(s, np.array([[0, -1j], [-1j, 0]]), atol=1e-6)
         assert np.linalg.norm(s.conj().T @ s - np.eye(2)) < 1e-9
 
     def test_area_formula_generic(self):
         spec = PulseSpec(envelope=LorentzianPulse(a=0.7, b=0.11))
-        s = scattering_matrix(spec, 0.0)
+        s = scattering_matrix(spec)
         np.testing.assert_allclose(s, area_gate(2.0 * np.pi * 0.11), atol=1e-7)
 
     def test_equal_area_invariance(self):
@@ -172,16 +172,16 @@ class TestScatteringMatrix:
             PulseSpec(envelope=LorentzianPulse(a=2.5, b=0.25)),
             PulseSpec(envelope=RectangularPulse(x=np.pi / 8.0, half_width=2.0)),
         ]
-        mats = [scattering_matrix(sp, 0.5) for sp in specs]
+        mats = [scattering_matrix(sp) for sp in specs]
         for s in mats[1:]:
             np.testing.assert_allclose(s, mats[0], atol=1e-6)
 
     def test_resonant_sum_product(self):
         spec = PulseSpec(envelope=LorentzianPulseSum(terms=((1.0, 0.1), (2.0, 0.15))))
-        s = scattering_matrix(spec, 0.0)
+        s = scattering_matrix(spec)
         np.testing.assert_allclose(s, area_gate(2.0 * np.pi * 0.25), atol=1e-6)
         parts = [
-            scattering_matrix(PulseSpec(envelope=LorentzianPulse(a=a, b=b)), 0.0)
+            scattering_matrix(PulseSpec(envelope=LorentzianPulse(a=a, b=b)))
             for a, b in spec.envelope.terms
         ]
         np.testing.assert_allclose(parts[0] @ parts[1], s, atol=1e-6)
@@ -189,16 +189,16 @@ class TestScatteringMatrix:
     def test_off_resonance_tail_consistency(self):
         # the Magnus tail correction must shrink with the cutoff
         spec = PulseSpec(envelope=LorentzianPulse(a=1.0, b=0.2), detuning=3.0)
-        s5 = scattering_matrix(spec, 0.0, tail_cut=1e-5)
-        s6 = scattering_matrix(spec, 0.0, tail_cut=1e-6)
-        s7 = scattering_matrix(spec, 0.0, tail_cut=1e-7)
+        s5 = scattering_matrix(spec, tail_cut=1e-5)
+        s6 = scattering_matrix(spec, tail_cut=1e-6)
+        s7 = scattering_matrix(spec, tail_cut=1e-7)
         d56 = np.max(np.abs(s5 - s6))
         d67 = np.max(np.abs(s6 - s7))
         assert d56 < 2e-5
         assert d67 < 0.4 * d56 + 1e-8
 
     def test_soliton_pulse_is_reflectionless(self):
-        s = scattering_matrix(soliton_pulse(), 0.0)
+        s = scattering_matrix(soliton_pulse())
         np.testing.assert_allclose(s, -np.eye(2), atol=5e-4)
 
     def test_soliton_transmission_scan(self):
@@ -217,15 +217,6 @@ class TestScatteringMatrix:
             method="bounded",
         )
         assert abs(fit.x - 1.0) < 1e-3
-
-    def test_scan_threads_match(self):
-        spec = PulseSpec(envelope=RectangularPulse(x=0.4j, half_width=1.0))
-        grid = np.array([-1.0, 0.0, 2.0])
-        np.testing.assert_allclose(
-            scattering_scan(spec, grid, threads=2),
-            scattering_scan(spec, grid),
-            atol=1e-12,
-        )
 
 
 def generic_params(**kw):
