@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 
 from ._ode import integrate
 from ._samples import SampleTable, checked_grid
-from .algebra import SU11Element, tau
+from .algebra import tau
 from .codec import Document
 from .errors import NumericalError
 
@@ -221,10 +221,6 @@ class ScatterCoeffs:
     @property
     def reflection(self) -> complex:
         return self.b / self.a
-
-    @property
-    def su11(self) -> SU11Element:
-        return SU11Element(self.a, self.b, atol=1e-8 * (1.0 + abs(self.b) ** 2))
 
     @property
     def smatrix(self) -> np.ndarray:

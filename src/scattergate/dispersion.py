@@ -1,13 +1,23 @@
-"""Transmission reconstruction from reflection data, and data synthesis.
+"""The dispersion relation of 1-D scattering, and reflection data built on it.
 
-For a decaying real potential the transmission amplitude is determined by
-|R(k)| and the bound-state poles:
+An amplitude f analytic in the upper half plane, with zeros p_j there and
+modulus |f(s)| on the real axis, is fixed by
 
-    T(k) = sqrt(1 - |R(k)|^2) * prod_j (k + i eta_j)/(k - i eta_j)
-           * exp( (1/(2 pi i)) PV int ln(1 - |R(z)|^2) / (z - k) dz ),
+    f(z) = prod_j (z - p_j)/(z - conj(p_j))
+           * exp( (1/(2 pi i)) int ln|f(s)|^2 / (s - z) ds ),
 
-a principal-value dispersion integral over the full momentum axis.  The
-reflection grid therefore always covers both signs of k, with the reality
+a Blaschke product times the outer function of its modulus (on the axis the
+integral is a principal value plus half a residue).  _dispersion evaluates
+it and _dispersion_slope its derivative at a zero.  The relation has three
+uses:
+
+- T(k) of a potential, from |T|^2 = 1 - |R|^2; its poles at the bound
+  states i eta_j enter as the points -i eta_j;
+- a(zeta) of a two-level pulse, from |a|^2 = 1/(1 + |r|^2) and its zeros;
+- the kernel weights of both inverse problems (glm), from the slope of
+  a = 1/T, or of a(zeta), at its zeros.
+
+The reflection grid always covers both signs of k, with the reality
 constraint R(-k) = conj(R(k)) built into the sampler and the builder.
 
 build_scattering_data runs the other way: given target (transmission,
@@ -92,18 +102,47 @@ class ReflectionData(Document):
         return complex(re + 1j * im)
 
 
+def _dispersion(grid, log_mod, zeros, z):
+    """prod_j (z - p_j)/(z - conj(p_j)) * exp((1/(2 pi i)) int log_mod(s)/(s - z) ds)
+    by the trapezoid rule on the grid, for z on the closed upper half plane.
+    On the axis inside the grid the integral is the principal value plus
+    i pi log_mod(z), so there |f| = exp(log_mod(z)/2)."""
+    z = complex(z)
+    out = 1.0 + 0.0j
+    for p in zeros:
+        out *= (z - p) / (z - np.conj(p))
+    if z.imag <= 1e-9:
+        z = z.real
+        if grid[0] < z < grid[-1]:
+            pv = principal_value_integral(grid, log_mod, z)
+            half = np.interp(z, grid, log_mod) / 2.0
+            return out * np.exp(half) * np.exp(-1j * pv / (2.0 * np.pi))
+    return out * np.exp(np.trapezoid(log_mod / (grid - z), grid) / (2j * np.pi))
+
+
+def _dispersion_slope(grid, log_mod, zeros, j):
+    """Derivative of _dispersion at its j-th zero p: the other factors at p
+    over p - conj(p).  Coincident zeros make a double zero, which has no
+    kernel weight, so they are refused."""
+    p = zeros[j]
+    others = [q for i, q in enumerate(zeros) if i != j]
+    if any(abs(p - q) < 1e-9 for q in others):
+        raise ValueError(f"zeros of the transmission amplitude must be distinct; {p} repeats")
+    return _dispersion(grid, log_mod, others, p) / (p - np.conj(p))
+
+
+def _mirrored(k, R):
+    """Samples on k > 0 extended to the whole axis by R(-k) = conj(R(k))."""
+    return np.concatenate([-k[::-1], k]), np.concatenate([np.conj(R[::-1]), R])
+
+
 def reconstruct_transmission(data: ReflectionData, k: float) -> complex:
-    """T(k) from |R| and bound states via the dispersion formula."""
+    """T(k) from |R| and bound states via the dispersion relation."""
     k = float(k)
     if not (data.k[0] < k < data.k[-1]):
         raise ValueError(f"momentum {k} lies outside the data grid")
-    h = np.log1p(-np.abs(data.R) ** 2)
-    phase = principal_value_integral(data.k, h, k)
-    r2 = np.interp(k, data.k, np.abs(data.R) ** 2)
-    t = complex(np.sqrt(max(1.0 - r2, 0.0)))
-    for s in data.bound_states:
-        t *= (k + 1j * s.eta) / (k - 1j * s.eta)
-    return t * np.exp(-0.5j * phase / np.pi)
+    points = [-1j * s.eta for s in data.bound_states]
+    return _dispersion(data.k, np.log1p(-np.abs(data.R) ** 2), points, k)
 
 
 def sample_reflection(
@@ -162,16 +201,13 @@ def sample_reflection(
     win[-1] = 0.0
     R *= win
 
-    k_full = np.concatenate([-kk[::-1], kk])
-    R_full = np.concatenate([np.conj(R[::-1]), R])
-
     x0, x1 = q.window
     states = ()
     if x1 > x0:
         qmax = float(np.max(q(np.linspace(x0, x1, 2001))))
         if qmax > 1e-9:
             states = tuple(find_bound_states(q, np.sqrt(qmax) + 0.1))
-    return ReflectionData(k=k_full, R=R_full, bound_states=states)
+    return ReflectionData(*_mirrored(kk, R), bound_states=states)
 
 
 @dataclass(frozen=True)
@@ -244,16 +280,9 @@ class _TargetAssembly:
                 R = R + abs(sj) * _bump((self.kk - c) / wa)
         return R
 
-    def full_grid(self, s):
-        R = self.reflection(s)
-        k_full = np.concatenate([-self.kk[::-1], self.kk])
-        R_full = np.concatenate([np.conj(R[::-1]), R])
-        return k_full, R_full
-
     def phase_at(self, s, j):
-        k_full, R_full = self.full_grid(s)
-        h = np.log1p(-np.abs(R_full) ** 2)
-        return -0.5 * principal_value_integral(k_full, h, self.ks[j]) / np.pi
+        k_full, R_full = _mirrored(self.kk, self.reflection(s))
+        return np.angle(_dispersion(k_full, np.log1p(-np.abs(R_full) ** 2), (), self.ks[j]))
 
 
 def _wrap(phi):
@@ -319,8 +348,7 @@ def build_scattering_data(
             f"(residual {resid:.2e})"
         )
 
-    k_full, R_full = asm.full_grid(s)
-    data = ReflectionData(k=k_full, R=R_full, bound_states=())
+    data = ReflectionData(*_mirrored(asm.kk, asm.reflection(s)), bound_states=())
     for g in asm.targets:
         t_got = reconstruct_transmission(data, g.k)
         r_got = data.reflection_at(g.k)

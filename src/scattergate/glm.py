@@ -10,10 +10,10 @@ and solving
 
     K(x, y) + C(x + y) + int_x^inf K(x, s) C(s + y) ds = 0,   y >= x,
 
-gives the potential as Q(x) = 2 dK(x, x)/dx.  The bound-state weights g_j
-follow from the norming ratios and the modulus of the transmission
-amplitude, so they are fixed by the same data that feeds the dispersion
-reconstruction.
+gives the potential as Q(x) = 2 dK(x, x)/dx.  The weights g_j here, and
+m_j of the pulse kernel below, are norming constants over the slope of the
+transmission amplitude at its zeros; that slope comes from the dispersion
+relation in the dispersion module, the same relation that gives T.
 
 For the two-level (coupled-mode) problem the data are a complex reflection
 ratio r on the frequency axis plus the upper-half-plane zeros of the
@@ -36,7 +36,7 @@ from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 from ._samples import SampleTable, checked_grid, checked_samples
 from .codec import Document
 from .direct1d import Tabulated
-from .dispersion import ReflectionData, principal_value_integral
+from .dispersion import ReflectionData, _dispersion, _dispersion_slope
 from .errors import NumericalError
 from .twolevel import TabulatedPulse
 
@@ -74,31 +74,16 @@ def _fourier_rows(k, values, z, done=None):
 def bound_state_weights(data: ReflectionData) -> tuple:
     """Kernel weights g_j of the bound-state terms, one per bound state.
 
-    g_j = 2 eta_j b_j prod_{l != j} (eta_j + eta_l)/(eta_j - eta_l)
-          * exp( (eta_j / pi) int_0^inf ln(1 - |R|^2) / (z^2 + eta_j^2) dz ),
-
-    the product and the integral coming from the derivative of the
-    transmission amplitude at the pole.  For physical data every g_j is
-    positive.
+    g_j = b_j / (i a'(i eta_j)) with a = 1/T, whose zeros are the i eta_j;
+    the slope comes from the dispersion relation (see dispersion).  For
+    physical data every g_j is positive.
     """
-    etas = np.array([s.eta for s in data.bound_states])
-    if etas.size == 0:
-        return ()
-    if np.min(np.abs(np.subtract.outer(etas, etas) + np.eye(etas.size))) < 1e-9:
-        raise ValueError("bound-state decay rates must be distinct")
-    h = np.log1p(-np.abs(data.R) ** 2)
-    out = []
-    for j, s in enumerate(data.bound_states):
-        prod = 1.0
-        for l, e in enumerate(etas):
-            if l != j:
-                prod *= (s.eta + e) / (s.eta - e)
-        # integrand is even in k: use the whole grid and halve
-        expo = (s.eta / (2.0 * np.pi)) * np.trapezoid(
-            h / (data.k**2 + s.eta**2), data.k
-        )
-        out.append(2.0 * s.eta * s.norming * prod * np.exp(expo))
-    return tuple(out)
+    h = -np.log1p(-np.abs(data.R) ** 2)
+    zeros = [1j * s.eta for s in data.bound_states]
+    return tuple(
+        (s.norming / (1j * _dispersion_slope(data.k, h, zeros, j))).real
+        for j, s in enumerate(data.bound_states)
+    )
 
 
 @dataclass(frozen=True)
@@ -407,40 +392,18 @@ class TwoLevelScatteringData(Document):
 def transmission_a_two_level(data: TwoLevelScatteringData, zeta) -> complex:
     """Transmission amplitude a(zeta) from |r| and the half-plane zeros.
 
-    On the real axis |a|^2 = 1/(1 + |r|^2); the phase follows from the
-    dispersion integral of ln|a| and the Blaschke factors of the zeros.
-    Valid on the closed upper half plane.
+    On the real axis |a|^2 = 1/(1 + |r|^2); the dispersion relation (see
+    dispersion) gives the phase.  Valid on the closed upper half plane.
     """
     zeta = complex(zeta)
     if zeta.imag < -1e-12:
         raise ValueError("transmission amplitude defined on the upper half plane")
-    h = -np.log1p(np.abs(data.r) ** 2)
-    blaschke = 1.0 + 0.0j
-    for p in data.poles:
-        blaschke *= (zeta - p) / (zeta - np.conj(p))
-    if zeta.imag > 1e-9:
-        integral = np.trapezoid(h / (data.zeta - zeta), data.zeta)
-        return blaschke * np.exp(integral / (2j * np.pi))
-    x0 = zeta.real
-    if not (data.zeta[0] < x0 < data.zeta[-1]):
-        # outside the data grid |r| ~ 0 and the axis formula degenerates
-        integral = np.trapezoid(h / (data.zeta - x0), data.zeta)
-        return blaschke * np.exp(integral / (2j * np.pi))
-    pv = principal_value_integral(data.zeta, h, x0)
-    h0 = np.interp(x0, data.zeta, h)
-    return blaschke * np.exp(h0 / 2.0) * np.exp(-1j * pv / (2.0 * np.pi))
+    return _dispersion(data.zeta, -np.log1p(np.abs(data.r) ** 2), data.poles, zeta)
 
 
 def transmission_derivative_at_pole(data: TwoLevelScatteringData, j: int) -> complex:
     """a'(zeta_j) at the j-th transmission zero (needed for kernel weights)."""
-    p = data.poles[j]
-    rest = 1.0 + 0.0j
-    for l, other in enumerate(data.poles):
-        if l != j:
-            rest *= (p - other) / (p - np.conj(other))
-    h = -np.log1p(np.abs(data.r) ** 2)
-    integral = np.trapezoid(h / (data.zeta - p), data.zeta)
-    return rest * np.exp(integral / (2j * np.pi)) / (p - np.conj(p))
+    return _dispersion_slope(data.zeta, -np.log1p(np.abs(data.r) ** 2), data.poles, j)
 
 
 def _pulse_sample(kernel, t, ds):

@@ -258,7 +258,7 @@ def _magnus_factor(moment):
     )
 
 
-def _lorentzian_tails(terms, delta, cut):
+def _lorentzian_tails(terms, delta):
     """Core half-width and tail moments int c(t) dt over (T, inf) / (-inf, -T).
 
     On resonance the moments are exact arctan integrals; off resonance a
@@ -268,7 +268,7 @@ def _lorentzian_tails(terms, delta, cut):
     mass = sum(2.0 * a * abs(b) for a, b in terms)
     if mass == 0.0:
         return 0.0, 0.0j, 0.0j
-    T = np.sqrt(mass / cut)
+    T = np.sqrt(mass / _TAIL_CUT)
     if delta != 0.0:
         window = np.sqrt(mass / _WINDOW_FLOOR)
         T = min(max(T, 8.0 / abs(delta)), window)
@@ -289,9 +289,7 @@ def _lorentzian_tails(terms, delta, cut):
     return T, right, left
 
 
-def scattering_matrix(
-    pulse: PulseSpec, *, rtol: float = _RTOL, tail_cut: float = _TAIL_CUT,
-) -> np.ndarray:
+def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
     """Full-window limit of the free-evolution-stripped propagator.
 
     Integrates the interaction-picture system over the pulse support (plus
@@ -301,7 +299,7 @@ def scattering_matrix(
     """
     env = pulse.envelope
     if isinstance(env, _LorentzianTerms):
-        t_core, m_right, m_left = _lorentzian_tails(env.terms, pulse.detuning, tail_cut)
+        t_core, m_right, m_left = _lorentzian_tails(env.terms, pulse.detuning)
         lo, hi = -t_core, t_core
     else:
         m_right = m_left = 0.0j

@@ -22,6 +22,16 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def mirrored_reflection(k, bumps):
+    """Gaussian bumps amp e^{-((k - k0)/width)^2 + i phase} plus their mirror
+    images, so that R(-k) = conj(R(k)); each bump adds at most 2 amp to |R|."""
+    R = np.zeros(k.size, dtype=complex)
+    for amp, k0, width, phase in bumps:
+        R += amp * np.exp(-(((k - k0) / width) ** 2) + 1j * phase)
+        R += amp * np.exp(-(((k + k0) / width) ** 2) - 1j * phase)
+    return R
+
+
 def assert_unitary(u, atol=1e-10):
     n = u.shape[0]
     np.testing.assert_allclose(u.conj().T @ u, np.eye(n), atol=atol)

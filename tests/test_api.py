@@ -40,7 +40,7 @@ SIGNATURES = {
     glm.recover_potential: "data, x, ds, *, tail_tol, threads, check_decay",
     glm.recover_pulse: "data, t, ds, tail_tol, *, check_decay",
     twolevel.propagate: "pulse, zeta, t0, t1, rtol",
-    twolevel.scattering_matrix: "pulse, *, rtol, tail_cut",
+    twolevel.scattering_matrix: "pulse, *, rtol",
     twolevel.scattering_scan: "pulse, detunings, **kw",
     twolevel.rect_pulse_smatrix: "p, rtol",
     fuchsian.monodromy: "sys, loop, rtol",

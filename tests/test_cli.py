@@ -201,6 +201,15 @@ class TestTwoLevel:
         expect = scattering_matrix(PulseSpec(LorentzianPulse(2.0, 0.2), detuning=-1.4))
         assert abs(complex(*doc["a"]) - expect[0, 0]) < 1e-9
 
+    def test_negative_value_in_exponent_form(self, capsys, tmp_path):
+        # argparse alone would take -2e0 for a flag
+        pulse_path = write_json(tmp_path / "lor.json", {"variant": "lorentzian", "a": 1.0, "b": 0.25})
+        argv = ["twolevel", "--pulse", pulse_path, "--kmax", "2", "--n", "3"]
+        spaced = run_cli(capsys, argv + ["--kmin", "-2e0"])
+        joined = run_cli(capsys, argv + ["--kmin=-2"])
+        assert spaced[0] == 0
+        assert spaced == joined
+
     def test_zeta_and_grid_conflict(self, capsys, tmp_path):
         pulse_path = write_json(tmp_path / "lor.json", {"variant": "lorentzian", "a": 1.0, "b": 0.1})
         code, _, err = run_cli(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scattergate.codec import from_json
 from scattergate.direct1d import BoundState, SechSquared, SquareWell, solve_scattering
@@ -12,6 +13,8 @@ from scattergate.dispersion import (
     sample_reflection,
 )
 from scattergate.errors import InfeasibleTargetError
+
+from conftest import mirrored_reflection
 
 
 class TestPrincipalValue:
@@ -66,6 +69,32 @@ class TestReconstruct:
         for eta in (0.3, 1.0, 4.0):
             for k in (0.2, 1.7, 3.3):
                 assert abs((k + 1j * eta) / (k - 1j * eta)) == pytest.approx(1.0, abs=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        bumps=st.lists(
+            st.tuples(
+                st.floats(0.05, 0.2), st.floats(0.0, 3.0), st.floats(0.2, 1.0),
+                st.floats(-np.pi, np.pi),
+            ),
+            max_size=2,
+        ),
+        etas=st.lists(st.floats(0.3, 2.0), max_size=3),
+    )
+    def test_nodes_match_the_axis_formula(self, bumps, etas):
+        # at a grid node T = sqrt(1 - |R|^2) prod (k + i eta)/(k - i eta)
+        # * exp(-i PV/(2 pi)), PV the principal value of ln(1 - |R|^2)
+        k = np.arange(-8.0, 8.0 + 0.01, 0.01)
+        R = mirrored_reflection(k, bumps)
+        data = ReflectionData(k=k, R=R, bound_states=tuple(BoundState(e, 1.0) for e in etas))
+        h = np.log1p(-np.abs(R) ** 2)
+        for i in (1, 437, 800, 950, 1203, k.size - 2):
+            want = np.sqrt(1.0 - abs(R[i]) ** 2) * np.exp(
+                -0.5j * principal_value_integral(k, h, k[i]) / np.pi
+            )
+            for e in etas:
+                want *= (k[i] + 1j * e) / (k[i] - 1j * e)
+            assert abs(reconstruct_transmission(data, k[i]) - want) <= 1e-12 * abs(want)
 
     def test_outside_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,11 @@ Frozen closed forms used as oracles:
     potentials);
   - Gaussian reflection data has an exactly Gaussian kernel;
   - pure-pole two-level data with norming -i at pole i gives the envelope
-    2i sech(2t).
+    2i sech(2t);
+  - the weight formula g_j = 2 eta_j b_j prod_l (eta_j + eta_l)/(eta_j - eta_l)
+    * exp((eta_j/2 pi) int ln(1 - |R|^2)/(k^2 + eta_j^2) dk), which the
+    dispersion relation replaced, and a centred difference of a(zeta) for
+    its slope at a zero.
 """
 
 import json
@@ -44,6 +48,8 @@ from scattergate.glm import (
 )
 from scattergate.twolevel import TabulatedPulse
 
+from conftest import mirrored_reflection
+
 
 def soliton_data(states):
     k = np.linspace(-5.0, 5.0, 11)
@@ -77,6 +83,53 @@ class TestWeights:
         data = soliton_data([BoundState(1.0, 1.0), BoundState(1.0, -1.0)])
         with pytest.raises(ValueError, match="distinct"):
             bound_state_weights(data)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        bumps=st.lists(
+            st.tuples(
+                st.floats(0.05, 0.2), st.floats(0.0, 3.0), st.floats(0.2, 1.0),
+                st.floats(-np.pi, np.pi),
+            ),
+            max_size=2,
+        ),
+        states=st.lists(
+            st.tuples(st.floats(0.3, 2.0), st.floats(0.2, 5.0), st.sampled_from([-1.0, 1.0])),
+            min_size=1, max_size=3, unique_by=lambda s: round(s[0], 1),
+        ),
+    )
+    def test_weights_match_the_closed_form(self, bumps, states):
+        # mirrored |R| <= 0.8 and 1-3 distinct bound states of either sign;
+        # the closed form takes its integral by the trapezoid rule too
+        k = np.arange(-8.0, 8.0 + 0.01, 0.01)
+        bound = tuple(BoundState(eta, sign * b) for eta, b, sign in states)
+        data = ReflectionData(k=k, R=mirrored_reflection(k, bumps), bound_states=bound)
+        h = np.log1p(-np.abs(data.R) ** 2)
+        etas = [s.eta for s in bound]
+        for s, g in zip(bound, bound_state_weights(data)):
+            prod = np.prod([(s.eta + e) / (s.eta - e) for e in etas if e != s.eta])
+            expo = (s.eta / (2.0 * np.pi)) * np.trapezoid(h / (k**2 + s.eta**2), k)
+            want = 2.0 * s.eta * s.norming * prod * np.exp(expo)
+            assert abs(g - want) <= 1e-12 * abs(want)
+
+    def test_coincident_pulse_zeros_rejected(self):
+        data = pole_data(poles=(0.5j, 0.5j), norming=(1.0, 1.0))
+        with pytest.raises(ValueError, match="distinct"):
+            transmission_derivative_at_pole(data, 0)
+        with pytest.raises(ValueError, match="distinct"):
+            recover_pulse(data, np.linspace(-1.0, 1.0, 11))
+
+    def test_cli_coincident_pulse_zeros_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({
+            "zeta": [-2.0, -1.0, 0.0, 1.0, 2.0], "re_r": [0.0] * 5, "im_r": [0.0] * 5,
+            "poles": [[0.0, 0.5], [0.0, 0.5]], "norming": [[1.0, 0.0], [1.0, 0.0]],
+        }))
+        assert main(["inverse", "--data", str(path), "--n", "11"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert "distinct" in json.loads(line)["error"]["message"]
 
 
 class TestKernel:
@@ -209,6 +262,34 @@ class TestTwoLevelTransmission:
         # a = (z - i)/(z + i) has a'(i) = 1/(2i)
         got = transmission_derivative_at_pole(pole_data(), 0)
         assert got == pytest.approx(1.0 / 2j, abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        bumps=st.lists(
+            st.tuples(
+                st.floats(0.05, 0.3), st.floats(-3.0, 3.0), st.floats(0.2, 1.0),
+                st.floats(-np.pi, np.pi),
+            ),
+            max_size=2,
+        ),
+        poles=st.lists(
+            st.tuples(st.sampled_from(np.arange(-2.0, 2.5, 0.5)), st.sampled_from([0.5, 1.0, 1.5])),
+            min_size=1, max_size=3, unique=True,
+        ),
+    )
+    def test_slope_matches_a_centred_difference(self, bumps, poles):
+        # zeros at least 0.5 apart and 0.5 above the axis keep the third
+        # derivative of a small enough for a step of 1e-5
+        zeta = np.arange(-8.0, 8.0 + 0.01, 0.01)
+        ps = tuple(complex(*p) for p in poles)
+        data = TwoLevelScatteringData(
+            zeta=zeta, r=mirrored_reflection(zeta, bumps), poles=ps, norming=(1.0,) * len(ps)
+        )
+        step = 1e-5
+        for j, p in enumerate(ps):
+            want = (transmission_a_two_level(data, p + step)
+                    - transmission_a_two_level(data, p - step)) / (2.0 * step)
+            assert abs(transmission_derivative_at_pole(data, j) - want) <= 1e-8
 
     def test_axis_modulus_identity(self):
         zeta = np.arange(-6.0, 6.0 + 0.01, 0.01)
@@ -376,10 +457,7 @@ class TestCholeskySolve:
         # |R| <= 0.8 from at most two mirrored bumps (R(-k) = conj R(k)) and
         # norming signs chosen so that every kernel weight g_j is positive
         k = np.arange(-8.0, 8.0 + 0.01, 0.01)
-        R = np.zeros(k.size, dtype=complex)
-        for amp, k0, width, phase in bumps:
-            R += amp * np.exp(-(((k - k0) / width) ** 2) + 1j * phase)
-            R += amp * np.exp(-(((k + k0) / width) ** 2) - 1j * phase)
+        R = mirrored_reflection(k, bumps)
         bound = [BoundState(eta, b) for eta, b in states]
         signs = np.sign(bound_state_weights(ReflectionData(k=k, R=R, bound_states=tuple(bound))))
         bound = tuple(BoundState(s.eta, sign * s.norming) for s, sign in zip(bound, signs))
@@ -470,10 +548,7 @@ class TestConjugateGradientSolve:
         # bound states of either sign: wherever the dense spectrum of I + S
         # has a negative eigenvalue the solve must refuse the data
         k = np.arange(-8.0, 8.0 + 0.01, 0.01)
-        R = np.zeros(k.size, dtype=complex)
-        for amp, k0, width, phase in bumps:
-            R += amp * np.exp(-(((k - k0) / width) ** 2) + 1j * phase)
-            R += amp * np.exp(-(((k + k0) / width) ** 2) - 1j * phase)
+        R = mirrored_reflection(k, bumps)
         bound = tuple(BoundState(eta, sign * b) for eta, b, sign in states)
         data = ReflectionData(k=k, R=R, bound_states=bound)
         kernel = marchenko_kernel(data, np.arange(-2.5, 12.0, 0.02))

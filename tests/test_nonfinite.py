@@ -144,6 +144,16 @@ def test_overflowing_grid_span_names_the_options(case, tmp_path, capsys, budget)
     assert "--kmin/--kmax span" in err and "overflows" in err
 
 
+def test_spaced_negative_exponent_reaches_the_span_check(tmp_path, capsys, budget):
+    # "--kmin -1e308" is read as a value, not as an unknown flag
+    pulse = dict(cli_cases(str(tmp_path)))["twolevel"][2]
+    code = main(["twolevel", "--pulse", pulse, "--n", "3", "--kmin", "-1e308", "--kmax", "1e308"])
+    out, err = capsys.readouterr()
+    assert_one_line_failure(code, out, err)
+    assert code == 2
+    assert "--kmin/--kmax span" in err and "overflows" in err
+
+
 @pytest.mark.parametrize("kmin, code, words", [
     ("1e-320", 2, "momentum 1e-320 is too small: 1/(2k) overflows"),
     # the solve finishes, but |a|^2 overflows a Python float

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from scattergate import twolevel
 from scattergate.algebra import SIGMA1, entanglement_verdict, operator_schmidt
 from scattergate.codec import from_json
 from scattergate.errors import NumericalError
@@ -186,12 +187,15 @@ class TestScatteringMatrix:
         ]
         np.testing.assert_allclose(parts[0] @ parts[1], s, atol=1e-6)
 
-    def test_off_resonance_tail_consistency(self):
+    def test_off_resonance_tail_consistency(self, monkeypatch):
         # the Magnus tail correction must shrink with the cutoff
         spec = PulseSpec(envelope=LorentzianPulse(a=1.0, b=0.2), detuning=3.0)
-        s5 = scattering_matrix(spec, tail_cut=1e-5)
-        s6 = scattering_matrix(spec, tail_cut=1e-6)
-        s7 = scattering_matrix(spec, tail_cut=1e-7)
+
+        def at_cut(cut):
+            monkeypatch.setattr(twolevel, "_TAIL_CUT", cut)
+            return scattering_matrix(spec)
+
+        s5, s6, s7 = at_cut(1e-5), at_cut(1e-6), at_cut(1e-7)
         d56 = np.max(np.abs(s5 - s6))
         d67 = np.max(np.abs(s6 - s7))
         assert d56 < 2e-5
