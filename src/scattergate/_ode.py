@@ -3,7 +3,8 @@
 ``integrate`` steps scipy's DOP853 directly, ending on exactly the state
 ``solve_ivp(..., method="DOP853").y[:, -1]`` returns, and refuses what would
 make scipy's step loop spin forever: a non-finite tolerance or span, or a
-non-finite derivative at the start (the first step size is then NaN).
+non-finite derivative at the start (the first step size is then NaN).  A
+solve that needs more than _MAX_STEPS steps fails instead of running on.
 Its one departure from scipy is an error norm that survives underflow.
 """
 
@@ -13,6 +14,11 @@ import numpy as np
 from scipy.integrate import DOP853
 
 from .errors import NumericalError
+
+# steps of one solve: over 10x the most any shipped test, demo or benchmark
+# request takes (12 936, a detuned Lorentzian pulse), so that every input
+# ends in bounded time
+_MAX_STEPS = 150_000
 
 
 class _DOP853(DOP853):
@@ -51,8 +57,12 @@ def integrate(rhs, span, y0, rtol, atol, what, max_step=np.inf):
     solver = _DOP853(rhs, t0, y0.ravel(), t1, rtol=rtol, atol=atol, max_step=max_step)
     if not np.all(np.isfinite(solver.f)):
         raise NumericalError(f"{what} integration failed: derivative not finite at t = {t0}")
+    steps = 0
     while solver.status == "running":
+        if steps == _MAX_STEPS:
+            raise NumericalError(f"{what} integration failed: more than {_MAX_STEPS} steps")
         message = solver.step()
+        steps += 1
     if solver.status == "failed":
         raise NumericalError(f"{what} integration failed: {message}")
     return solver.y.reshape(y0.shape)

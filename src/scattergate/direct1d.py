@@ -10,11 +10,11 @@ support window from phi = a e^{-ikx} + b e^{+ikx}, where phi is the solution
 launched as e^{-ikx} at the left edge; |a|^2 - |b|^2 = 1 for real Q, and the
 transmission / reflection amplitudes are T = 1/a, R = b/a.
 
-Integration works on the plane-wave envelope (u, v) with
-phi = u e^{+ikx} + v e^{-ikx} (and the gauge phi' = ik(u e^{ikx} - v e^{-ikx})),
-which is constant wherever Q vanishes.  Long zero-potential stretches cost
-nothing and the (a, b) extraction at the window edge is then simply
-a = v(x_max), b = u(x_max).
+Every solve propagates (phi, phi') across the window with the adaptive
+Magnus transfer matrix of ``_magnus``: its steps are exact where Q is
+constant, so zero-potential stretches and square wells cost one step each.
+Bound states use the same propagator at k = i eta in the frame
+e^{-eta x}(phi, phi'), which stays bounded along the decaying solution.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 
-from ._ode import integrate
+from ._magnus import transfer_matrix
 from ._samples import SampleTable, checked_grid
 from .algebra import tau
 from .codec import Document
 from .errors import NumericalError
 
 _RTOL = 1e-10
-_ATOL = 1e-12
 
 
 class PotentialSpec(Document, tag="variant", noun="potential", derived=("window",)):
@@ -227,23 +226,12 @@ class ScatterCoeffs:
         return tau(self.a, self.b, atol=1e-8 * (1.0 + abs(self.b) ** 2))
 
 
-def _envelope_rhs(q, k):
-    half_ik = 0.5j / k
-
-    def rhs(x, y):
-        u, v = y
-        c = half_ik * q(x)
-        e = np.exp(-2j * k * x)
-        return (c * (u + v * e), -c * (u / e + v))
-
-    return rhs
-
-
 def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> ScatterCoeffs:
     """Solve the direct problem at momentum k > 0.
 
-    Launches phi = e^{-ikx} at the left window edge, integrates the envelope
-    system with an adaptive 8th-order RK, and reads (a, b) at the right edge.
+    Launches phi = e^{-ikx} at the left window edge, propagates (phi, phi'/k)
+    with the adaptive fourth-order Magnus transfer matrix (relative
+    tolerance rtol over the window), and reads (a, b) at the right edge.
     """
     k = float(k)
     if not k > 0:
@@ -253,11 +241,13 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
     x0, x1 = q.window
     if not x1 > x0:
         return ScatterCoeffs(k=k, a=1.0 + 0.0j, b=0.0j)
-    u, v = integrate(
-        _envelope_rhs(q, k), (x0, x1), np.array([0.0j, 1.0 + 0.0j]),
-        rtol, _ATOL, f"scattering (k = {k})",
-    )
-    return ScatterCoeffs(k=k, a=complex(v), b=complex(u))
+    m = transfer_matrix(lambda x: k * k + q(x), x0, x1, rtol, f"scattering (k = {k})", scale=k)
+    # (phi, phi'/k) starts as e^{-ikx0} (1, -i); phi +- i phi'/k picks out 2a, 2b
+    y0 = m[0, 0] - 1j * m[0, 1]
+    y1 = m[1, 0] - 1j * m[1, 1]
+    a = 0.5 * np.exp(1j * k * (x1 - x0)) * (y0 + 1j * y1)
+    b = 0.5 * np.exp(-1j * k * (x1 + x0)) * (y0 - 1j * y1)
+    return ScatterCoeffs(k=k, a=complex(a), b=complex(b))
 
 
 def solve_grid(q: PotentialSpec, ks, *, rtol: float = _RTOL):
@@ -278,15 +268,13 @@ class BoundState:
 
 
 def _tilted(q, eta, x_from, x_to):
-    # left solution in the frame w = phi e^{-eta x}: bounded for all x; at
-    # -eta, integrated leftward from the right edge, this is the right
-    # solution in the frame v = psi e^{+eta x}
-    def rhs(x, y):
-        w, chi = y
-        return (chi - eta * w, (eta * eta - q(x)) * w - eta * chi)
-
-    return integrate(rhs, (x_from, x_to), np.array([1.0, eta]), _RTOL, _ATOL,
-                     f"bound-state (eta = {abs(eta)})")
+    # left solution in the frame (w, chi) = e^{-eta x}(phi, phi'), launched
+    # as (1, eta): bounded for all x; at -eta, propagated leftward from the
+    # right edge, this is the right solution in the frame e^{+eta x}(psi, psi')
+    m = transfer_matrix(lambda x: q(x) - eta * eta, x_from, x_to, _RTOL,
+                        f"bound-state (eta = {abs(eta)})", scale=abs(eta), shift=-eta)
+    s = np.sign(eta)
+    return m[0, 0] + s * m[0, 1], abs(eta) * (m[1, 0] + s * m[1, 1])
 
 
 def _norming_ratio(q, eta):
@@ -321,7 +309,11 @@ def find_bound_states(q: PotentialSpec, eta_max: float):
     The matching determinant m(eta) (the coefficient of the growing
     exponential of the left solution at the right edge, ~ 2 eta a(i eta))
     is scanned for sign changes on max(40, 40 eta_max) points and each
-    bracket is refined by brentq.
+    bracket is refined by brentq.  Each m(eta) is one Magnus propagation of
+    the left solution across the window in the decaying frame
+    e^{-eta x}(phi, phi'); the norming constant of each root compares it
+    with the right solution, propagated leftward, at three points near the
+    middle of the window.
     """
     if not eta_max > 0:
         raise ValueError("eta_max must be positive")

@@ -41,6 +41,8 @@ from .errors import NumericalError
 from .twolevel import TabulatedPulse
 
 _FOURIER_CHUNK = 64
+# kernel z-grid points: far beyond any data a Nystroem solve can take
+_MAX_Z_POINTS = 10**7
 _FD_STEP = 0.01  # half-width of the central difference Q = 2 dK(x, x)/dx
 
 
@@ -319,6 +321,14 @@ def _tabulate_kernel(k, values, terms, z_lo, z_hi, tail_tol, real):
         pad = max(pad, 2.0 + np.log(max(gmax, 1.0) / tail_tol) / rate)
     rows = None
     for _ in range(6):
+        n = (z_hi + pad + dz - z_lo) / dz
+        if not n <= _MAX_Z_POINTS:
+            raise ValueError(
+                f"kernel z-grid over [{z_lo:.6g}, {z_hi + pad:.6g}] (twice the x "
+                f"nodes, plus the decay pad) at spacing {dz:.3g} for momenta up to "
+                f"|k| = {np.max(np.abs(k)):.6g} needs {n:.3g} points, over the limit "
+                f"of {_MAX_Z_POINTS:.0e}"
+            )
         z = np.arange(z_lo, z_hi + pad + dz, dz)
         rows = _fourier_rows(k, values, z, rows)
         refl = _real_rows(rows) if real else rows

@@ -283,9 +283,12 @@ def _lorentzian_tails(terms, delta):
     for a, b in terms:
         f = 2.0 * a * b / (T * T + a * a)
         fp = -4.0 * a * b * T / (T * T + a * a) ** 2
-        right += np.exp(-1j * delta * T) * (f / (1j * delta) + fp / (1j * delta) ** 2)
+        # fp / (i delta)^2 without the complex power, which raises where
+        # delta * delta overflows; the term is then 0
+        second = fp * (1.0 / -(delta * delta))
+        right += np.exp(-1j * delta * T) * (f / (1j * delta) + second)
         # at -T the slope flips sign and the boundary term enters with -1
-        left -= np.exp(1j * delta * T) * (f / (1j * delta) - fp / (1j * delta) ** 2)
+        left -= np.exp(1j * delta * T) * (f / (1j * delta) - second)
     return T, right, left
 
 

@@ -2,6 +2,7 @@ import signal
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 
 @pytest.fixture
@@ -35,6 +36,29 @@ def mirrored_reflection(k, bumps):
 def assert_unitary(u, atol=1e-10):
     n = u.shape[0]
     np.testing.assert_allclose(u.conj().T @ u, np.eye(n), atol=atol)
+
+
+def envelope_rhs(q, k):
+    """Plane-wave envelope (u, v) of phi = u e^{ikx} + v e^{-ikx}, gauged by
+    phi' = ik(u e^{ikx} - v e^{-ikx}): constant wherever q vanishes."""
+    half_ik = 0.5j / k
+
+    def rhs(x, y):
+        u, v = y
+        c = half_ik * q(x)
+        e = np.exp(-2j * k * x)
+        return (c * (u + v * e), -c * (u / e + v))
+
+    return rhs
+
+
+def dop853_scattering(q, k):
+    """Amplitude pair (a, b) by DOP853 at rtol 1e-12 on the envelope, launched
+    as e^{-ikx}: an oracle independent of the package's Magnus propagator."""
+    sol = solve_ivp(envelope_rhs(q, k), q.window, np.array([0.0j, 1.0 + 0.0j]),
+                    method="DOP853", rtol=1e-12, atol=1e-15)
+    u, v = sol.y[:, -1]
+    return complex(v), complex(u)
 
 
 class BudgetExceeded(Exception):

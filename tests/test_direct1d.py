@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from conftest import dop853_scattering, envelope_rhs
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from scattergate import direct1d
 from scattergate.codec import from_json
 from scattergate.direct1d import (
     BoundState,
@@ -100,10 +103,8 @@ class TestSolveScattering:
         # launching e^{+ikx} instead propagates the conjugate solution
         pot = SquareWell(q0=-3.0, x0=0.0, length=1.0)
         k = 1.3
-        from scipy.integrate import solve_ivp
-
         sol = solve_ivp(
-            direct1d._envelope_rhs(pot, k),
+            envelope_rhs(pot, k),
             pot.window,
             np.array([1.0 + 0.0j, 0.0j]),
             method="DOP853",
@@ -127,6 +128,47 @@ class TestSolveScattering:
             solve_scattering(Zero(), 0.0)
         with pytest.raises(ValueError):
             solve_scattering(Zero(), -1.0)
+
+
+class TestMagnusAgainstOracle:
+    """The Magnus propagator against DOP853 on the plane-wave envelope."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pot=st.one_of(
+            st.builds(SechSquared, eta=st.floats(0.5, 2.0), center=st.floats(-2.0, 2.0)),
+            st.builds(SquareWell, q0=st.floats(-4.0, 4.0), x0=st.floats(-2.0, 2.0),
+                      length=st.floats(0.1, 3.0)),
+        ),
+        k=st.floats(0.2, 8.0),
+    )
+    def test_matches_dop853(self, pot, k):
+        c = solve_scattering(pot, k)
+        a, b = dop853_scattering(pot, k)
+        # |a| >= 1 reaches ~1e3 under barriers; errors and the roundoff of
+        # |a|^2 - |b|^2 scale with it
+        assert abs(c.a - a) <= 1e-9 * abs(a)
+        assert abs(c.b - b) <= 1e-9 * abs(a)
+        assert abs(abs(c.a) ** 2 - abs(c.b) ** 2 - 1.0) <= 1e-12 * abs(c.a) ** 2
+
+    def test_lorentzian_matches_dop853(self):
+        # the DOP853 oracle crawls across the +-2e4 window: one fixed case
+        pot = LorentzianSum(pairs=((1.0, 0.02),))
+        c = solve_scattering(pot, 1.0)
+        a, b = dop853_scattering(pot, 1.0)
+        assert abs(c.a - a) <= 1e-9
+        assert abs(c.b - b) <= 1e-9
+        assert abs(abs(c.a) ** 2 - abs(c.b) ** 2 - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("q0", [-3.0, 2.0])
+    def test_square_well_is_exact(self, q0):
+        # a constant-Q step is exact: plane-wave matching to roundoff
+        well = SquareWell(q0=q0, x0=0.0, length=1.0)
+        for k in np.linspace(0.5, 5.0, 10):
+            c = solve_scattering(well, k)
+            a, b = square_well_pair(q0, 1.0, k)
+            assert abs(c.a - a) <= 1e-12
+            assert abs(c.b - b) <= 1e-12
 
 
 class TestBoundStates:
@@ -157,6 +199,13 @@ class TestBoundStates:
         states = find_bound_states(SechSquared(eta=1.0, center=0.5), 3.0)
         assert len(states) == 1
         assert states[0].norming == pytest.approx(np.exp(1.0), rel=1e-6)
+
+    def test_weak_lorentzian_single_state(self, budget):
+        # once minutes of DOP853; a weak well binds once, with eta close to
+        # the first-order value (1/2) int Q dx = pi b
+        states = find_bound_states(LorentzianSum(pairs=((1.0, 0.01),)), 3.0)
+        assert len(states) == 1
+        assert states[0].eta == pytest.approx(np.pi * 0.01, rel=0.15)
 
     def test_rejects_bad_eta_max(self):
         with pytest.raises(ValueError):

@@ -184,12 +184,12 @@ GOLDEN_DOCS = {
 GOLDEN_STDOUT = {
     "direct": (
         'k,re_a,im_a,re_b,im_b,T2,R2\n'
-        '0.5,0.4243137675813175,-1.3770333182530752,0.70715313220935805,'
-        '0.75907666307275323,0.48163456763392504,0.51836543230685539\n'
-        '1.25,0.60173470633427406,-0.80912044897119373,0.12351839988706868,'
-        '-0.038778378330154829,0.98351572784489005,0.016484272141377238\n'
-        '2,0.77970728122525157,-0.6346662319694244,-0.014628006388784937,'
-        '0.10261915914105382,0.98936955028047735,0.010630449715353901\n'
+        '0.5,0.42431376775708607,-1.3770333181586962,0.70715313217876619,'
+        '0.75907666310928135,0.48163456765961915,0.51836543234037968\n'
+        '1.25,0.60173470635317416,-0.80912044894983037,0.12351839989543065,'
+        '-0.038778378331121292,0.98351572785632912,0.016484272143674351\n'
+        '2,0.779707281228599,-0.63466623196179084,-0.014628006388568031,'
+        '0.10261915913980331,0.98936955028485252,0.010630449715140704\n'
     ),
     "inverse potential": (
         '{"subcommand": "inverse", "kind": "potential", "variant": "tabulated", '

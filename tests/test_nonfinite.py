@@ -168,3 +168,14 @@ def test_tiny_momentum_fails_on_one_line(kmin, code, words, tmp_path, capsys, bu
     assert_one_line_failure(got, out, err)
     assert got == code
     assert words in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("case", ["gate", "inverse potential"])
+def test_huge_sample_grid_names_the_kernel_grid(case, tmp_path, capsys, budget):
+    # finite nodes near 1e300 ask for a kernel table of ~1e302 points
+    argv = dict(cli_cases(str(tmp_path)), gate=["gate", "--target", "hadamard"])[case]
+    code = main(argv + ["--kmin", "1e300", "--kmax", "1e301", "--n", "5"])
+    out, err = capsys.readouterr()
+    assert_one_line_failure(code, out, err)
+    assert code == 2
+    assert "kernel z-grid over [2e+300" in err and "for momenta up to |k| =" in err

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from scattergate import _ode
 from scattergate._ode import integrate
 from scattergate.direct1d import PotentialSpec, find_bound_states, solve_scattering
 from scattergate.errors import NumericalError
@@ -124,3 +125,16 @@ class NanEnvelope(PulseEnvelope):
 def test_nan_model_raises_instead_of_hanging(solve, budget):
     with pytest.raises(NumericalError, match="integration failed"):
         solve()
+
+
+def test_step_budget_ends_a_long_solve(monkeypatch, budget):
+    # a fast oscillator over many periods: cheap steps, far more than 50 of them
+    monkeypatch.setattr(_ode, "_MAX_STEPS", 50)
+
+    def rhs(t, y):
+        return np.array([y[1], -1e4 * y[0]])
+
+    with pytest.raises(NumericalError, match="test integration failed: more than 50 steps"):
+        integrate(rhs, (0.0, 100.0), np.array([1.0, 0.0]), 1e-10, 1e-12, "test")
+    y = integrate(rhs, (0.0, 0.01), np.array([1.0, 0.0]), 1e-10, 1e-12, "test")
+    np.testing.assert_allclose(y, [np.cos(1.0), -100.0 * np.sin(1.0)], rtol=1e-8)

@@ -201,6 +201,14 @@ class TestScatteringMatrix:
         assert d56 < 2e-5
         assert d67 < 0.4 * d56 + 1e-8
 
+    @pytest.mark.parametrize("delta", [1e200, -1e200])
+    def test_tail_moments_at_huge_detuning(self, delta):
+        # delta^2 overflows: the 1/delta^2 term vanishes instead of raising
+        t_core, right, left = twolevel._lorentzian_tails(((1.0, 0.25),), delta)
+        assert np.isfinite(t_core) and t_core > 0
+        assert np.isfinite(right) and np.isfinite(left)
+        assert abs(right) < 1e-200 and abs(left) < 1e-200
+
     def test_soliton_pulse_is_reflectionless(self):
         s = scattering_matrix(soliton_pulse())
         np.testing.assert_allclose(s, -np.eye(2), atol=5e-4)
