@@ -1,19 +1,23 @@
-"""Adaptive fourth-order Magnus propagator for the 2x2 Schrodinger systems.
+"""Adaptive fourth-order Magnus propagator for every 2x2 linear flow.
 
-``transfer_matrix`` propagates y' = (A(x) + shift) y with the traceless
-generator A = [[0, 1], [-g(x), 0]] (g = k^2 + Q for the wave equation
-psi'' + (k^2 + Q) psi = 0) from x_from to x_to, in either direction.
+``transfer_matrix`` propagates y' = A(x) y from x_from to x_to, in either
+direction, for any 2x2 generator A: real or complex, with or without trace.
+The Schrodinger systems pass [[0, k], [-(k^2 + Q)/k, 0]] (the variables
+(psi, psi'/k)), the bound-state search adds -eta I to its tilted frame, and
+a Fuchsian monodromy passes dz(u) omega(z(u)) along each loop segment.
 
 Each step is the two-Gauss-point Magnus exponential
 
-    Omega = (h/2)(A_1 + A_2) + (sqrt(3) h^2 / 12)(g_2 - g_1) sigma_3,
+    Omega = (h/2)(A_1 + A_2) + (sqrt(3) h^2 / 12)[A_2, A_1],
 
-whose 2x2 exponential is closed form (Omega^2 = d I): cosh/sinh where d > 0,
-cos/sin where d < 0.  It is exact wherever g is constant and keeps its
-accuracy at large h k, so a free stretch costs one step whatever its length
-(Iserles, BIT 42, 561 (2002); Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
-151 (2009)).  The scalar shift enters as e^{shift h} folded into the same
-exponent, so the decaying frames of the bound-state search never overflow.
+taken in closed form: with tau = tr(Omega)/2, N = Omega - tau I and
+r^2 = -det N, e^Omega = e^tau (cosh r I + (sinh r / r) N).  Real generators
+stay in real arithmetic (cos/sin where r^2 < 0); complex ones use the
+principal root r.  The trace enters the same exponent as r, so decaying
+frames never overflow.  The step is exact wherever A is constant and keeps
+its accuracy at large h k, so a free stretch costs one step whatever its
+length (Iserles, BIT 42, 561 (2002); Blanes, Casas, Oteo & Ros, Phys. Rep.
+470, 151 (2009)).
 
 Refinement runs in rounds, vectorized over up to _CHUNK pending intervals:
 one step M1 is compared with two half-steps M2.  An interval whose
@@ -49,44 +53,64 @@ _CHUNK = 1024
 _MAX_INTERVALS = 1 << 20
 
 
-def _steps(g, x_from, span, u, du, scale, shift, what):
-    """Stacked one-step propagators over the fractions [u, u + du] of the
-    span, in the variables (y, y'/scale)."""
+def _at_nodes(gen, x, what):
+    # the entries (A00, A01, A10, A11) at the first and at the second Gauss
+    # node of each step; a constant entry stays one scalar
+    entries = []
+    for entry in map(np.asarray, gen(x.ravel())):
+        if not np.isfinite(entry).all():
+            at = x.ravel()[~np.isfinite(np.broadcast_to(entry, (x.size,)))][0]
+            raise NumericalError(f"{what} integration failed: generator not finite at x = {at}")
+        entries.append(entry.reshape(x.shape).T if entry.ndim else (entry.item(),) * 2)
+    return zip(*entries)
+
+
+def _steps(gen, x_from, span, u, du, what):
+    """Stacked one-step propagators over the fractions [u, u + du] of the span."""
     h = du * span
     x = x_from + span * (u[:, None] + du[:, None] * _NODES)
-    gv = np.asarray(g(x.ravel()), dtype=float).reshape(x.shape)
-    gs = gv / scale
-    if not np.all(np.isfinite(gs)):
-        at = x[~np.isfinite(gs)][0]
-        raise NumericalError(f"{what} integration failed: generator not finite at x = {at}")
-    c = _COMMUTATOR * h * h * (gv[:, 1] - gv[:, 0])
-    d = c * c - h * h * 0.5 * (gv[:, 0] + gv[:, 1])
-    r = np.sqrt(np.abs(d))
-    sh = shift * h
-    # both branches everywhere, the unused one discarded: cosh r and
-    # sinh(r)/r times e^{shift h} with the shift inside the exponent where
-    # d > 0, cos r and sin(r)/r where d <= 0
+    (p1, q1, s1, w1), (p2, q2, s2, w2) = _at_nodes(gen, x, what)
+    kappa = _COMMUTATOR * h
+    # Omega = tau I + h nu with nu traceless: the mean of A plus kappa times
+    # the commutator [A_2, A_1], written out entrywise
+    tau = h * (0.25 * (p1 + p2 + w1 + w2))
+    d1, d2 = p1 - w1, p2 - w2
+    nu00 = 0.25 * (d1 + d2) + kappa * (q2 * s1 - q1 * s2)
+    nu01 = 0.5 * (q1 + q2) + kappa * (q1 * d2 - q2 * d1)
+    nu10 = 0.5 * (s1 + s2) + kappa * (s2 * d1 - s1 * d2)
+    r2 = h * h * (nu00 * nu00 + nu01 * nu10)
+    real = not any(np.iscomplexobj(v) for v in (tau, nu00, nu01, nu10))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        e = np.exp(r + sh)
-        half_gap = -0.5 * np.expm1(-2.0 * r)  # (1 - e^{-2r})/2, exact for small r
-        grow = d > 0.0
-        cosh_part = np.where(grow, e * (1.0 - half_gap), np.exp(sh) * np.cos(r))
-        sinh_part = np.where(grow, e * half_gap / r, np.exp(sh) * np.sinc(r / np.pi))
-        out = np.empty((u.size, 2, 2))
-        out[:, 0, 0] = cosh_part + sinh_part * c
-        out[:, 0, 1] = sinh_part * h * scale
-        out[:, 1, 0] = -sinh_part * h * 0.5 * (gs[:, 0] + gs[:, 1])
-        out[:, 1, 1] = cosh_part - sinh_part * c
+        # e^tau cosh r and e^tau sinh(r)/r, with tau inside the exponent of
+        # the growing branch; (1 - e^{-2r})/2 is exact for small r
+        r = np.sqrt(np.abs(r2)) if real else np.sqrt(r2 + 0j)
+        e = np.exp(r + tau)
+        half_gap = -0.5 * np.expm1(-2.0 * r)
+        if real:
+            grow = r2 > 0.0
+            cosh_part = np.where(grow, e * (1.0 - half_gap), np.exp(tau) * np.cos(r))
+            sinh_part = np.where(grow, e * half_gap / r, np.exp(tau) * np.sinc(r / np.pi))
+        else:
+            cosh_part = e * (1.0 - half_gap)
+            sinh_part = np.where(r == 0.0, np.exp(tau), e * half_gap / r)
+        sinh_h = sinh_part * h
+        out = np.empty((u.size, 2, 2), dtype=float if real else complex)
+        out[:, 0, 0] = cosh_part + sinh_h * nu00
+        out[:, 0, 1] = sinh_h * nu01
+        out[:, 1, 0] = sinh_h * nu10
+        out[:, 1, 1] = cosh_part - sinh_h * nu00
     return out
 
 
-def transfer_matrix(g, x_from, x_to, rtol, what, scale=1.0, shift=0.0):
-    """Real 2x2 M with (y, y'/scale)(x_to) = M (y, y'/scale)(x_from).
+def transfer_matrix(gen, x_from, x_to, rtol, what):
+    """2x2 M with y(x_to) = M y(x_from) for y' = A(x) y.
 
-    g maps a 1-D array of x to k^2 + Q there; scale > 0 weighs y' against y
-    in the error norm (the momentum, or eta).  Raises ValueError for a bad
-    rtol or span, NumericalError naming ``what`` for a non-finite generator,
-    a propagator that overflows, or more than _MAX_INTERVALS intervals.
+    gen maps a 1-D array of x to the four entries (A00, A01, A10, A11), each
+    an array over x or a scalar where it is constant.  The error is measured
+    entrywise in M, so the generator's variables set the weights (psi'/k
+    against psi, say).  Raises ValueError for a bad rtol or span,
+    NumericalError naming ``what`` for a non-finite generator, a propagator
+    that overflows, or more than _MAX_INTERVALS intervals.
     """
     if not (np.isfinite(rtol) and rtol > 0):
         raise ValueError(f"rtol must be positive and finite, got {rtol}")
@@ -108,8 +132,8 @@ def transfer_matrix(g, x_from, x_to, rtol, what, scale=1.0, shift=0.0):
             )
         cu, cdu = u[:n], du[:n]
         half = 0.5 * cdu
-        m = _steps(g, x_from, span, np.concatenate([cu, cu, cu + half]),
-                   np.concatenate([cdu, half, half]), scale, shift, what)
+        m = _steps(gen, x_from, span, np.concatenate([cu, cu, cu + half]),
+                   np.concatenate([cdu, half, half]), what)
         m1, left, right = m[:n], m[n:2 * n], m[2 * n:]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             m2 = right @ left

@@ -1,5 +1,6 @@
-"""The one adaptive ODE driver behind every propagator in the package.
+"""The DOP853 driver of the pulse S-matrix, ``twolevel.scattering_matrix``.
 
+Every other propagation runs on the Magnus transfer matrix of ``_magnus``.
 ``integrate`` steps scipy's DOP853 directly, ending on exactly the state
 ``solve_ivp(..., method="DOP853").y[:, -1]`` returns, and refuses what would
 make scipy's step loop spin forever: a non-finite tolerance or span, or a
@@ -41,7 +42,7 @@ class _DOP853(DOP853):
         return abs(h) * e5 * (e5 / np.hypot(e5, 0.1 * e3)) / np.sqrt(len(scale))
 
 
-def integrate(rhs, span, y0, rtol, atol, what, max_step=np.inf):
+def integrate(rhs, span, y0, rtol, atol, what):
     """y(t1) for y' = rhs(t, y) over span = (t0, t1), in the shape of y0.
 
     rhs sees and returns the state flattened.  Raises ValueError for a bad
@@ -54,7 +55,7 @@ def integrate(rhs, span, y0, rtol, atol, what, max_step=np.inf):
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValueError(f"{what} integration span ({t0}, {t1}) is not finite")
     y0 = np.asarray(y0)
-    solver = _DOP853(rhs, t0, y0.ravel(), t1, rtol=rtol, atol=atol, max_step=max_step)
+    solver = _DOP853(rhs, t0, y0.ravel(), t1, rtol=rtol, atol=atol)
     if not np.all(np.isfinite(solver.f)):
         raise NumericalError(f"{what} integration failed: derivative not finite at t = {t0}")
     steps = 0

@@ -241,7 +241,8 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
     x0, x1 = q.window
     if not x1 > x0:
         return ScatterCoeffs(k=k, a=1.0 + 0.0j, b=0.0j)
-    m = transfer_matrix(lambda x: k * k + q(x), x0, x1, rtol, f"scattering (k = {k})", scale=k)
+    m = transfer_matrix(lambda x: (0.0, k, -(k * k + q(x)) / k, 0.0), x0, x1, rtol,
+                        f"scattering (k = {k})")
     # (phi, phi'/k) starts as e^{-ikx0} (1, -i); phi +- i phi'/k picks out 2a, 2b
     y0 = m[0, 0] - 1j * m[0, 1]
     y1 = m[1, 0] - 1j * m[1, 1]
@@ -270,11 +271,13 @@ class BoundState:
 def _tilted(q, eta, x_from, x_to):
     # left solution in the frame (w, chi) = e^{-eta x}(phi, phi'), launched
     # as (1, eta): bounded for all x; at -eta, propagated leftward from the
-    # right edge, this is the right solution in the frame e^{+eta x}(psi, psi')
-    m = transfer_matrix(lambda x: q(x) - eta * eta, x_from, x_to, _RTOL,
-                        f"bound-state (eta = {abs(eta)})", scale=abs(eta), shift=-eta)
+    # right edge, this is the right solution in the frame e^{+eta x}(psi, psi').
+    # The propagated variables are (w, chi/|eta|), and -eta I tilts the frame
+    scale = abs(eta)
+    m = transfer_matrix(lambda x: (-eta, scale, -(q(x) - eta * eta) / scale, -eta),
+                        x_from, x_to, _RTOL, f"bound-state (eta = {scale})")
     s = np.sign(eta)
-    return m[0, 0] + s * m[0, 1], abs(eta) * (m[1, 0] + s * m[1, 1])
+    return m[0, 0] + s * m[0, 1], scale * (m[1, 0] + s * m[1, 1])
 
 
 def _norming_ratio(q, eta):
@@ -308,8 +311,9 @@ def find_bound_states(q: PotentialSpec, eta_max: float):
 
     The matching determinant m(eta) (the coefficient of the growing
     exponential of the left solution at the right edge, ~ 2 eta a(i eta))
-    is scanned for sign changes on max(40, 40 eta_max) points and each
-    bracket is refined by brentq.  Each m(eta) is one Magnus propagation of
+    is scanned for sign changes on max(40, 40 eta_max) points, preceded by
+    halvings of the first down to eta ~ 1/(window length), and each bracket
+    is refined by brentq.  Each m(eta) is one Magnus propagation of
     the left solution across the window in the decaying frame
     e^{-eta x}(phi, phi'); the norming constant of each root compares it
     with the right solution, propagated leftward, at three points near the
@@ -327,9 +331,13 @@ def find_bound_states(q: PotentialSpec, eta_max: float):
         return eta * w + chi
 
     etas = np.linspace(eta_max / n_scan, eta_max, n_scan)
+    # a shallow state can bind below the first point: halve down to
+    # eta (x1 - x0) ~ 1, where its decay length reaches the window's
+    low = max(0, int(np.ceil(np.log2(etas[0] * (x1 - x0)))))
+    etas = np.concatenate([etas[0] / 2.0 ** np.arange(low, 0, -1), etas])
     vals = np.array([matching(e) for e in etas])
     roots = []
-    for i in range(n_scan - 1):
+    for i in range(etas.size - 1):
         if vals[i] == 0.0:
             roots.append(etas[i])
         elif vals[i] * vals[i + 1] < 0.0:

@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ode import integrate
+from ._magnus import transfer_matrix
 from .algebra import HADAMARD, SIGMA3
 from .codec import Document
 from .errors import NumericalError
 
 _RTOL = 1e-10
-_ATOL = 1e-12
 _EXCLUSION = 1e-6
 
 
@@ -54,9 +53,11 @@ class FuchsianSystem(Document):
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "residues", residues)
 
-    def omega(self, z: complex) -> np.ndarray:
-        """Coefficient matrix of the 1-form at z (the dz factor stripped)."""
-        out = np.zeros((2, 2), dtype=complex)
+    def omega(self, z) -> np.ndarray:
+        """Coefficient matrix of the 1-form at z (the dz factor stripped);
+        an array of z gives the stack of matrices, shape z.shape + (2, 2)."""
+        out = np.zeros(np.shape(z) + (2, 2), dtype=complex)
+        z = np.asarray(z)[..., None, None]
         for s, m in zip(self.poles, self.residues):
             out += m / (z - s)
         return out
@@ -65,11 +66,10 @@ class FuchsianSystem(Document):
 class Loop(Document, tag="kind", noun="loop"):
     """Closed integration path; subclasses give the parametrization.
 
-    samples bounds the coarsest internal step of the adaptive integrator,
-    so refining it can only sharpen the result (discretization independence
-    is a tested invariant).  on_contour declares that a pole is allowed to
-    sit on the path; such loops carry principal-value meaning and are
-    rejected by direct integration.
+    on_contour declares that a pole is allowed to sit on the path; such
+    loops carry principal-value meaning and are rejected by direct
+    integration.  Documents written with the former ``samples`` field
+    still load; the key is ignored.
     """
 
     @property
@@ -77,7 +77,8 @@ class Loop(Document, tag="kind", noun="loop"):
         raise NotImplementedError
 
     def segments(self):
-        """Yield (z(u), z'(u), samples) parametrized over u in [0, 1]."""
+        """Yield (z(u), z'(u)) per smooth segment, u in [0, 1]; both take an
+        array of u, and z' may return a constant."""
         raise NotImplementedError
 
     def pole_distance(self, s: complex) -> float:
@@ -91,7 +92,6 @@ class CircleLoop(Loop):
     center: complex
     radius: float
     orientation: int = 1
-    samples: int = 256
     on_contour: bool = False
 
     kind = "circle"
@@ -100,13 +100,10 @@ class CircleLoop(Loop):
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "orientation", int(self.orientation))
-        object.__setattr__(self, "samples", int(self.samples))
         if not (np.isfinite(self.center) and np.isfinite(self.radius) and self.radius > 0):
             raise ValueError("need a finite center and a finite positive radius")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 (ccw) or -1 (cw)")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
 
     @property
     def base_point(self):
@@ -121,7 +118,7 @@ class CircleLoop(Loop):
         def dz(u):
             return self.radius * w * np.exp(w * u)
 
-        yield z, dz, self.samples
+        yield z, dz
 
     def pole_distance(self, s):
         return abs(abs(s - self.center) - self.radius)
@@ -141,7 +138,6 @@ class PolylineLoop(Loop):
     """Closed polyline through the listed points (first must equal last)."""
 
     points: tuple[complex, ...]
-    samples: int = 256
     on_contour: bool = False
 
     kind = "polyline"
@@ -155,20 +151,14 @@ class PolylineLoop(Loop):
         if abs(pts[0] - pts[-1]) > 1e-12:
             raise ValueError("path must close: first and last points differ")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "samples", int(self.samples))
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
 
     @property
     def base_point(self):
         return self.points[0]
 
     def segments(self):
-        lengths = [abs(b - a) for a, b in zip(self.points, self.points[1:])]
-        total = sum(lengths) or 1.0
-        for (a, b), ln in zip(zip(self.points, self.points[1:]), lengths):
-            n = max(2, int(round(self.samples * ln / total)))
-            yield (lambda u, a=a, b=b: a + u * (b - a)), (lambda u, d=b - a: d), n
+        for a, b in zip(self.points, self.points[1:]):
+            yield (lambda u, a=a, b=b: a + u * (b - a)), (lambda u, d=b - a: d)
 
     def pole_distance(self, s):
         return min(
@@ -180,10 +170,11 @@ class PolylineLoop(Loop):
 def monodromy(sys: FuchsianSystem, loop: Loop, rtol: float = _RTOL) -> np.ndarray:
     """Continue F = I once around the loop; returns the right factor M.
 
-    Each smooth segment is integrated with an adaptive 8th-order Runge-Kutta
-    stepper in the real parameter, with the coarsest step bounded by the
-    loop's sample count.  A pole closer than 1e-6 to the path is refused:
-    inside that radius the local error control cannot vouch for the result.
+    Each smooth segment is one adaptive Magnus transfer matrix of the
+    generator z'(u) omega(z(u)) over its real parameter u in [0, 1], the
+    same propagator the Schrodinger solves use.  A pole closer than 1e-6 to
+    the path is refused: inside that radius the local error control cannot
+    vouch for the result.
     """
     for j, s in enumerate(sys.poles):
         if loop.pole_distance(s) <= _EXCLUSION:
@@ -197,11 +188,12 @@ def monodromy(sys: FuchsianSystem, loop: Loop, rtol: float = _RTOL) -> np.ndarra
                 f"pole {j} at {s} is within {_EXCLUSION} of the path"
             )
     f = np.eye(2, dtype=complex)
-    for z, dz, n in loop.segments():
-        def rhs(u, y):
-            return (dz(u) * (sys.omega(z(u)) @ y.reshape(2, 2))).ravel()
+    for z, dz in loop.segments():
+        def gen(u, z=z, dz=dz):
+            a = np.asarray(dz(u))[..., None, None] * sys.omega(z(u))
+            return a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
 
-        f = integrate(rhs, (0.0, 1.0), f, rtol, _ATOL, "monodromy", max_step=1.0 / n)
+        f = transfer_matrix(gen, 0.0, 1.0, rtol, "monodromy") @ f
     return f
 
 

@@ -5,11 +5,14 @@ removed knob must not come back unnoticed.  ``threads`` is still accepted,
 and ignored, by the two functions the benchmark calls with it.
 """
 
+import ast
 import dataclasses
 import inspect
+import pathlib
 
 import pytest
 
+import scattergate
 from scattergate import cli, direct1d, dispersion, fuchsian, glm, twolevel
 
 SOLVER_MODULES = (direct1d, dispersion, glm, twolevel, fuchsian)
@@ -39,10 +42,9 @@ SIGNATURES = {
     glm.solve_marchenko: "kernel, x, ds, *, check_decay",
     glm.recover_potential: "data, x, ds, *, tail_tol, threads, check_decay",
     glm.recover_pulse: "data, t, ds, tail_tol, *, check_decay",
-    twolevel.propagate: "pulse, zeta, t0, t1, rtol",
     twolevel.scattering_matrix: "pulse, *, rtol",
     twolevel.scattering_scan: "pulse, detunings, **kw",
-    twolevel.rect_pulse_smatrix: "p, rtol",
+    twolevel.rect_pulse_smatrix: "p",
     fuchsian.monodromy: "sys, loop, rtol",
     fuchsian.monodromy_product: "sys, loops, rtol",
 }
@@ -83,3 +85,15 @@ def test_cli_has_no_threads_flag():
     for name, parser in sub.choices.items():
         flags = {s for a in parser._actions for s in a.option_strings}
         assert "--threads" not in flags, name
+
+
+def test_only_twolevel_imports_the_ode_driver():
+    # every other propagation runs on the Magnus transfer matrix
+    importers = set()
+    for path in pathlib.Path(scattergate.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                if any(name.split(".")[-1] == "_ode" for name in names):
+                    importers.add(path.stem)
+    assert importers == {"twolevel"}

@@ -118,7 +118,7 @@ def fuchsian_systems(draw):
 @st.composite
 def polylines(draw):
     pts = draw(st.lists(complexes, min_size=3, max_size=5, unique=True))
-    return PolylineLoop((*pts, pts[0]), draw(st.integers(1, 512)), draw(st.booleans()))
+    return PolylineLoop((*pts, pts[0]), draw(st.booleans()))
 
 
 documents = st.one_of(
@@ -132,8 +132,7 @@ documents = st.one_of(
     st.builds(DipoleParams, complexes, complexes, reals, reals, reals, reals,
               complexes, reals, positive),
     fuchsian_systems(),
-    st.builds(CircleLoop, complexes, positive, st.sampled_from((1, -1)),
-              st.integers(1, 512), st.booleans()),
+    st.builds(CircleLoop, complexes, positive, st.sampled_from((1, -1)), st.booleans()),
     polylines(),
 )
 
@@ -193,7 +192,7 @@ def test_scalar_complex_fields_and_missing_optional_keys():
     p = from_json(DipoleParams, doc)
     assert (p.d_A, p.d_B, p.x, p.y, p.T) == (0.5, 0.25 - 1.0j, 0.0, 0.0, 1.0)
     loop = from_json(Loop, {"kind": "circle", "center": [0.0, 1.0], "radius": 2.0})
-    assert (loop.orientation, loop.samples, loop.on_contour) == (1, 256, False)
+    assert (loop.orientation, loop.on_contour) == (1, False)
     data = from_json(ReflectionData, {"k": [-1.0, 0.0, 1.0], "re_R": [0, 0.5, 0], "im_R": [0, 0, 0]})
     assert data.bound_states == ()
     spec = from_json(PulseSpec, {"envelope": {"variant": "lorentzian", "a": 1.0, "b": 0.5},

@@ -207,6 +207,15 @@ class TestBoundStates:
         assert len(states) == 1
         assert states[0].eta == pytest.approx(np.pi * 0.01, rel=0.15)
 
+    @pytest.mark.parametrize("b", [0.005, 0.002])
+    def test_state_below_the_first_scan_point(self, b, budget):
+        # eta ~ pi b lies under eta_max / n_scan = 0.025; the well is even,
+        # so the left and right Jost solutions agree and the norming is 1
+        states = find_bound_states(LorentzianSum(pairs=((1.0, b),)), 3.0)
+        assert len(states) == 1
+        assert 0.9 * np.pi * b <= states[0].eta <= np.pi * b
+        assert states[0].norming == pytest.approx(1.0, abs=1e-6)
+
     def test_rejects_bad_eta_max(self):
         with pytest.raises(ValueError):
             find_bound_states(Zero(), -1.0)

@@ -23,7 +23,7 @@ from scattergate.direct1d import (
     Zero,
 )
 from scattergate.dispersion import ReflectionData
-from scattergate.fuchsian import CircleLoop, FuchsianSystem, PolylineLoop
+from scattergate.fuchsian import CircleLoop, FuchsianSystem, Loop, PolylineLoop
 from scattergate.glm import RecoveredPotential, RecoveredPulse, TwoLevelScatteringData
 from scattergate.twolevel import (
     DipoleParams,
@@ -71,7 +71,7 @@ def instances():
             poles=(0.5j, -0.25),
             residues=(0.5 * SIGMA3, np.array([[0.0, 1.0j], [0.5, 0.0]])),
         )),
-        ("CircleLoop", CircleLoop(center=0.5j, radius=0.5, orientation=-1, samples=64)),
+        ("CircleLoop", CircleLoop(center=0.5j, radius=0.5, orientation=-1)),
         ("PolylineLoop", PolylineLoop(points=(0.0, 1.0, 1.0 + 1.0j, 0.0), on_contour=True)),
     ]
 
@@ -173,11 +173,11 @@ GOLDEN_DOCS = {
     ),
     "CircleLoop": (
         '{"kind": "circle", "center": [0.0, 0.5], "radius": 0.5, "orientation": -1, '
-        '"samples": 64, "on_contour": false}'
+        '"on_contour": false}'
     ),
     "PolylineLoop": (
         '{"kind": "polyline", "points": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, '
-        '0.0]], "samples": 256, "on_contour": true}'
+        '0.0]], "on_contour": true}'
     ),
 }
 
@@ -226,10 +226,9 @@ GOLDEN_STDOUT = {
         '[0.97514403278742823, 0.11421007380986758]]]}\n'
     ),
     "monodromy": (
-        '{"subcommand": "monodromy", "monodromy": [[[-4.4582393332603942e-16, '
-        '0.99999999999999989], [0, 0]], [[0, 0], [-6.0888794006785929e-16, '
-        '-0.99999999999999956]]], "trace": [-1.0547118733938987e-15, '
-        '3.3306690738754696e-16]}\n'
+        '{"subcommand": "monodromy", "monodromy": [[[-1.7273493399920397e-16, '
+        '1.0000000000000009], [0, 0]], [[0, 0], [-6.1712631536688302e-17, '
+        '-1.0000000000000009]]], "trace": [-2.3444756553589228e-16, 0]}\n'
     ),
 }
 
@@ -258,6 +257,22 @@ def test_legacy_weight_note_is_ignored(tmp_path, capsys):
         doc = json.load(fh)
     legacy = dict(doc, weight_note="scalar factor (1/z + i) absorbed by partial fractions")
     assert from_json(FuchsianSystem, legacy).to_json() == from_json(FuchsianSystem, doc).to_json()
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(legacy, fh)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == GOLDEN_STDOUT["monodromy"]
+
+
+def test_legacy_loop_samples_are_ignored(tmp_path, capsys):
+    # loop documents written while the loops carried a samples field
+    argv = dict(cli_cases(str(tmp_path)))["monodromy"]
+    path = argv[argv.index("--loop") + 1]
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    legacy = dict(doc, samples=32)
+    assert from_json(Loop, legacy).to_json() == from_json(Loop, doc).to_json()
+    polyline = json.loads(GOLDEN_DOCS["PolylineLoop"])
+    assert from_json(Loop, dict(polyline, samples=256)).to_json() == polyline
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(legacy, fh)
     assert main(argv) == 0

@@ -18,7 +18,6 @@ from scattergate.twolevel import (
     PulseEnvelope,
     PulseSpec,
     RectangularPulse,
-    propagate,
     scattering_matrix,
 )
 
@@ -37,14 +36,15 @@ def linear_rhs(rng, n, dtype):
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("span", [(0.0, 3.0), (2.0, -1.5)])
-@pytest.mark.parametrize("max_step", [np.inf, 0.05])
+# the driver bounds no step: the reference runs at scipy's default max_step
+@pytest.mark.parametrize("max_step", [np.inf])
 def test_bit_for_bit_with_solve_ivp(n, dtype, span, max_step):
     rng = np.random.default_rng(n + 10 * (dtype is complex))
     rhs = linear_rhs(rng, n, dtype)
     y0 = rng.standard_normal(n).astype(dtype)
     ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-10, atol=1e-12,
                     max_step=max_step).y[:, -1]
-    got = integrate(rhs, span, y0, 1e-10, 1e-12, "test", max_step=max_step)
+    got = integrate(rhs, span, y0, 1e-10, 1e-12, "test")
     np.testing.assert_array_equal(got, ref)
 
 
@@ -119,8 +119,7 @@ class NanEnvelope(PulseEnvelope):
     lambda: solve_scattering(NanPotential(), 1.0),
     lambda: find_bound_states(NanPotential(), 1.0),
     lambda: scattering_matrix(PulseSpec(NanEnvelope())),
-    lambda: propagate(PulseSpec(NanEnvelope()), 0.5, -2.0, 2.0),
-], ids=["solve_scattering", "find_bound_states", "scattering_matrix", "propagate"])
+], ids=["solve_scattering", "find_bound_states", "scattering_matrix"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_model_raises_instead_of_hanging(solve, budget):
     with pytest.raises(NumericalError, match="integration failed"):

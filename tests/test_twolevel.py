@@ -27,7 +27,6 @@ from scattergate.twolevel import (
     TabulatedPulse,
     dipole_hamiltonian,
     f_matrix,
-    propagate,
     rect_pulse_smatrix,
     scattering_matrix,
     scattering_scan,
@@ -118,36 +117,6 @@ class TestPulseSpec:
         assert from_json(PulseSpec, {"variant": "lorentzian", "a": 1.0, "b": 0.0}).detuning == 0.0
         with pytest.raises(ValueError, match="pulse"):
             from_json(PulseSpec, {"bogus": 1})
-
-
-class TestPropagate:
-    def test_free_evolution(self):
-        spec = PulseSpec(envelope=LorentzianPulse(a=1.0, b=0.0))
-        u = propagate(spec, 0.7, -3.0, 5.0)
-        expect = np.diag([np.exp(-1j * 0.7 * 8.0), np.exp(1j * 0.7 * 8.0)])
-        np.testing.assert_allclose(u, expect, atol=1e-12)
-
-    def test_rectangular_interior(self):
-        spec = PulseSpec(envelope=RectangularPulse(x=0.3, half_width=2.0))
-        u = propagate(spec, 0.0, -1.0, 1.5)
-        np.testing.assert_allclose(u, area_gate(0.3 * 2.5), atol=1e-10)
-
-    def test_composition_and_inverse(self):
-        rng = np.random.default_rng(7)
-        t = np.linspace(-2.0, 2.0, 41)
-        env = TabulatedPulse(
-            t=t,
-            E=(rng.normal(size=41) + 1j * rng.normal(size=41)) * np.exp(-t * t),
-        )
-        spec = PulseSpec(envelope=env, detuning=0.4)
-        u10 = propagate(spec, 0.9, -2.5, 0.3)
-        u21 = propagate(spec, 0.9, 0.3, 2.7)
-        u20 = propagate(spec, 0.9, -2.5, 2.7)
-        np.testing.assert_allclose(u21 @ u10, u20, atol=1e-9)
-        np.testing.assert_allclose(
-            propagate(spec, 0.9, 2.7, -2.5), u20.conj().T, atol=1e-9
-        )
-        assert np.linalg.det(u20) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestScatteringMatrix:
