@@ -102,23 +102,30 @@ def _steps(gen, x_from, span, u, du, what):
     return out
 
 
-def transfer_matrix(gen, x_from, x_to, rtol, what):
+def transfer_matrix(gen, x_from, x_to, rtol, what, knots=None):
     """2x2 M with y(x_to) = M y(x_from) for y' = A(x) y.
 
     gen maps a 1-D array of x to the four entries (A00, A01, A10, A11), each
     an array over x or a scalar where it is constant.  The error is measured
     entrywise in M, so the generator's variables set the weights (psi'/k
-    against psi, say).  Raises ValueError for a bad rtol or span,
-    NumericalError naming ``what`` for a non-finite generator, a propagator
-    that overflows, or more than _MAX_INTERVALS intervals.
+    against psi, say).  The first round's intervals end at the given knots
+    inside the span, or split it into _INITIAL equal parts without them, so
+    no feature narrower than those intervals is stepped over unseen.
+    Raises ValueError for a bad rtol or span, NumericalError naming
+    ``what`` for a non-finite generator, a propagator that overflows, or
+    more than _MAX_INTERVALS intervals.
     """
     if not (np.isfinite(rtol) and rtol > 0):
         raise ValueError(f"rtol must be positive and finite, got {rtol}")
     span = float(x_to) - float(x_from)
     if not np.isfinite(span):
         raise ValueError(f"{what} integration span ({x_from}, {x_to}) is not finite")
-    u = np.arange(_INITIAL) / _INITIAL
-    du = np.full(_INITIAL, 1.0 / _INITIAL)
+    if knots is None or span == 0.0:
+        u = np.arange(_INITIAL) / _INITIAL
+    else:
+        u = np.unique(np.append((np.asarray(knots, dtype=float) - x_from) / span, 0.0))
+        u = u[(u >= 0.0) & (u < 1.0)]
+    du = np.diff(u, append=1.0)
     total = np.eye(2)
     done_u = np.empty(0)
     done_m = np.empty((0, 2, 2))

@@ -350,10 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="scattergate", description="quantum gates as scattering matrices")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, grid=None):
+    def common(sp, grid=None, tol=True):
         sp.add_argument("--out", help="output file; a .csv suffix selects the flat table")
-        sp.add_argument("--tol", type=_positive_float, default=None,
-                        help="numeric tolerance override for this pipeline")
+        if tol:
+            sp.add_argument("--tol", type=_positive_float, default=None,
+                            help="numeric tolerance override for this pipeline")
         if grid:
             lo, hi, n, what = grid
             sp.add_argument("--kmin", type=_finite_float, default=lo, help=f"{what} grid start")
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("entangle", help="operator Schmidt verdict of the pair gate")
     sp.add_argument("--params", required=True, help="dipole-pair JSON document")
-    common(sp)
+    common(sp, tol=False)
 
     sp = sub.add_parser("monodromy", help="loop monodromy of a Fuchsian system")
     sp.add_argument("--system", required=True, help="system JSON document")

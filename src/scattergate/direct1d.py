@@ -15,6 +15,8 @@ Magnus transfer matrix of ``_magnus``: its steps are exact where Q is
 constant, so zero-potential stretches and square wells cost one step each.
 Bound states use the same propagator at k = i eta in the frame
 e^{-eta x}(phi, phi'), which stays bounded along the decaying solution.
+On a table the propagator starts from the knots, so a narrow well inside a
+wide table is not stepped over.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .codec import Document
 from .errors import NumericalError
 
 _RTOL = 1e-10
+# |Q| below this is zero: it bounds every support window
+_FLOOR = 1e-10
 
 
 class PotentialSpec(Document, tag="variant", noun="potential", derived=("window",)):
@@ -150,7 +154,7 @@ class LorentzianSum(PotentialSpec):
             return (0.0, 0.0)
         amax = max(a for a, _ in self.pairs)
         mass = sum(2.0 * a * abs(b) for a, b in self.pairs)
-        pad = max(12.0 * amax, np.sqrt(mass / 1e-10))
+        pad = max(12.0 * amax, np.sqrt(mass / _FLOOR))
         return (-float(pad), float(pad))
 
     def __call__(self, x):
@@ -226,6 +230,16 @@ class ScatterCoeffs:
         return tau(self.a, self.b, atol=1e-8 * (1.0 + abs(self.b) ** 2))
 
 
+def _knots(q):
+    # a table's knots, where the Magnus propagator starts so that it cannot
+    # step over a narrow well; each run of samples below the floor merges
+    # into one interval, which a single step crosses exactly
+    if not isinstance(q, Tabulated):
+        return None
+    near = np.convolve(np.abs(q.q) >= _FLOOR, np.ones(3), "same") > 0
+    return q.x[near]
+
+
 def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> ScatterCoeffs:
     """Solve the direct problem at momentum k > 0.
 
@@ -242,7 +256,7 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
     if not x1 > x0:
         return ScatterCoeffs(k=k, a=1.0 + 0.0j, b=0.0j)
     m = transfer_matrix(lambda x: (0.0, k, -(k * k + q(x)) / k, 0.0), x0, x1, rtol,
-                        f"scattering (k = {k})")
+                        f"scattering (k = {k})", _knots(q))
     # (phi, phi'/k) starts as e^{-ikx0} (1, -i); phi +- i phi'/k picks out 2a, 2b
     y0 = m[0, 0] - 1j * m[0, 1]
     y1 = m[1, 0] - 1j * m[1, 1]
@@ -275,7 +289,7 @@ def _tilted(q, eta, x_from, x_to):
     # The propagated variables are (w, chi/|eta|), and -eta I tilts the frame
     scale = abs(eta)
     m = transfer_matrix(lambda x: (-eta, scale, -(q(x) - eta * eta) / scale, -eta),
-                        x_from, x_to, _RTOL, f"bound-state (eta = {scale})")
+                        x_from, x_to, _RTOL, f"bound-state (eta = {scale})", _knots(q))
     s = np.sign(eta)
     return m[0, 0] + s * m[0, 1], scale * (m[1, 0] + s * m[1, 1])
 
@@ -287,10 +301,11 @@ def _norming_ratio(q, eta):
     eigenfunction (where the plain ratio is 0/0) stay well conditioned.
     """
     x0, x1 = q.window
-    xm = 0.5 * (x0 + x1)
-    # stay near the well: far out in the tails the ratio is dominated by the
-    # residual growing component left over from the finite-precision eta root
-    off = min(1.5, (x1 - x0) / 10.0)
+    xm = q.x[np.argmax(q.q)] if isinstance(q, Tabulated) else 0.5 * (x0 + x1)
+    # stay within a decay length of the well: farther out the ratio is
+    # dominated by the residual growing component left over from the
+    # finite-precision eta root
+    off = min(1.5, (x1 - x0) / 10.0, 0.5 / eta)
     vals = []
     for xs in (xm - off, xm, xm + off):
         w, chi = _tilted(q, eta, x0, xs)
@@ -316,8 +331,9 @@ def find_bound_states(q: PotentialSpec, eta_max: float):
     is refined by brentq.  Each m(eta) is one Magnus propagation of
     the left solution across the window in the decaying frame
     e^{-eta x}(phi, phi'); the norming constant of each root compares it
-    with the right solution, propagated leftward, at three points near the
-    middle of the window.
+    with the right solution, propagated leftward, at three points less
+    than a decay length 1/eta apart around the middle of the window (a
+    table's largest sample).
     """
     if not eta_max > 0:
         raise ValueError("eta_max must be positive")
@@ -368,14 +384,14 @@ def fields_from_potentials(u: PotentialSpec, v: PotentialSpec, x):
     return a, a * a + 0.5 * (uu + vv)
 
 
-def em_spin_smatrix(u: PotentialSpec, v: PotentialSpec, k: float, rtol: float = _RTOL) -> np.ndarray:
+def em_spin_smatrix(u: PotentialSpec, v: PotentialSpec, k: float) -> np.ndarray:
     """Block scattering gate diag(S_U, S_V) of the spin particle.
 
     The spin-up channel scatters on U and the spin-down channel on V; the
     off-diagonal blocks vanish identically.
     """
-    s_u = solve_scattering(u, k, rtol).smatrix
-    s_v = solve_scattering(v, k, rtol).smatrix
+    s_u = solve_scattering(u, k).smatrix
+    s_v = solve_scattering(v, k).smatrix
     out = np.zeros((4, 4), dtype=complex)
     out[:2, :2] = s_u
     out[2:, 2:] = s_v

@@ -38,7 +38,7 @@ from scipy.optimize import brentq
 
 from ._samples import checked_samples
 from .codec import Document
-from .direct1d import BoundState, find_bound_states, solve_grid
+from .direct1d import BoundState, Tabulated, find_bound_states, solve_grid
 from .errors import InfeasibleTargetError, NumericalError
 
 
@@ -204,7 +204,10 @@ def sample_reflection(
     x0, x1 = q.window
     states = ()
     if x1 > x0:
-        qmax = float(np.max(q(np.linspace(x0, x1, 2001))))
+        xs = np.linspace(x0, x1, 2001)
+        # a table's own samples too: a narrow well can fall between the points
+        xs = np.concatenate([xs, q.x]) if isinstance(q, Tabulated) else xs
+        qmax = float(np.max(q(xs)))
         if qmax > 1e-9:
             states = tuple(find_bound_states(q, np.sqrt(qmax) + 0.1))
     return ReflectionData(*_mirrored(kk, R), bound_states=states)
@@ -245,7 +248,7 @@ _AUX_MAX = 0.995    # amplitude ceiling keeping ln(1-|R|^2) finite
 class _TargetAssembly:
     """Shared grid and bump geometry for the phase solve."""
 
-    def __init__(self, targets, width, dk):
+    def __init__(self, targets):
         ks = np.array([g.k for g in targets])
         order = np.argsort(ks)
         self.targets = [targets[int(i)] for i in order]
@@ -253,19 +256,11 @@ class _TargetAssembly:
         if np.any(np.diff(self.ks) <= 0):
             raise ValueError("target momenta must be pairwise distinct")
         gap = np.min(np.diff(self.ks)) if self.ks.size > 1 else np.inf
-        if width is None:
-            width = min(gap / 4.0, self.ks[0] / 2.5)
-        else:
-            if gap < 4.0 * width:
-                raise ValueError(
-                    f"targets only {gap:.4g} apart need a bump width below {gap / 4.0:.4g}"
-                )
-            if self.ks[0] < 2.5 * width:
-                raise ValueError("lowest target too close to the origin for this width")
-        self.w = float(width)
-        self.dk = float(dk) if dk is not None else self.w / 50.0
+        # bumps clear each other and the origin; 50 samples per half-width
+        self.w = float(min(gap / 4.0, self.ks[0] / 2.5))
+        dk = self.w / 50.0
         hi = self.ks[-1] + 2.5 * self.w
-        self.kk = np.arange(self.dk, hi + 0.5 * self.dk, self.dk)
+        self.kk = np.arange(dk, hi + 0.5 * dk, dk)
         self.base = np.zeros(self.kk.size, dtype=complex)
         for g, kj in zip(self.targets, self.ks):
             if g.r != 0:
@@ -289,11 +284,7 @@ def _wrap(phi):
     return (phi + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def build_scattering_data(
-    targets,
-    width: float = None,
-    dk: float = None,
-) -> ReflectionData:
+def build_scattering_data(targets) -> ReflectionData:
     """Synthesize reflection data hitting the given gate targets.
 
     Main bumps pin R(k_j) = r_j exactly (and with it |T(k_j)| = |t_j|); the
@@ -306,7 +297,7 @@ def build_scattering_data(
     targets = list(targets)
     if not targets:
         raise ValueError("need at least one target")
-    asm = _TargetAssembly(targets, width, dk)
+    asm = _TargetAssembly(targets)
     n = len(asm.targets)
     want = np.array([np.angle(g.t) for g in asm.targets])
     s = np.zeros(n)

@@ -197,7 +197,7 @@ def monodromy(sys: FuchsianSystem, loop: Loop, rtol: float = _RTOL) -> np.ndarra
     return f
 
 
-def monodromy_product(sys: FuchsianSystem, loops, rtol: float = _RTOL) -> np.ndarray:
+def monodromy_product(sys: FuchsianSystem, loops) -> np.ndarray:
     """Product of the individual monodromies in the listed order.
 
     The loops must share a base point, so the product represents the
@@ -212,7 +212,7 @@ def monodromy_product(sys: FuchsianSystem, loops, rtol: float = _RTOL) -> np.nda
         if abs(lp.base_point - base) > 1e-12:
             raise ValueError("loops do not share a base point")
     for lp in loops:
-        out = out @ monodromy(sys, lp, rtol=rtol)
+        out = out @ monodromy(sys, lp)
     return out
 
 

@@ -20,6 +20,10 @@ S-matrix coincides with the scattering matrix of the Zakharov-Shabat system
 with coupling q = -i E at spectral parameter -delta/2; a detuning scan is
 therefore a spectral scan of the transmission entry a = S[0, 0].
 
+The integration always spans the envelope's own window, outside which
+|E| <= 1e-10; no setting widens it.  An adaptive integrator started far out
+in the zero tail sees a zero derivative and can step over the whole pulse.
+
 Algebraic (Lorentzian) envelopes decay like 1/t^2, so cutting the time
 integration where |E| drops below a threshold would still lose an area of
 order sqrt(threshold).  The integrator runs on a core window and the two
@@ -172,34 +176,21 @@ class TabulatedPulse(PulseEnvelope):
 
 @dataclass(frozen=True, eq=False)
 class PulseSpec(Document):
-    """Envelope plus carrier detuning plus support window.
+    """Envelope plus carrier detuning.
 
-    The window must contain the envelope's own support so that |E| < 1e-10
-    outside it; analytic variants default to their automatic window.  A
-    bare envelope document, or the (t, re_E, im_E) table the pulse
-    recovery writes, reads as a spec with the default detuning and window.
+    The S-matrix integrates over the envelope's own window, outside which
+    |E| <= 1e-10.  A bare envelope document, or the (t, re_E, im_E) table
+    the pulse recovery writes, reads as a spec with zero detuning; a
+    ``"window"`` key, which older documents carry, is ignored.
     """
 
     envelope: PulseEnvelope
     detuning: float = 0.0
-    window: tuple[float, float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "detuning", float(self.detuning))
         if not np.isfinite(self.detuning):
             raise ValueError("detuning must be finite")
-        lo, hi = self.envelope.window
-        if self.window is None:
-            object.__setattr__(self, "window", (lo, hi))
-        else:
-            w0, w1 = (float(self.window[0]), float(self.window[1]))
-            if not (np.isfinite(w0) and np.isfinite(w1) and w1 >= w0):
-                raise ValueError("window must be finite and ordered")
-            if w0 > lo or w1 < hi:
-                raise ValueError(
-                    "window leaves envelope values above 1e-10 outside it"
-                )
-            object.__setattr__(self, "window", (w0, w1))
 
     def coupling(self, t):
         """Interaction-picture coupling c(t) = E(t) e^{-i delta t}."""
@@ -271,7 +262,7 @@ def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
         lo, hi = -t_core, t_core
     else:
         m_right = m_left = 0.0j
-        lo, hi = pulse.window
+        lo, hi = env.window
 
     if hi > lo:
         def rhs(t, y):
@@ -296,14 +287,14 @@ def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
     return s
 
 
-def scattering_scan(pulse: PulseSpec, detunings, **kw):
+def scattering_scan(pulse: PulseSpec, detunings, *, rtol: float = _RTOL):
     """scattering_matrix mapped over a detuning grid, order preserved.
 
     Returns an (n, 2, 2) array; entry [j] probes the Zakharov-Shabat
     spectral point -detunings[j] / 2.
     """
     return np.array([
-        scattering_matrix(dataclasses.replace(pulse, detuning=float(d)), **kw)
+        scattering_matrix(dataclasses.replace(pulse, detuning=float(d)), rtol=rtol)
         for d in np.asarray(detunings, dtype=float).ravel()
     ])
 

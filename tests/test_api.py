@@ -36,17 +36,17 @@ SIGNATURES = {
     direct1d.solve_scattering: "q, k, rtol",
     direct1d.solve_grid: "q, ks, *, rtol",
     direct1d.find_bound_states: "q, eta_max",
-    direct1d.em_spin_smatrix: "u, v, k, rtol",
+    direct1d.em_spin_smatrix: "u, v, k",
     dispersion.sample_reflection: "q, kmax, dk, n_solve, *, threads",
-    dispersion.build_scattering_data: "targets, width, dk",
+    dispersion.build_scattering_data: "targets",
     glm.solve_marchenko: "kernel, x, ds, *, check_decay",
     glm.recover_potential: "data, x, ds, *, tail_tol, threads, check_decay",
     glm.recover_pulse: "data, t, ds, tail_tol, *, check_decay",
     twolevel.scattering_matrix: "pulse, *, rtol",
-    twolevel.scattering_scan: "pulse, detunings, **kw",
+    twolevel.scattering_scan: "pulse, detunings, *, rtol",
     twolevel.rect_pulse_smatrix: "p",
     fuchsian.monodromy: "sys, loop, rtol",
-    fuchsian.monodromy_product: "sys, loops, rtol",
+    fuchsian.monodromy_product: "sys, loops",
 }
 
 

@@ -210,6 +210,28 @@ class TestTwoLevel:
         assert spaced[0] == 0
         assert spaced == joined
 
+    def test_window_key_is_ignored(self, capsys, tmp_path):
+        # a window wider than the envelope once let the integrator step over
+        # the pulse (a = 1, b = 0); the scan and --zeta now agree bit for bit
+        env = {"variant": "rectangular", "x": [0.3, -0.1], "half_width": 2.0}
+        outs = []
+        for doc in ({"envelope": env, "window": [-50, 50]}, {"envelope": env}):
+            path = write_json(tmp_path / "rect.json", doc)
+            for point in (["--kmin", "-0.35", "--n", "1"], ["--zeta", "-0.35"]):
+                code, out, _ = run_cli(capsys, ["twolevel", "--pulse", path, *point])
+                assert code == 0
+                outs.append(out)
+        assert outs[0] == outs[2] and outs[1] == outs[3]
+        scan, point = json.loads(outs[0]), json.loads(outs[1])
+        assert (scan["a"][0], scan["b"][0]) == (point["a"], point["b"])
+        # S = R(T) e^{-2iTK} R(T) with R = e^{-i delta t sigma3/2} and
+        # K = [[-delta/2, x], [conj x, delta/2]], here at delta = 0.7, T = 2
+        x, delta, t = 0.3 - 0.1j, 0.7, 2.0
+        r = np.diag(np.exp([-0.5j * delta * t, 0.5j * delta * t]))
+        want = r @ expm(-2j * t * np.array([[-delta / 2, x], [np.conj(x), delta / 2]])) @ r
+        s = np.array([[complex(*v) for v in row] for row in point["S"]])
+        np.testing.assert_allclose(s, want, rtol=0, atol=1e-10)
+
     def test_zeta_and_grid_conflict(self, capsys, tmp_path):
         pulse_path = write_json(tmp_path / "lor.json", {"variant": "lorentzian", "a": 1.0, "b": 0.1})
         code, _, err = run_cli(
@@ -239,6 +261,13 @@ class TestEntangle:
         values = doc["schmidt_values"]
         assert values == sorted(values, reverse=True)
         assert values[1] > 1e-3
+
+    def test_tol_is_refused(self, capsys, tmp_path):
+        # the pair gate is closed form: there is no tolerance to set
+        path = write_json(tmp_path / "dipole.json", self.params_doc())
+        code, out, err = run_cli(capsys, ["entangle", "--params", path, "--tol", "1e-3"])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["kind"] == "parse"
 
     def test_product_verdict_without_coupling(self, capsys, tmp_path):
         path = write_json(tmp_path / "dipole.json", self.params_doc(y=0.0))

@@ -80,14 +80,7 @@ envelopes = st.one_of(
 )
 
 
-@st.composite
-def pulse_specs(draw):
-    env = draw(envelopes)
-    window = None
-    if draw(st.booleans()):
-        lo, hi = env.window
-        window = (lo - draw(positive), hi + draw(positive))
-    return PulseSpec(env, detuning=draw(reals), window=window)
+pulse_specs = st.builds(PulseSpec, envelopes, reals)
 
 
 @st.composite
@@ -124,7 +117,7 @@ def polylines(draw):
 documents = st.one_of(
     potentials,
     envelopes,
-    pulse_specs(),
+    pulse_specs,
     reflection_data(),
     two_level_data(),
     tables(RecoveredPotential, reals),
@@ -196,8 +189,8 @@ def test_scalar_complex_fields_and_missing_optional_keys():
     data = from_json(ReflectionData, {"k": [-1.0, 0.0, 1.0], "re_R": [0, 0.5, 0], "im_R": [0, 0, 0]})
     assert data.bound_states == ()
     spec = from_json(PulseSpec, {"envelope": {"variant": "lorentzian", "a": 1.0, "b": 0.5},
-                                 "window": []})
-    assert spec.window == spec.envelope.window and spec.detuning == 0.0
+                                 "window": [-50.0, 50.0]})
+    assert spec.detuning == 0.0 and "window" not in to_json(spec)
     assert from_json(SechSquared, {"eta": 2.0}).center == 0.0
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import dop853_scattering, envelope_rhs
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -21,6 +21,13 @@ from scattergate.direct1d import (
     solve_grid,
     solve_scattering,
 )
+from scattergate.dispersion import sample_reflection
+
+
+def sech_samples(x, depth, center, width):
+    """depth sech^2((x - center)/width) through decaying exponentials only."""
+    e = np.exp(-2.0 * np.abs(x - center) / width)
+    return depth * 4.0 * e / (1.0 + e) ** 2
 
 
 def square_well_pair(q0, length, k):
@@ -169,6 +176,58 @@ class TestMagnusAgainstOracle:
             a, b = square_well_pair(q0, 1.0, k)
             assert abs(c.a - a) <= 1e-12
             assert abs(c.b - b) <= 1e-12
+
+
+class TestWideTables:
+    """A table's features are found however wide its zero margins are."""
+
+    def test_narrow_well_far_from_the_centre(self, budget):
+        # 32 equal first intervals of 62.5 once stepped over this well (|db| 11.9)
+        x = np.linspace(-1000.0, 1000.0, 200001)
+        wide = Tabulated(x, sech_samples(x, 400.0, 437.3, 0.05))
+        near = (x >= 427.3) & (x <= 447.3)
+        cut = Tabulated(x[near], wide.q[near])
+        for k in (0.5, 2.0):
+            c, ref = solve_scattering(wide, k), solve_scattering(cut, k)
+            assert abs(c.a - ref.a) <= 1e-8 * abs(ref.a)
+            assert abs(c.b - ref.b) <= 1e-8 * abs(ref.a)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(center=st.floats(-900.0, 900.0), width=st.floats(0.02, 1.0),
+           depth=st.floats(0.1, 50.0), k=st.floats(0.2, 5.0))
+    def test_zero_padding_changes_nothing(self, center, width, depth, k, budget):
+        x = center + width * np.linspace(-25.0, 25.0, 501)
+        q = sech_samples(x, depth, center, width)
+        left = np.linspace(-1000.0, x[0], 101)[:-1]
+        right = np.linspace(x[-1], 1000.0, 101)[1:]
+        padded = Tabulated(np.concatenate([left, x, right]),
+                           np.concatenate([0.0 * left, q, 0.0 * right]))
+        c, ref = solve_scattering(padded, k), solve_scattering(Tabulated(x, q), k)
+        assert abs(c.a - ref.a) <= 1e-8 * abs(ref.a)
+        assert abs(c.b - ref.b) <= 1e-8 * abs(ref.a)
+
+    @pytest.mark.parametrize("lo, hi", [(-6.0, 14.0), (-30.0, 10.0)])
+    def test_deep_states_off_the_window_middle(self, lo, hi, budget):
+        # depth 100, width 0.2: eta = (lambda - n)/0.2 with lambda (lambda + 1) = 4;
+        # norming points at the window middle once read spreads of 2e-3 and 2
+        x = np.linspace(lo, hi, int(round(100 * (hi - lo))) + 1)
+        states = find_bound_states(Tabulated(x, sech_samples(x, 100.0, 3.71, 0.2)), 10.2)
+        lam = 0.5 * (np.sqrt(17.0) - 1.0)
+        assert [pytest.approx(s.eta, abs=1e-5) for s in states] == [(lam - 1) / 0.2, lam / 0.2]
+        # shifting the well by c multiplies the ratio by e^{2 eta c}; the
+        # excited state is odd
+        for s, sign in zip(states, (-1.0, 1.0)):
+            assert s.norming == pytest.approx(sign * np.exp(2.0 * s.eta * 3.71), rel=1e-4)
+
+    def test_sampled_data_keeps_a_state_between_scan_points(self, budget):
+        # 2001 window points on +-1000 read 19.8 of the peak 99.75, which
+        # left eta_max short of the deep state at 7.81
+        x = np.linspace(-1000.0, 1000.0, 200001)
+        pot = Tabulated(x, sech_samples(x, 100.0, 3.71, 0.2))
+        data = sample_reflection(pot, kmax=8.0, dk=1e-2, n_solve=40)
+        assert [pytest.approx(s.eta, abs=1e-5) for s in data.bound_states] == [
+            2.8077640640, 7.8077640640]
 
 
 class TestBoundStates:

@@ -200,12 +200,6 @@ class TestBuilder:
         with pytest.raises(InfeasibleTargetError):
             build_scattering_data([GateTarget(k=1.0, t=s2 * np.exp(1.0j), r=s2)])
 
-    def test_width_too_wide(self):
-        s2 = 1.0 / np.sqrt(2.0)
-        targets = [GateTarget(k=1.0, t=s2, r=s2), GateTarget(k=1.5, t=s2, r=s2)]
-        with pytest.raises(ValueError):
-            build_scattering_data(targets, width=0.2)
-
     def test_target_validation(self):
         with pytest.raises(ValueError):
             GateTarget(k=1.0, t=1.0, r=1.0)

@@ -159,7 +159,7 @@ GOLDEN_DOCS = {
     ),
     "PulseSpec": (
         '{"envelope": {"variant": "lorentzian", "a": 2.0, "b": 0.5}, '
-        '"detuning": -0.75, "window": [-141421.35623730952, 141421.35623730952]}'
+        '"detuning": -0.75}'
     ),
     "DipoleParams": (
         '{"d_A": [0.5, 0.25], "d_B": [-0.0, -1.0], "W_plus_A": 1.0, '
