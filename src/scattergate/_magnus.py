@@ -165,10 +165,12 @@ def transfer_matrix(gen, x_from, x_to, rtol, what, knots=None):
         ready = done_u < (u[0] if u.size else np.inf)
         if ready.any():
             chain = done_m[ready][np.argsort(done_u[ready])]
-            while len(chain) > 1:
-                odd = chain[len(chain) - len(chain) % 2:]
-                chain = np.concatenate([chain[1::2] @ chain[0:len(chain) - 1:2], odd])
-            total = chain[0] @ total
+            # an overflow here is caught by the finiteness check at the end
+            with np.errstate(over="ignore", invalid="ignore"):
+                while len(chain) > 1:
+                    odd = chain[len(chain) - len(chain) % 2:]
+                    chain = np.concatenate([chain[1::2] @ chain[0:len(chain) - 1:2], odd])
+                total = chain[0] @ total
             done_u, done_m = done_u[~ready], done_m[~ready]
     if not np.all(np.isfinite(total)):
         raise NumericalError(f"{what} integration failed: the propagator overflowed")

@@ -34,7 +34,7 @@ from .algebra import (
     phase_gate,
     tau,
 )
-from .codec import from_json, to_json
+from .codec import _to_pairs, from_json, to_json
 from .direct1d import PotentialSpec, momentum_grid, solve_grid, solve_scattering
 from .dispersion import GateTarget, ReflectionData, build_scattering_data
 from .errors import InfeasibleTargetError, NumericalError
@@ -107,15 +107,6 @@ def _csv_text(table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _c(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _cmat(m) -> list:
-    return [[_c(v) for v in row] for row in np.asarray(m)]
-
-
 def _grid(args) -> np.ndarray:
     """The --kmin/--kmax/--n grid; a span that overflows is refused here,
     where linspace would only warn and return non-finite points."""
@@ -154,8 +145,8 @@ def _run_direct(args):
         "subcommand": "direct",
         "potential": pot.to_json(),
         "k": [c.k for c in coeffs],
-        "a": [_c(c.a) for c in coeffs],
-        "b": [_c(c.b) for c in coeffs],
+        "a": _to_pairs([c.a for c in coeffs]),
+        "b": _to_pairs([c.b for c in coeffs]),
         "transmission_prob": [abs(c.transmission) ** 2 for c in coeffs],
         "reflection_prob": [abs(c.reflection) ** 2 for c in coeffs],
     }
@@ -212,9 +203,9 @@ def _run_gate(args):
     s2 = 1.0 / np.sqrt(2.0)
     m = tau(np.sqrt(2.0), 1.0)
     example = {
-        "a": _c(np.sqrt(2.0)),
-        "b": _c(1.0),
-        "smatrix": _cmat(m),
+        "a": _to_pairs(np.sqrt(2.0)),
+        "b": _to_pairs(1.0),
+        "smatrix": _to_pairs(m),
         "distance_to_hadamard": gate_distance(m, HADAMARD),
     }
     targets = [GateTarget(k=1.0, t=s2, r=s2), GateTarget(k=2.0, t=s2, r=s2)]
@@ -234,8 +225,8 @@ def _run_gate(args):
         worst = max(worst, et, er)
         achieved.append({
             "k": g.k,
-            "t": _c(c.transmission),
-            "r": _c(c.reflection),
+            "t": _to_pairs(c.transmission),
+            "r": _to_pairs(c.reflection),
             "t_error": et,
             "r_error": er,
         })
@@ -267,8 +258,8 @@ def _run_twolevel(args):
         doc = {
             "subcommand": "twolevel",
             "zeta": zetas.tolist(),
-            "a": [_c(m[0, 0]) for m in mats],
-            "b": [_c(m[1, 0]) for m in mats],
+            "a": _to_pairs(mats[:, 0, 0]),
+            "b": _to_pairs(mats[:, 1, 0]),
         }
         table = (["zeta", "re_a", "im_a", "re_b", "im_b"],
                  [[z, m[0, 0].real, m[0, 0].imag, m[1, 0].real, m[1, 0].imag]
@@ -279,9 +270,9 @@ def _run_twolevel(args):
     s = scattering_matrix(pulse, **kw)
     doc = {
         "subcommand": "twolevel",
-        "S": _cmat(s),
-        "a": _c(s[0, 0]),
-        "b": _c(s[1, 0]),
+        "S": _to_pairs(s),
+        "a": _to_pairs(s[0, 0]),
+        "b": _to_pairs(s[1, 0]),
     }
     return doc, None
 
@@ -293,7 +284,7 @@ def _run_entangle(args):
     doc = {
         "schmidt_values": sd.coefficients.tolist(),
         "verdict": entanglement_verdict(f),
-        "f": _cmat(f),
+        "f": _to_pairs(f),
     }
     return doc, None
 
@@ -306,8 +297,8 @@ def _run_monodromy(args):
     m = monodromy(system, loop, **kw)
     doc = {
         "subcommand": "monodromy",
-        "monodromy": _cmat(m),
-        "trace": _c(np.trace(m)),
+        "monodromy": _to_pairs(m),
+        "trace": _to_pairs(np.trace(m)),
     }
     return doc, None
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import types
 import typing
 
 import numpy as np
@@ -66,14 +65,6 @@ def _is_base(hint) -> bool:
     return isinstance(hint, type) and "_variants" in vars(hint)
 
 
-def _optional(hint):
-    # (X, True) for X | None, else (hint, False)
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        rest = [a for a in typing.get_args(hint) if a is not type(None)]
-        return rest[0], True
-    return hint, False
-
-
 def _items(hint, value) -> list:
     # element hints of a tuple hint, matched to the values present
     args = typing.get_args(hint)
@@ -84,22 +75,20 @@ def _items(hint, value) -> list:
     return list(args)
 
 
+def _to_pairs(value) -> list:
+    # complex scalar or array as [re, im] pairs along a new last axis
+    z = np.asarray(value, dtype=complex)
+    return np.stack((z.real, z.imag), axis=-1).tolist()
+
+
 def _encode(hint, value):
-    hint, _ = _optional(hint)
-    if value is None:
-        return None
     if dataclasses.is_dataclass(value):
         return to_json(value)
     if typing.get_origin(hint) is tuple:
         return [_encode(h, v) for h, v in zip(_items(hint, value), value)]
-    if hint is complex:
-        z = complex(value)
-        return [z.real, z.imag]
-    if hint is np.ndarray:
-        return np.stack((value.real, value.imag), axis=-1).tolist()
-    if hint in (float, int, bool):
-        return hint(value)
-    return value
+    if hint is complex or hint is np.ndarray:
+        return _to_pairs(value)
+    return hint(value)
 
 
 def to_json(obj) -> dict:
@@ -123,7 +112,7 @@ def to_json(obj) -> dict:
     return doc
 
 
-def _pairs(value) -> np.ndarray:
+def _from_pairs(value) -> np.ndarray:
     # complex array from [re, im] pairs along the last axis, built exactly
     a = np.asarray(value, dtype=float)
     if a.ndim == 0 or a.shape[-1] < 2:
@@ -134,20 +123,15 @@ def _pairs(value) -> np.ndarray:
 
 
 def _decode(hint, value):
-    hint, optional = _optional(hint)
-    if optional and not value:
-        return None
     if typing.get_origin(hint) is tuple:
         return tuple(_decode(h, v) for h, v in zip(_items(hint, value), value))
     if hint is complex:
-        return complex(_pairs(value)) if isinstance(value, (list, tuple)) else complex(value)
+        return complex(_from_pairs(value)) if isinstance(value, (list, tuple)) else complex(value)
     if hint is np.ndarray:
-        return _pairs(value)
-    if hint in (float, int, bool):
-        return hint(value)
+        return _from_pairs(value)
     if dataclasses.is_dataclass(hint) or _is_base(hint):
         return from_json(hint, value)
-    return value
+    return hint(value)
 
 
 def _has_fields(cls, doc) -> bool:

@@ -127,6 +127,27 @@ class SechSquared(PotentialSpec):
         return out if out.ndim else float(out)
 
 
+def _lorentzian(pairs, x, dtype):
+    # sum_j 2 a_j b_j / (x^2 + a_j^2) in dtype: the profile of the Lorentzian
+    # potentials here and of the Lorentzian pulses of twolevel
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape, dtype=dtype)
+    for a, b in pairs:
+        out = out + 2.0 * a * b / (x * x + a * a)
+    return out if out.ndim else dtype(out)
+
+
+def _lorentzian_window(pairs):
+    # symmetric window outside which the 1/x^2 tails of _lorentzian stay
+    # below _FLOOR, reaching at least 12 of the widest a_j to each side
+    if not pairs:
+        return (0.0, 0.0)
+    amax = max(a for a, _ in pairs)
+    mass = sum(2.0 * a * abs(b) for a, b in pairs)
+    pad = max(12.0 * amax, np.sqrt(mass / _FLOOR))
+    return (-float(pad), float(pad))
+
+
 @dataclass(frozen=True, eq=False)
 class LorentzianSum(PotentialSpec):
     """Q(x) = sum_j 2 a_j b_j / (x^2 + a_j^2).
@@ -150,19 +171,10 @@ class LorentzianSum(PotentialSpec):
 
     @property
     def window(self):
-        if not self.pairs:
-            return (0.0, 0.0)
-        amax = max(a for a, _ in self.pairs)
-        mass = sum(2.0 * a * abs(b) for a, b in self.pairs)
-        pad = max(12.0 * amax, np.sqrt(mass / _FLOOR))
-        return (-float(pad), float(pad))
+        return _lorentzian_window(self.pairs)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for a, b in self.pairs:
-            out = out + 2.0 * a * b / (x * x + a * a)
-        return out if out.ndim else float(out)
+        return _lorentzian(self.pairs, x, float)
 
 
 @dataclass(frozen=True, eq=False)

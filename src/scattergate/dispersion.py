@@ -307,29 +307,26 @@ def build_scattering_data(targets) -> ReflectionData:
         trial[j] = sj
         return _wrap(asm.phase_at(trial, j) - want[j])
 
-    for j in range(n):
+    def check_reachable(j, joint):
+        # the full auxiliary range must bracket the target phase
         lo, hi = err(j, -_AUX_MAX), err(j, _AUX_MAX)
         if lo > 0 or hi < 0:
             raise InfeasibleTargetError(
-                f"target phase {want[j]:.4f} at k={asm.ks[j]} is outside the "
-                f"reachable band [{_wrap(want[j] + lo):.4f}, {_wrap(want[j] + hi):.4f}]"
+                (f"target phase at k={asm.ks[j]} left the reachable band "
+                 "during the joint solve") if joint else
+                (f"target phase {want[j]:.4f} at k={asm.ks[j]} is outside the "
+                 f"reachable band [{_wrap(want[j] + lo):.4f}, {_wrap(want[j] + hi):.4f}]")
             )
 
+    for j in range(n):
+        check_reachable(j, joint=False)
+
     for sweep in range(_MAX_SWEEPS):
-        moved = 0.0
         for j in range(n):
-            r = err(j, s[j])
-            if abs(r) <= 0.3 * _PHASE_TOL:
+            if abs(err(j, s[j])) <= 0.3 * _PHASE_TOL:
                 continue
-            lo, hi = err(j, -_AUX_MAX), err(j, _AUX_MAX)
-            if lo > 0 or hi < 0:
-                raise InfeasibleTargetError(
-                    f"target phase at k={asm.ks[j]} left the reachable band "
-                    "during the joint solve"
-                )
-            root = brentq(lambda v: err(j, v), -_AUX_MAX, _AUX_MAX, xtol=1e-6)
-            moved = max(moved, abs(root - s[j]))
-            s[j] = root
+            check_reachable(j, joint=True)
+            s[j] = brentq(lambda v: err(j, v), -_AUX_MAX, _AUX_MAX, xtol=1e-6)
         resid = max(abs(err(j, s[j])) for j in range(n))
         if resid <= _PHASE_TOL:
             break

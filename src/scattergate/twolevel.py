@@ -43,11 +43,11 @@ from scipy.linalg import expm
 from ._ode import integrate
 from ._samples import SampleTable
 from .codec import Document
+from .direct1d import _FLOOR, _lorentzian, _lorentzian_window
 from .errors import NumericalError
 
 _RTOL = 1e-11
 _ATOL = 1e-13
-_WINDOW_FLOOR = 1e-10
 _TAIL_CUT = 1e-7
 
 
@@ -55,7 +55,8 @@ class PulseEnvelope(Document, tag="variant", noun="pulse envelope"):
     """Base class for complex pulse envelopes E(t).
 
     Subclasses expose a support window outside which |E| <= 1e-10 (widened
-    automatically for the analytic families) and vectorized evaluation.
+    automatically for the analytic families; the Lorentzian ones take the
+    window rule of ``direct1d.LorentzianSum``) and vectorized evaluation.
     """
 
     @property
@@ -67,24 +68,16 @@ class PulseEnvelope(Document, tag="variant", noun="pulse envelope"):
 
 
 class _LorentzianTerms(PulseEnvelope):
-    # E(t) = sum_k 2 a_k b_k / (t^2 + a_k^2) over self.terms; unregistered,
-    # so it has no document of its own
+    # E(t) = sum_k 2 a_k b_k / (t^2 + a_k^2) over self.terms, with the
+    # profile and window of direct1d.LorentzianSum; unregistered, so it has
+    # no document of its own
 
     @property
     def window(self):
-        if not self.terms:
-            return (0.0, 0.0)
-        amax = max(a for a, _ in self.terms)
-        mass = sum(2.0 * a * abs(b) for a, b in self.terms)
-        pad = max(12.0 * amax, np.sqrt(mass / _WINDOW_FLOOR))
-        return (-float(pad), float(pad))
+        return _lorentzian_window(self.terms)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for a, b in self.terms:
-            out = out + 2.0 * a * b / (t * t + a * a)
-        return out if out.ndim else complex(out)
+        return _lorentzian(self.terms, t, complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +219,7 @@ def _lorentzian_tails(terms, delta):
         return 0.0, 0.0j, 0.0j
     T = np.sqrt(mass / _TAIL_CUT)
     if delta != 0.0:
-        window = np.sqrt(mass / _WINDOW_FLOOR)
+        window = np.sqrt(mass / _FLOOR)
         T = min(max(T, 8.0 / abs(delta)), window)
     if delta == 0.0 or abs(delta) * T < 8.0:
         # resonant moment; also the near-resonant fallback when even the

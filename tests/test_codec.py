@@ -194,6 +194,13 @@ def test_scalar_complex_fields_and_missing_optional_keys():
     assert from_json(SechSquared, {"eta": 2.0}).center == 0.0
 
 
+def test_complex_scalars_are_written_as_float_pairs():
+    doc = to_json(GateTarget(k=1.0, t=1, r=0))
+    assert doc["t"] == [1.0, 0.0] and doc["r"] == [0.0, 0.0]
+    assert all(type(v) is float for v in doc["t"] + doc["r"])
+    assert json.dumps(doc) == '{"k": 1.0, "t": [1.0, 0.0], "r": [0.0, 0.0]}'
+
+
 def test_malformed_documents():
     with pytest.raises(ValueError, match="potential variant"):
         from_json(PotentialSpec, {"q": [1.0, 2.0]})

@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from conftest import dop853_scattering, envelope_rhs
@@ -5,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from scattergate.cli import main
 from scattergate.codec import from_json
 from scattergate.direct1d import (
     BoundState,
@@ -22,6 +26,7 @@ from scattergate.direct1d import (
     solve_scattering,
 )
 from scattergate.dispersion import sample_reflection
+from scattergate.errors import NumericalError
 
 
 def sech_samples(x, depth, center, width):
@@ -135,6 +140,27 @@ class TestSolveScattering:
             solve_scattering(Zero(), 0.0)
         with pytest.raises(ValueError):
             solve_scattering(Zero(), -1.0)
+
+
+class TestFailurePaths:
+    def test_infinite_window_is_refused(self, tmp_path, capsys, budget):
+        # mass / 1e-10 overflows, so the decay window is (-inf, inf)
+        pot = LorentzianSum(((1.0, 1e300),))
+        with pytest.raises(ValueError, match="integration span .* is not finite"):
+            solve_scattering(pot, 0.5)
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(pot.to_json()))
+        assert main(["direct", "--potential", str(path), "--n", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not finite" in json.loads(err)["error"]["message"]
+
+    def test_overflowing_propagator_raises_without_warnings(self, budget):
+        # a barrier of height 1e4 and length 10 grows the evanescent
+        # solution by e^1000, past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="the propagator overflowed"):
+                solve_scattering(SquareWell(q0=-1e4, x0=0.0, length=10.0), 1.0)
 
 
 class TestMagnusAgainstOracle:

@@ -586,6 +586,13 @@ class TestNonPhysicalData:
         (line,) = err.splitlines()
         assert "not physical scattering data" in json.loads(line)["error"]["message"]
 
+    def test_slowly_decaying_kernel_raises(self, budget):
+        # a reflection step at |k| = 2 gives a kernel that decays like 1/z
+        k = np.linspace(-5.0, 5.0, 2001)
+        data = ReflectionData(k=k, R=np.where(np.abs(k) < 2.0, 0.3, 0.0) + 0j)
+        with pytest.raises(NumericalError, match="kernel tail still .* after extension"):
+            recover_potential(data, np.linspace(-1.0, 1.0, 5))
+
 
 class TestKernelExtension:
     def test_extended_rows_equal_one_shot_rows(self):

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scattergate.direct1d import SechSquared, SquareWell, solve_scattering
+from scattergate.direct1d import LorentzianSum, SechSquared, SquareWell, solve_scattering
 from scattergate.fuchsian import CircleLoop, FuchsianSystem, monodromy
 from scattergate.twolevel import (
     LorentzianPulse,
@@ -91,3 +91,14 @@ def test_lorentzian_pulse_is_the_one_term_sum(a, b, detuning):
     s_one = scattering_matrix(PulseSpec(one, detuning=detuning))
     s_sum = scattering_matrix(PulseSpec(sum_, detuning=detuning))
     assert s_one.tobytes() == s_sum.tobytes()
+
+
+@FEW
+@given(pairs=st.lists(st.tuples(st.floats(0.01, 5.0), st.floats(-3.0, 3.0)), max_size=3))
+def test_lorentzian_potential_and_pulse_share_one_profile(pairs):
+    pot, pulse = LorentzianSum(tuple(pairs)), LorentzianPulseSum(tuple(pairs))
+    assert pot.window == pulse.window
+    t = np.linspace(-20.0, 20.0, 401)
+    for x in (t, 0.3):
+        q, e = pot(x), pulse(x)
+        assert np.array_equal(np.real(e), q) and not np.any(np.imag(e))
