@@ -21,6 +21,8 @@ Submodules:
 - cli: command-line entry points wrapping the above.
 """
 
+import types
+
 from .algebra import (
     BIT_FLIP,
     CNOT,
@@ -101,76 +103,8 @@ from .twolevel import (
     scattering_scan,
 )
 
-__all__ = [
-    "BIT_FLIP",
-    "CNOT",
-    "EYE2",
-    "HADAMARD",
-    "NOT_GATE",
-    "SIGMA1",
-    "SIGMA2",
-    "SIGMA3",
-    "SU11Element",
-    "SchmidtDecomposition",
-    "entanglement_verdict",
-    "gate_distance",
-    "kron",
-    "operator_schmidt",
-    "phase_gate",
-    "su11_to_su2",
-    "tau",
-    "from_json",
-    "to_json",
-    "BoundState",
-    "LorentzianSum",
-    "PotentialSpec",
-    "ScatterCoeffs",
-    "SechSquared",
-    "SquareWell",
-    "Tabulated",
-    "Zero",
-    "em_spin_smatrix",
-    "fields_from_potentials",
-    "find_bound_states",
-    "momentum_grid",
-    "solve_grid",
-    "solve_scattering",
-    "GateTarget",
-    "ReflectionData",
-    "build_scattering_data",
-    "principal_value_integral",
-    "reconstruct_transmission",
-    "sample_reflection",
-    "InfeasibleTargetError",
-    "NumericalError",
-    "CircleLoop",
-    "FuchsianSystem",
-    "Loop",
-    "PolylineLoop",
-    "gauge_to_su2",
-    "lorentzian_to_fuchsian",
-    "monodromy",
-    "monodromy_product",
-    "odd_lorentzian_to_fuchsian",
-    "pv_monodromy_example4",
-    "RecoveredPotential",
-    "RecoveredPulse",
-    "TwoLevelScatteringData",
-    "recover_potential",
-    "recover_pulse",
-    "transmission_a_two_level",
-    "DipoleParams",
-    "LorentzianPulse",
-    "LorentzianPulseSum",
-    "PulseEnvelope",
-    "PulseSpec",
-    "RectangularPulse",
-    "TabulatedPulse",
-    "dipole_hamiltonian",
-    "f_matrix",
-    "rect_pulse_smatrix",
-    "scattering_matrix",
-    "scattering_scan",
-]
+# every public name bound above, submodules aside
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]
 
 __version__ = "0.1.0"

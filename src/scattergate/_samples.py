@@ -11,10 +11,10 @@ def checked_grid(grid, min_size: int = 4) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < min_size:
         raise ValueError(f"need a 1-D grid of at least {min_size} samples")
-    if not np.all(np.diff(grid) > 0):
-        raise ValueError("sample grid must be strictly ascending")
     if not np.all(np.isfinite(grid)):
         raise ValueError("samples must be finite")
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError("sample grid must be strictly ascending")
     return grid
 
 

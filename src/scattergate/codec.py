@@ -10,6 +10,13 @@ and their type hints:
 - a nested dataclass (a bound state, the envelope of a pulse spec) is a
   nested document.
 
+Each document type runs one field rule when built, by its constructor or
+by ``from_json`` (``Document.__post_init__``): a ``float``, ``complex``,
+``int`` or ``bool`` field, or a tuple of these, keeps its value converted by
+the hint only if the conversion is exact and finite (2.0 for an int, not
+1.9; 1 for a float, not "1" or nan), and a document-typed field must hold
+one.  The reader passes scalars on as written, so it refuses the same values.
+
 Types whose variants share one base (potentials and pulse envelopes by
 ``"variant"``, loops by ``"kind"``) write that tag first, and potentials end
 with their derived ``"window"``.  A subclass that sets no tag of its own
@@ -26,6 +33,7 @@ smuggle in a window that breaks the decay contract.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import typing
@@ -42,7 +50,8 @@ class Document:
         class PotentialSpec(Document, tag="variant", noun="potential", derived=("window",))
 
     and every subclass that sets the tag attribute in its own body is
-    registered as that variant.
+    registered as that variant.  Construction runs the field rule of the
+    module notes, then the class's own range checks in ``_check``.
     """
 
     def __init_subclass__(cls, tag=None, noun=None, derived=(), **kwargs):
@@ -51,6 +60,16 @@ class Document:
             cls._tag, cls._noun, cls._derived, cls._variants = tag, noun, tuple(derived), {}
         elif getattr(cls, "_tag", None) in vars(cls):
             cls._variants[vars(cls)[cls._tag]] = cls
+
+    def __post_init__(self):
+        hints = _hints(type(self))
+        for f in dataclasses.fields(self):
+            value = _named(f.name, _field, hints[f.name], getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+        self._check()
+
+    def _check(self):
+        pass
 
     def to_json(self) -> dict:
         return to_json(self)
@@ -66,13 +85,39 @@ def _is_base(hint) -> bool:
 
 
 def _items(hint, value) -> list:
-    # element hints of a tuple hint, matched to the values present
+    # element hints of a tuple hint, one per value; a fixed tuple needs its length
     args = typing.get_args(hint)
     if args[-1:] == (Ellipsis,):
         return [args[0]] * len(value)
-    if len(value) < len(args):
+    if len(value) != len(args):
         raise ValueError(f"expected {len(args)} values, got {len(value)}")
     return list(args)
+
+
+def _field(hint, value):
+    # the field rule of the module notes, for one field's value
+    if hint in (float, complex, int, bool):
+        try:
+            out = hint(value) if getattr(value, "ndim", 0) == 0 else None
+            exact = out == value and cmath.isfinite(out)
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise ValueError(f"{value!r} is not a finite {hint.__name__}")
+        return out
+    if typing.get_origin(hint) is tuple:
+        return tuple(_field(h, v) for h, v in zip(_items(hint, value), value))
+    if isinstance(hint, type) and issubclass(hint, Document) and not isinstance(value, hint):
+        raise TypeError(f"expected a {hint.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _named(name, rule, hint, value):
+    # rule(hint, value) for the field called name; a refusal names the field
+    try:
+        return rule(hint, value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _to_pairs(value) -> list:
@@ -88,7 +133,7 @@ def _encode(hint, value):
         return [_encode(h, v) for h, v in zip(_items(hint, value), value)]
     if hint is complex or hint is np.ndarray:
         return _to_pairs(value)
-    return hint(value)
+    return value
 
 
 def to_json(obj) -> dict:
@@ -113,25 +158,24 @@ def to_json(obj) -> dict:
 
 
 def _from_pairs(value) -> np.ndarray:
-    # complex array from [re, im] pairs along the last axis, built exactly
-    a = np.asarray(value, dtype=float)
-    if a.ndim == 0 or a.shape[-1] < 2:
-        raise ValueError("complex values are written as [re, im] pairs")
+    # complex array from [re, im] number pairs along the last axis, built exactly
+    a = np.asarray(value)
+    if a.ndim == 0 or a.shape[-1] != 2 or a.dtype.kind not in "iuf":
+        raise ValueError("complex values are written as [re, im] pairs of numbers")
     out = np.empty(a.shape[:-1], dtype=complex)
     out.real, out.imag = a[..., 0], a[..., 1]
     return out
 
 
 def _decode(hint, value):
+    # a scalar is returned as written: the constructor's field rule reads it
     if typing.get_origin(hint) is tuple:
         return tuple(_decode(h, v) for h, v in zip(_items(hint, value), value))
-    if hint is complex:
-        return complex(_from_pairs(value)) if isinstance(value, (list, tuple)) else complex(value)
-    if hint is np.ndarray:
+    if hint is complex and isinstance(value, list) or hint is np.ndarray:
         return _from_pairs(value)
     if dataclasses.is_dataclass(hint) or _is_base(hint):
         return from_json(hint, value)
-    return hint(value)
+    return value
 
 
 def _has_fields(cls, doc) -> bool:
@@ -172,7 +216,7 @@ def from_json(cls, doc):
         elif hint is np.ndarray and name in doc:
             kwargs[name] = np.asarray(doc[name], dtype=float)
         elif name in doc:
-            kwargs[name] = _decode(hint, doc[name])
+            kwargs[name] = _named(name, _decode, hint, doc[name])
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise KeyError(name)
     return cls(**kwargs)

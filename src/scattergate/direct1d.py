@@ -78,19 +78,17 @@ class SquareWell(PotentialSpec):
 
     variant = "square_well"
 
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.q0, self.x0, self.length])):
-            raise ValueError("square-well parameters must be finite")
+    def _check(self):
         if not self.length > 0:
             raise ValueError("length must be positive")
 
     @property
     def window(self):
-        return (float(self.x0), float(self.x0 + self.length))
+        return (self.x0, self.x0 + self.length)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where((x >= self.x0) & (x <= self.x0 + self.length), float(self.q0), 0.0)
+        out = np.where((x >= self.x0) & (x <= self.x0 + self.length), self.q0, 0.0)
         return out if out.ndim else float(out)
 
 
@@ -107,16 +105,14 @@ class SechSquared(PotentialSpec):
 
     variant = "sech_squared"
 
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.eta, self.center])):
-            raise ValueError("eta and center must be finite")
+    def _check(self):
         if not self.eta > 0:
             raise ValueError("eta must be positive")
 
     @property
     def window(self):
         pad = 40.0 / self.eta
-        return (float(self.center - pad), float(self.center + pad))
+        return (self.center - pad, self.center + pad)
 
     def __call__(self, x):
         # sech via decaying exponentials only; no overflow at any x
@@ -161,13 +157,9 @@ class LorentzianSum(PotentialSpec):
 
     variant = "lorentzian_sum"
 
-    def __post_init__(self):
-        pairs = tuple((float(a), float(b)) for a, b in self.pairs)
-        if not np.all(np.isfinite(pairs)):
-            raise ValueError("pair parameters must be finite")
-        if any(a <= 0 for a, _ in pairs):
+    def _check(self):
+        if any(a <= 0 for a, _ in self.pairs):
             raise ValueError("widths a_j must be positive")
-        object.__setattr__(self, "pairs", pairs)
 
     @property
     def window(self):
@@ -186,7 +178,7 @@ class Tabulated(PotentialSpec):
 
     variant = "tabulated"
 
-    def __post_init__(self):
+    def _check(self):
         table = SampleTable(self.x, self.q)
         object.__setattr__(self, "x", table.grid)
         object.__setattr__(self, "q", table.values)
@@ -202,12 +194,12 @@ class Tabulated(PotentialSpec):
 
 def momentum_grid(kmin: float, kmax: float, n: int) -> np.ndarray:
     """Ascending positive momentum grid with n points."""
-    if not (kmin > 0 and n >= 1):
-        raise ValueError("need kmin > 0 and n >= 1")
+    if not (0 < kmin < np.inf and n >= 1):
+        raise ValueError("need a finite kmin > 0 and n >= 1")
     if n == 1:
         return np.array([float(kmin)])
-    if not kmax > kmin:
-        raise ValueError("need kmax > kmin")
+    if not kmin < kmax < np.inf:
+        raise ValueError("need a finite kmax > kmin")
     return np.linspace(float(kmin), float(kmax), int(n))
 
 
@@ -260,8 +252,8 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
     tolerance rtol over the window), and reads (a, b) at the right edge.
     """
     k = float(k)
-    if not k > 0:
-        raise ValueError(f"momentum must be positive, got {k}")
+    if not 0 < k < np.inf:
+        raise ValueError(f"momentum must be positive and finite, got {k}")
     if not np.isfinite(0.5 / k):
         raise ValueError(f"momentum {k} is too small: 1/(2k) overflows")
     x0, x1 = q.window
@@ -283,15 +275,15 @@ def solve_grid(q: PotentialSpec, ks, *, rtol: float = _RTOL):
 
 
 @dataclass(frozen=True)
-class BoundState:
+class BoundState(Document):
     """Discrete eigenvalue k = i eta with the left/right Jost ratio as norming."""
 
     eta: float
     norming: float
 
-    def __post_init__(self):
-        if not (np.isfinite(self.eta) and np.isfinite(self.norming) and self.eta > 0):
-            raise ValueError("need a finite positive eta and a finite norming")
+    def _check(self):
+        if not self.eta > 0:
+            raise ValueError("eta must be positive")
 
 
 def _tilted(q, eta, x_from, x_to):
@@ -347,8 +339,8 @@ def find_bound_states(q: PotentialSpec, eta_max: float):
     than a decay length 1/eta apart around the middle of the window (a
     table's largest sample).
     """
-    if not eta_max > 0:
-        raise ValueError("eta_max must be positive")
+    if not 0 < eta_max < np.inf:
+        raise ValueError("eta_max must be positive and finite")
     x0, x1 = q.window
     if not x1 > x0:
         return []
@@ -372,7 +364,7 @@ def find_bound_states(q: PotentialSpec, eta_max: float):
             roots.append(brentq(matching, etas[i], etas[i + 1], xtol=1e-12))
     if vals[-1] == 0.0:
         roots.append(etas[-1])
-    return [BoundState(eta=float(r), norming=_norming_ratio(q, r)) for r in roots]
+    return [BoundState(eta=r, norming=_norming_ratio(q, r)) for r in roots]
 
 
 def fields_from_potentials(u: PotentialSpec, v: PotentialSpec, x):

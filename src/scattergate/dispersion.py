@@ -80,7 +80,7 @@ class ReflectionData(Document):
     R: np.ndarray
     bound_states: tuple[BoundState, ...] = ()
 
-    def __post_init__(self):
+    def _check(self):
         k, R = checked_samples(self.k, self.R, complex, min_size=2)
         if not (k[0] < 0.0 < k[-1]):
             raise ValueError("grid must cover negative and positive momenta")
@@ -89,12 +89,8 @@ class ReflectionData(Document):
             raise ValueError("|R| must stay below 1 (log singularity otherwise)")
         if mod[0] >= 1e-6 or mod[-1] >= 1e-6:
             raise ValueError("|R| must decay below 1e-6 at the grid ends")
-        states = tuple(self.bound_states)
-        if not all(isinstance(s, BoundState) for s in states):
-            raise ValueError("bound_states must be BoundState instances")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "bound_states", states)
 
     def reflection_at(self, k: float) -> complex:
         re = np.interp(k, self.k, self.R.real)
@@ -164,8 +160,10 @@ def sample_reflection(
     end-decay contract; push kmax up if the tail still carries weight.
     threads is accepted for compatibility; work runs serially.
     """
-    if not _K_LO < _TAPER * kmax:
-        raise ValueError(f"need kmax > {_K_LO / _TAPER:g}")
+    if not _K_LO < _TAPER * kmax < np.inf:
+        raise ValueError(f"need a finite kmax > {_K_LO / _TAPER:g}")
+    if not 0 < dk <= kmax:
+        raise ValueError(f"need 0 < dk <= kmax, got dk = {dk}")
     nodes = np.geomspace(_K_LO, kmax, n_solve)
     coeffs = solve_grid(q, nodes)
     r_nodes = np.array([c.reflection for c in coeffs])
@@ -214,16 +212,14 @@ def sample_reflection(
 
 
 @dataclass(frozen=True)
-class GateTarget:
+class GateTarget(Document):
     """Prescribed (transmission, reflection) pair at one momentum."""
 
     k: float
     t: complex
     r: complex
 
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.k, self.t, self.r])):
-            raise ValueError("target momentum and amplitudes must be finite")
+    def _check(self):
         if not self.k > 0:
             raise ValueError("target momentum must be positive")
         if not abs(self.t) > 0:

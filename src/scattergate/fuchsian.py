@@ -37,20 +37,18 @@ class FuchsianSystem(Document):
     poles: tuple[complex, ...]
     residues: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        poles = tuple(complex(s) for s in self.poles)
+    def _check(self):
         residues = tuple(np.asarray(m, dtype=complex) for m in self.residues)
-        if len(poles) != len(residues):
+        if len(self.poles) != len(residues):
             raise ValueError("need one residue matrix per pole")
         if any(m.shape != (2, 2) for m in residues):
             raise ValueError("residues must be 2x2 matrices")
-        if not (np.all(np.isfinite(poles)) and all(np.all(np.isfinite(m)) for m in residues)):
-            raise ValueError("poles and residues must be finite")
-        for j in range(len(poles)):
-            for l in range(j + 1, len(poles)):
-                if abs(poles[j] - poles[l]) <= 1e-8:
+        if not all(np.all(np.isfinite(m)) for m in residues):
+            raise ValueError("residues must be finite")
+        for j, p in enumerate(self.poles):
+            for l in range(j + 1, len(self.poles)):
+                if abs(p - self.poles[l]) <= 1e-8:
                     raise ValueError(f"poles {j} and {l} coincide")
-        object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "residues", residues)
 
     def omega(self, z) -> np.ndarray:
@@ -96,12 +94,9 @@ class CircleLoop(Loop):
 
     kind = "circle"
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "orientation", int(self.orientation))
-        if not (np.isfinite(self.center) and np.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("need a finite center and a finite positive radius")
+    def _check(self):
+        if not self.radius > 0:
+            raise ValueError("radius must be positive")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 (ccw) or -1 (cw)")
 
@@ -142,15 +137,11 @@ class PolylineLoop(Loop):
 
     kind = "polyline"
 
-    def __post_init__(self):
-        pts = tuple(complex(p) for p in self.points)
-        if len(pts) < 4:
+    def _check(self):
+        if len(self.points) < 4:
             raise ValueError("need at least 3 edges")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("polyline points must be finite")
-        if abs(pts[0] - pts[-1]) > 1e-12:
+        if abs(self.points[0] - self.points[-1]) > 1e-12:
             raise ValueError("path must close: first and last points differ")
-        object.__setattr__(self, "points", pts)
 
     @property
     def base_point(self):

@@ -381,22 +381,16 @@ class TwoLevelScatteringData(Document):
     poles: tuple[complex, ...] = ()
     norming: tuple[complex, ...] = ()
 
-    def __post_init__(self):
+    def _check(self):
         zeta, r = checked_samples(self.zeta, self.r, complex, min_size=2)
         if abs(r[0]) >= 1e-6 or abs(r[-1]) >= 1e-6:
             raise ValueError("reflection ratio must decay below 1e-6 at the ends")
-        poles = tuple(complex(p) for p in self.poles)
-        norming = tuple(complex(d) for d in self.norming)
-        if len(poles) != len(norming):
+        if len(self.poles) != len(self.norming):
             raise ValueError("need one norming constant per pole")
-        if not np.all(np.isfinite(poles + norming)):
-            raise ValueError("poles and norming must be finite")
-        if any(p.imag <= 0 for p in poles):
+        if any(p.imag <= 0 for p in self.poles):
             raise ValueError("transmission zeros must lie in the upper half plane")
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "poles", poles)
-        object.__setattr__(self, "norming", norming)
 
 
 def transmission_a_two_level(data: TwoLevelScatteringData, zeta) -> complex:

@@ -89,11 +89,9 @@ class LorentzianPulse(_LorentzianTerms):
 
     variant = "lorentzian"
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not (self.a > 0 and np.isfinite(self.a) and np.isfinite(self.b)):
-            raise ValueError("need width a > 0 and finite real height b")
+    def _check(self):
+        if not self.a > 0:
+            raise ValueError("need width a > 0")
 
     @property
     def terms(self):
@@ -108,13 +106,9 @@ class LorentzianPulseSum(_LorentzianTerms):
 
     variant = "lorentzian_sum"
 
-    def __post_init__(self):
-        terms = tuple((float(a), float(b)) for a, b in self.terms)
-        if not np.all(np.isfinite(terms)):
-            raise ValueError("term parameters must be finite")
-        if any(a <= 0 for a, _ in terms):
+    def _check(self):
+        if any(a <= 0 for a, _ in self.terms):
             raise ValueError("widths a_k must be positive")
-        object.__setattr__(self, "terms", terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,13 +120,9 @@ class RectangularPulse(PulseEnvelope):
 
     variant = "rectangular"
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", complex(self.x))
-        object.__setattr__(self, "half_width", float(self.half_width))
-        if not (self.half_width > 0 and np.isfinite(self.half_width)):
+    def _check(self):
+        if not self.half_width > 0:
             raise ValueError("half_width must be positive")
-        if not np.isfinite(self.x):
-            raise ValueError("amplitude must be finite")
 
     @property
     def window(self):
@@ -153,7 +143,7 @@ class TabulatedPulse(PulseEnvelope):
 
     variant = "tabulated"
 
-    def __post_init__(self):
+    def _check(self):
         table = SampleTable(self.t, self.E, complex)
         object.__setattr__(self, "t", table.grid)
         object.__setattr__(self, "E", table.values)
@@ -179,11 +169,6 @@ class PulseSpec(Document):
 
     envelope: PulseEnvelope
     detuning: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "detuning", float(self.detuning))
-        if not np.isfinite(self.detuning):
-            raise ValueError("detuning must be finite")
 
     def coupling(self, t):
         """Interaction-picture coupling c(t) = E(t) e^{-i delta t}."""
@@ -311,12 +296,7 @@ class DipoleParams(Document):
     y: float = 0.0
     T: float = 1.0
 
-    def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = (complex if f.type == "complex" else float)(getattr(self, f.name))
-            if not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
-            object.__setattr__(self, f.name, value)
+    def _check(self):
         if not self.T > 0:
             raise ValueError("half-duration T must be positive")
 

@@ -9,6 +9,7 @@ import ast
 import dataclasses
 import inspect
 import pathlib
+import types
 
 import pytest
 
@@ -97,3 +98,13 @@ def test_only_twolevel_imports_the_ode_driver():
                 if any(name.split(".")[-1] == "_ode" for name in names):
                     importers.add(path.stem)
     assert importers == {"twolevel"}
+
+
+def test_star_import_binds_the_public_names():
+    # __all__ is derived: every public name of the package that is not a module
+    ns = {}
+    exec("from scattergate import *", ns)
+    public = {name for name, value in vars(scattergate).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(ns) - {"__builtins__"} == public
+    assert len(scattergate.__all__) == len(public)

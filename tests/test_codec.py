@@ -1,14 +1,19 @@
 """JSON codec: property round trips for every serializable type, the document
-forms older writers produced, and rejection of non-finite parameters."""
+forms older writers produced, the one field rule every document type runs,
+and a fuzz over whole documents."""
 
+import dataclasses
+import functools
 import json
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from scattergate.codec import from_json, to_json
+from scattergate.cli import main
+from scattergate.codec import Document, from_json, to_json
 from scattergate.direct1d import (
     BoundState,
     LorentzianSum,
@@ -32,6 +37,7 @@ from scattergate.twolevel import (
     TabulatedPulse,
     scattering_matrix,
 )
+from test_golden import instances
 
 reals = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 positive = st.floats(min_value=1e-2, max_value=1e2)
@@ -254,3 +260,212 @@ def test_nan_smatrix_fails_the_su2_gate():
     object.__setattr__(env, "terms", ((1.0, float("nan")),))
     with pytest.raises(NumericalError, match="SU\\(2\\)"):
         scattering_matrix(spec)
+
+
+# ---------------------------------------------------------------------------
+# the field rule: every document type, every scalar field
+
+
+def document_types():
+    """Every dataclass below codec.Document, found from the base down."""
+    found, todo = set(), [Document]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if dataclasses.is_dataclass(cls):
+            found.add(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+EXAMPLES = {type(obj): obj for _, obj in instances()}
+EXAMPLES[BoundState] = BoundState(eta=1.5, norming=0.75)
+EXAMPLES[GateTarget] = GateTarget(k=1.0, t=0.6, r=0.8j)
+
+SCALARS = (float, complex, int, bool)
+INEXACT = {float: "1", complex: "1", int: 1.5, bool: "false"}
+
+
+def test_every_document_type_has_an_example():
+    assert set(document_types()) == set(EXAMPLES)
+
+
+def _leaf(hint):
+    # the element hint under any tuple nesting
+    while typing.get_origin(hint) is tuple:
+        hint = typing.get_args(hint)[0]
+    return hint
+
+
+def _set_first(value, hint, bad):
+    # value (a field value or its document form) with its first scalar set to bad
+    if typing.get_origin(hint) is tuple:
+        return [_set_first(value[0], typing.get_args(hint)[0], bad), *value[1:]]
+    return bad
+
+
+def scalar_fields():
+    for cls in document_types():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            leaf = _leaf(hints[f.name])
+            if leaf in SCALARS:
+                for label, bad in (("nan", float("nan")), ("inf", float("inf")),
+                                   ("-inf", float("-inf")), ("inexact", INEXACT[leaf])):
+                    yield pytest.param(cls, f.name, hints[f.name], bad,
+                                       id=f"{cls.__name__}.{f.name}={label}")
+
+
+@pytest.mark.parametrize("cls, name, hint, bad", list(scalar_fields()))
+def test_field_rule_refuses_and_names_the_field(cls, name, hint, bad):
+    obj = EXAMPLES[cls]
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        dataclasses.replace(obj, **{name: _set_first(getattr(obj, name), hint, bad)})
+    doc = to_json(obj)
+    doc[name] = _set_first(doc[name], hint, bad)
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        from_json(cls, doc)
+
+
+def test_exact_values_are_kept_converted():
+    loop = CircleLoop(center=0, radius=2, orientation=-1.0, on_contour=0)
+    assert [type(v) for v in (loop.center, loop.radius, loop.orientation, loop.on_contour)] \
+        == [complex, float, int, bool]
+    assert LorentzianSum([[1, np.float64(0.5)]]).pairs == ((1.0, 0.5),)
+    assert type(LorentzianSum([[1, 2]]).pairs[0][1]) is float
+
+
+# each was read one way by from_json and built another way by the constructor
+DISAGREEMENTS = {
+    "pair of three": lambda: from_json(
+        PotentialSpec, {"variant": "lorentzian_sum", "pairs": [[1, 0.1, 99]]}),
+    "centre of three": lambda: from_json(
+        Loop, {"kind": "circle", "center": [0, 0.5, 7], "radius": 1.0}),
+    "string boolean": lambda: from_json(
+        Loop, {"kind": "circle", "center": [0, 0], "radius": 1.0, "on_contour": "false"}),
+    "fractional orientation read": lambda: from_json(
+        Loop, {"kind": "circle", "center": [0, 0], "radius": 1.0, "orientation": 1.9}),
+    "fractional orientation built": lambda: CircleLoop(center=0.0, radius=1.0, orientation=-1.5),
+    "complex norming": lambda: BoundState(1.0, 1j),
+    "string eta built": lambda: SechSquared(eta="1"),
+    "string eta read": lambda: from_json(PotentialSpec, {"variant": "sech_squared", "eta": "1"}),
+}
+
+
+@pytest.mark.parametrize("make", DISAGREEMENTS.values(), ids=DISAGREEMENTS.keys())
+def test_reader_and_constructor_refuse_alike(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_bound_state_and_gate_target_are_documents():
+    for obj in (EXAMPLES[BoundState], EXAMPLES[GateTarget]):
+        assert obj.to_json() == to_json(obj)
+        assert from_json(type(obj), obj.to_json()) == obj
+
+
+# ---------------------------------------------------------------------------
+# whole-document fuzz: each document builds exactly, or is refused with exit 2
+
+DROP = object()
+numbers = st.one_of(st.floats(), st.integers(-2, 2))
+junk = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.lists(numbers, max_size=4))
+
+
+@functools.cache
+def _values(hint):
+    # document values for a field hint, well formed or not
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        size = (0, 3) if args[-1] is Ellipsis else (len(args) - 1, len(args) + 1)
+        return st.one_of(st.lists(_values(args[0]), min_size=size[0], max_size=size[1]), junk)
+    if hint is complex:
+        return st.one_of(st.lists(numbers, min_size=1, max_size=3), numbers, junk)
+    if isinstance(hint, type) and issubclass(hint, Document):
+        variants = [cls for cls in document_types() if issubclass(cls, hint)]
+        return st.one_of(st.sampled_from(variants).flatmap(_documents), junk)
+    if hint is np.ndarray:
+        return junk
+    return st.one_of(numbers, junk)
+
+
+@functools.cache
+def _documents(cls):
+    # the example's document with up to two fields dropped or replaced
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    chosen = st.lists(st.sampled_from(names), max_size=2, unique=True) if names else st.just([])
+    edits = chosen.flatmap(
+        lambda chosen: st.fixed_dictionaries(
+            {name: st.one_of(st.just(DROP), _values(hints[name])) for name in chosen}))
+
+    def apply(edit):
+        doc = to_json(EXAMPLES[cls])
+        for name, value in edit.items():
+            for key in (name, "re_" + name, "im_" + name):
+                doc.pop(key, None)
+            if value is not DROP:
+                doc[name] = value
+        return doc
+
+    return edits.map(apply)
+
+
+def _assert_exact(hint, value):
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        assert type(value) is tuple
+        assert args[-1] is Ellipsis or len(value) == len(args)
+        for v in value:
+            _assert_exact(args[0], v)
+    elif hint in SCALARS:
+        assert type(value) is hint and np.isfinite(value)
+    elif dataclasses.is_dataclass(value):
+        hints = typing.get_type_hints(type(value))
+        for f in dataclasses.fields(value):
+            _assert_exact(hints[f.name], getattr(value, f.name))
+
+
+# the subcommand and flag that read each type's document
+CLI_READERS = {
+    **{cls: ("direct", "--potential") for cls in (Zero, SquareWell, SechSquared, LorentzianSum, Tabulated)},
+    **{cls: ("twolevel", "--pulse") for cls in (PulseSpec, LorentzianPulse, LorentzianPulseSum,
+                                                RectangularPulse, TabulatedPulse)},
+    ReflectionData: ("inverse", "--data"),
+    TwoLevelScatteringData: ("inverse", "--data"),
+    DipoleParams: ("entangle", "--params"),
+    FuchsianSystem: ("monodromy", "--system"),
+    CircleLoop: ("monodromy", "--loop"),
+    PolylineLoop: ("monodromy", "--loop"),
+}
+
+
+def _write(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return str(path)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=st.sampled_from(document_types()).flatmap(
+    lambda cls: st.tuples(st.just(cls), _documents(cls))))
+def test_whole_documents_build_exactly_or_exit_2(case, tmp_path, capsys, budget):
+    cls, doc = case
+    try:
+        obj = from_json(cls, doc)
+    except (ValueError, TypeError, KeyError):
+        pass
+    else:
+        _assert_exact(cls, obj)
+        return
+    if cls not in CLI_READERS:
+        return
+    sub, flag = CLI_READERS[cls]
+    argv = [sub, flag, _write(tmp_path / "doc.json", doc)]
+    if sub == "monodromy":
+        partner = FuchsianSystem if flag == "--loop" else CircleLoop
+        other = "--system" if flag == "--loop" else "--loop"
+        argv += [other, _write(tmp_path / "other.json", to_json(EXAMPLES[partner]))]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, len(err.splitlines())) == (2, "", 1), err

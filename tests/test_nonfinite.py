@@ -17,6 +17,8 @@ import pytest
 
 import scattergate
 from scattergate.cli import main
+from scattergate.direct1d import SechSquared, find_bound_states, momentum_grid, solve_scattering
+from scattergate.dispersion import sample_reflection
 from test_golden import cli_cases
 
 BAD = {"NaN": float("nan"), "Infinity": float("inf")}
@@ -179,3 +181,25 @@ def test_huge_sample_grid_names_the_kernel_grid(case, tmp_path, capsys, budget):
     assert_one_line_failure(code, out, err)
     assert code == 2
     assert "kernel z-grid over [2e+300" in err and "for momenta up to |k| =" in err
+
+
+INF = float("inf")
+WELL = SechSquared(eta=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_scattering(WELL, INF),
+    lambda: find_bound_states(WELL, INF),
+    lambda: momentum_grid(0.5, INF, 3),
+    lambda: momentum_grid(INF, 5.0, 1),
+    lambda: sample_reflection(WELL, dk=0.0),
+    lambda: sample_reflection(WELL, dk=-1.0),
+    lambda: sample_reflection(WELL, kmax=INF),
+], ids=["solve k=inf", "bound states eta_max=inf", "grid kmax=inf", "grid kmin=inf",
+        "sample dk=0", "sample dk=-1", "sample kmax=inf"])
+def test_bad_scalar_argument_is_a_value_error(call, budget):
+    # refused up front (exit 2 through the CLI), with no numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            call()
