@@ -1,8 +1,9 @@
 """Command-line front end: parse configuration files, run the library
 pipelines, and emit JSON or CSV results.
 
-The parsed argument namespace is the run configuration; ``run`` executes one
-subcommand and returns the result document plus an optional flat table.
+The parsed argument namespace is the run configuration; ``build_parser``
+declares each subcommand once, with its runner ``args.run``, which returns
+the result document plus an optional flat table.
 Numbers are serialized with 17 significant digits so a rerun on identical
 inputs is byte-identical and values survive a round trip exactly.
 
@@ -54,12 +55,7 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DE
 
 
 class CliError(Exception):
-    """Failure with a fixed exit code and machine-readable kind."""
-
-    def __init__(self, code, kind, message):
-        super().__init__(message)
-        self.code = code
-        self.kind = kind
+    """A parse or validation failure: exit code 2, kind "parse"."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse prints usage and exits on its own; route through CliError so
     # every failure path emits the same error object
     def error(self, message):
-        raise CliError(2, "parse", message)
+        raise CliError(message)
 
 
 def _g17(x: float) -> str:
@@ -111,9 +107,13 @@ def _grid(args) -> np.ndarray:
     """The --kmin/--kmax/--n grid; a span that overflows is refused here,
     where linspace would only warn and return non-finite points."""
     if not np.isfinite(args.kmax - args.kmin):
-        raise CliError(2, "parse", f"--kmin/--kmax span from {args.kmin:g} to "
-                       f"{args.kmax:g} overflows")
+        raise CliError(f"--kmin/--kmax span from {args.kmin:g} to {args.kmax:g} overflows")
     return np.linspace(args.kmin, args.kmax, args.n)
+
+
+def _tol(args) -> dict:
+    # --tol as the keyword its subcommand declares; none without --tol
+    return {} if args.tol is None else {args.tol_keyword: args.tol}
 
 
 def _load_json(path: str) -> dict:
@@ -121,9 +121,9 @@ def _load_json(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise CliError(2, "parse", f"cannot read {path}: {exc}") from exc
+        raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(2, "parse", f"{path} is not valid JSON: {exc}") from exc
+        raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +133,8 @@ def _load_json(path: str) -> dict:
 def _run_direct(args):
     pot = from_json(PotentialSpec, _load_json(args.potential))
     ks = momentum_grid(args.kmin, args.kmax, args.n)
-    kw = {} if args.tol is None else {"rtol": args.tol}
     log.info("direct solve of %s at %d momenta", pot.variant, ks.size)
-    coeffs = solve_grid(pot, ks, **kw)
+    coeffs = solve_grid(pot, ks, **_tol(args))
     rows = [
         [c.k, c.a.real, c.a.imag, c.b.real, c.b.imag,
          abs(c.transmission) ** 2, abs(c.reflection) ** 2]
@@ -156,18 +155,17 @@ def _run_direct(args):
 def _run_inverse(args):
     doc_in = _load_json(args.data)
     grid = _grid(args)
-    kw = {} if args.tol is None else {"tail_tol": args.tol}
     if "poles" in doc_in:
         data = from_json(TwoLevelScatteringData, doc_in)
         log.info("pulse recovery on %d nodes", grid.size)
-        rec = recover_pulse(data, grid, check_decay=not args.keep_ends, **kw)
+        rec = recover_pulse(data, grid, check_decay=not args.keep_ends, **_tol(args))
         doc = {"subcommand": "inverse", "kind": "pulse", **rec.to_json()}
         table = (["t", "re_E", "im_E"],
                  [[t, e.real, e.imag] for t, e in zip(rec.t, rec.E)])
         return doc, table
     data = from_json(ReflectionData, doc_in)
     log.info("potential recovery on %d nodes", grid.size)
-    rec = recover_potential(data, grid, check_decay=not args.keep_ends, **kw)
+    rec = recover_potential(data, grid, check_decay=not args.keep_ends, **_tol(args))
     doc = {"subcommand": "inverse", "kind": "potential", **rec.to_potential().to_json()}
     return doc, (["x", "q"], [[xi, qi] for xi, qi in zip(rec.x, rec.q)])
 
@@ -212,9 +210,8 @@ def _run_gate(args):
     x = _grid(args)
     log.info("building reflection data for %d targets", len(targets))
     data = build_scattering_data(targets)
-    kw = {} if args.tol is None else {"tail_tol": args.tol}
     log.info("recovering the realizing potential on %d nodes", x.size)
-    rec = recover_potential(data, x, ds=0.15, check_decay=False, **kw)
+    rec = recover_potential(data, x, ds=0.15, check_decay=False, **_tol(args))
     pot = rec.to_potential()
     achieved = []
     worst = 0.0
@@ -247,14 +244,13 @@ def _run_gate(args):
 
 def _run_twolevel(args):
     pulse = from_json(PulseSpec, _load_json(args.pulse))
-    kw = {} if args.tol is None else {"rtol": args.tol}
     if args.n is not None:
         if args.zeta is not None:
-            raise CliError(2, "parse", "--zeta and a zeta grid are mutually exclusive")
+            raise CliError("--zeta and a zeta grid are mutually exclusive")
         zetas = _grid(args)
         log.info("scattering scan at %d spectral points", zetas.size)
         # spectral point zeta probes the envelope detuned by -2 zeta
-        mats = scattering_scan(pulse, -2.0 * zetas, **kw)
+        mats = scattering_scan(pulse, -2.0 * zetas, **_tol(args))
         doc = {
             "subcommand": "twolevel",
             "zeta": zetas.tolist(),
@@ -267,7 +263,7 @@ def _run_twolevel(args):
         return doc, table
     if args.zeta is not None:
         pulse = PulseSpec(pulse.envelope, detuning=-2.0 * args.zeta)
-    s = scattering_matrix(pulse, **kw)
+    s = scattering_matrix(pulse, **_tol(args))
     doc = {
         "subcommand": "twolevel",
         "S": _to_pairs(s),
@@ -292,28 +288,14 @@ def _run_entangle(args):
 def _run_monodromy(args):
     system = from_json(FuchsianSystem, _load_json(args.system))
     loop = from_json(Loop, _load_json(args.loop))
-    kw = {} if args.tol is None else {"rtol": args.tol}
     log.info("continuing around a %s loop past %d poles", loop.kind, len(system.poles))
-    m = monodromy(system, loop, **kw)
+    m = monodromy(system, loop, **_tol(args))
     doc = {
         "subcommand": "monodromy",
         "monodromy": _to_pairs(m),
         "trace": _to_pairs(np.trace(m)),
     }
     return doc, None
-
-
-_DISPATCH = {
-    "direct": _run_direct,
-    "inverse": _run_inverse,
-    "gate": _run_gate,
-    "twolevel": _run_twolevel,
-    "entangle": _run_entangle,
-    "monodromy": _run_monodromy,
-}
-
-# subcommands whose bare-stdout form is the flat table
-_CSV_DEFAULT = {"direct"}
 
 
 def _positive_int(text):
@@ -341,7 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="scattergate", description="quantum gates as scattering matrices")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, grid=None, tol=True):
+    def common(sp, run, grid=None, tol=None, csv=False):
+        # run(args) -> (doc, table); --tol sets the library keyword tol; csv:
+        # bare stdout is the flat table; a grid without a size is off until --n
+        sp.set_defaults(run=run, tol_keyword=tol, csv=csv)
         sp.add_argument("--out", help="output file; a .csv suffix selects the flat table")
         if tol:
             sp.add_argument("--tol", type=_positive_float, default=None,
@@ -350,61 +335,51 @@ def build_parser() -> argparse.ArgumentParser:
             lo, hi, n, what = grid
             sp.add_argument("--kmin", type=_finite_float, default=lo, help=f"{what} grid start")
             sp.add_argument("--kmax", type=_finite_float, default=hi, help=f"{what} grid end")
-            sp.add_argument("--n", type=_positive_int, default=n, help=f"{what} grid size")
+            sp.add_argument("--n", type=_positive_int, default=n, help=f"{what} grid size"
+                            + (" (enables the scan)" if n is None else ""))
 
     sp = sub.add_parser("direct", help="scattering amplitudes of a potential")
     sp.add_argument("--potential", required=True, help="potential JSON document")
-    common(sp, grid=(0.5, 5.0, 64, "momentum"))
+    common(sp, _run_direct, grid=(0.5, 5.0, 64, "momentum"), tol="rtol", csv=True)
 
     sp = sub.add_parser("inverse", help="recover a potential or pulse from data")
     sp.add_argument("--data", required=True,
                     help="reflection-data or two-level-data JSON document")
     sp.add_argument("--keep-ends", action="store_true",
                     help="skip the window-end decay check (band-limited data)")
-    common(sp, grid=(-6.0, 6.0, 121, "sample"))
+    common(sp, _run_inverse, grid=(-6.0, 6.0, 121, "sample"), tol="tail_tol")
 
     sp = sub.add_parser("gate", help="gate constructions and the synthesis round trip")
     sp.add_argument("--target", required=True, choices=("hadamard", "not", "phase"))
     sp.add_argument("--phi", type=_finite_float, default=np.pi / 3.0,
                     help="phase-family angle (phase target only)")
-    common(sp, grid=(-55.0, 46.0, 506, "recovery"))
+    common(sp, _run_gate, grid=(-55.0, 46.0, 506, "recovery"), tol="tail_tol")
 
     sp = sub.add_parser("twolevel", help="pulse scattering matrix or spectral scan")
     sp.add_argument("--pulse", required=True, help="pulse JSON document")
     sp.add_argument("--zeta", type=_finite_float, default=None, help="single spectral point")
-    common(sp)
-    sp.add_argument("--kmin", type=_finite_float, default=-3.0, help="zeta grid start")
-    sp.add_argument("--kmax", type=_finite_float, default=3.0, help="zeta grid end")
-    sp.add_argument("--n", type=_positive_int, default=None,
-                    help="zeta grid size (enables the scan)")
+    common(sp, _run_twolevel, grid=(-3.0, 3.0, None, "zeta"), tol="rtol")
 
     sp = sub.add_parser("entangle", help="operator Schmidt verdict of the pair gate")
     sp.add_argument("--params", required=True, help="dipole-pair JSON document")
-    common(sp, tol=False)
+    common(sp, _run_entangle)
 
     sp = sub.add_parser("monodromy", help="loop monodromy of a Fuchsian system")
     sp.add_argument("--system", required=True, help="system JSON document")
     sp.add_argument("--loop", required=True, help="loop JSON document")
-    common(sp)
+    common(sp, _run_monodromy, tol="rtol")
     return p
 
 
-def run(args) -> tuple:
-    """Execute one parsed run configuration; returns (document, table)."""
-    return _DISPATCH[args.subcommand](args)
-
-
 def _emit(doc, table, args):
-    out = getattr(args, "out", None)
-    as_csv = (out.endswith(".csv") if out
-              else args.subcommand in _CSV_DEFAULT and table is not None)
+    as_csv = args.out.endswith(".csv") if args.out else args.csv
     if as_csv and table is None:
-        raise CliError(2, "parse", f"{args.subcommand} produces no flat table; use a .json output")
+        raise CliError(f"{args.subcommand} produces no flat table; use a .json output")
     text = _csv_text(table) if as_csv else _json_text(doc) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        log.info("wrote %s", out)
+        log.info("wrote %s", args.out)
     else:
         sys.stdout.write(text)
 
@@ -412,10 +387,8 @@ def _emit(doc, table, args):
 def _configure_logging():
     name = os.environ.get("SCATTERGATE_LOG", "error").strip().lower()
     if name not in _LOG_LEVELS:
-        raise CliError(
-            2, "parse",
-            f"SCATTERGATE_LOG must be one of {sorted(_LOG_LEVELS)}, not {name!r}",
-        )
+        raise CliError(f"SCATTERGATE_LOG must be one of {sorted(_LOG_LEVELS)}, "
+                       f"not {name!r}")
     logging.basicConfig(
         stream=sys.stderr,
         level=_LOG_LEVELS[name],
@@ -441,11 +414,11 @@ def main(argv=None) -> int:
         try:
             _configure_logging()
             args = build_parser().parse_args(argv)
-            doc, table = run(args)
+            doc, table = args.run(args)
             _emit(doc, table, args)
             return 0
         except CliError as exc:
-            return _fail(exc.code, exc.kind, str(exc))
+            return _fail(2, "parse", str(exc))
         except InfeasibleTargetError as exc:
             return _fail(4, "infeasible", str(exc))
         except NumericalError as exc:

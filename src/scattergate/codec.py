@@ -40,6 +40,8 @@ import typing
 
 import numpy as np
 
+from ._samples import numbers
+
 
 class Document:
     """Base of every type with a JSON document form.
@@ -102,7 +104,7 @@ def _field(hint, value):
             exact = out == value and cmath.isfinite(out)
         except (TypeError, ValueError, OverflowError):
             exact = False
-        if not exact:
+        if not exact or hint is not bool and isinstance(value, (bool, np.bool_)):
             raise ValueError(f"{value!r} is not a finite {hint.__name__}")
         return out
     if typing.get_origin(hint) is tuple:
@@ -112,10 +114,10 @@ def _field(hint, value):
     return value
 
 
-def _named(name, rule, hint, value):
-    # rule(hint, value) for the field called name; a refusal names the field
+def _named(name, rule, *args):
+    # rule(*args) for the field called name; a refusal names the field
     try:
-        return rule(hint, value)
+        return rule(*args)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from None
 
@@ -159,12 +161,20 @@ def to_json(obj) -> dict:
 
 def _from_pairs(value) -> np.ndarray:
     # complex array from [re, im] number pairs along the last axis, built exactly
-    a = np.asarray(value)
-    if a.ndim == 0 or a.shape[-1] != 2 or a.dtype.kind not in "iuf":
+    a = numbers(value)
+    if a.ndim == 0 or a.shape[-1] != 2:
         raise ValueError("complex values are written as [re, im] pairs of numbers")
     out = np.empty(a.shape[:-1], dtype=complex)
     out.real, out.imag = a[..., 0], a[..., 1]
     return out
+
+
+def _from_halves(re, im) -> np.ndarray:
+    # complex array from its real and imaginary halves
+    re, im = numbers(re), numbers(im)
+    if re.shape != im.shape:
+        raise ValueError(f"re_ and im_ halves differ in shape, {re.shape} and {im.shape}")
+    return re + 1j * im
 
 
 def _decode(hint, value):
@@ -211,10 +221,9 @@ def from_json(cls, doc):
     for f in fields:
         name, hint = f.name, hints[f.name]
         if hint is np.ndarray and name not in doc and "re_" + name in doc:
-            kwargs[name] = (np.asarray(doc["re_" + name], dtype=float)
-                            + 1j * np.asarray(doc["im_" + name], dtype=float))
+            kwargs[name] = _named(name, _from_halves, doc["re_" + name], doc["im_" + name])
         elif hint is np.ndarray and name in doc:
-            kwargs[name] = np.asarray(doc[name], dtype=float)
+            kwargs[name] = doc[name]  # the constructor runs the array rule
         elif name in doc:
             kwargs[name] = _named(name, _decode, hint, doc[name])
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:

@@ -28,7 +28,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 
 from ._magnus import transfer_matrix
-from ._samples import SampleTable, checked_grid
+from ._samples import SampleTable, checked_grid, sample_fields
 from .algebra import tau
 from .codec import Document
 from .errors import NumericalError
@@ -179,10 +179,7 @@ class Tabulated(PotentialSpec):
     variant = "tabulated"
 
     def _check(self):
-        table = SampleTable(self.x, self.q)
-        object.__setattr__(self, "x", table.grid)
-        object.__setattr__(self, "q", table.values)
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_table", SampleTable(*sample_fields(self, "x", "q")))
 
     @property
     def window(self):
@@ -194,8 +191,8 @@ class Tabulated(PotentialSpec):
 
 def momentum_grid(kmin: float, kmax: float, n: int) -> np.ndarray:
     """Ascending positive momentum grid with n points."""
-    if not (0 < kmin < np.inf and n >= 1):
-        raise ValueError("need a finite kmin > 0 and n >= 1")
+    if not (0 < kmin < np.inf and n >= 1 and float(n).is_integer()):
+        raise ValueError("need a finite kmin > 0 and an integer n >= 1")
     if n == 1:
         return np.array([float(kmin)])
     if not kmin < kmax < np.inf:

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from ._samples import checked_samples
+from ._samples import sample_fields
 from .codec import Document
 from .direct1d import BoundState, Tabulated, find_bound_states, solve_grid
 from .errors import InfeasibleTargetError, NumericalError
@@ -81,7 +81,7 @@ class ReflectionData(Document):
     bound_states: tuple[BoundState, ...] = ()
 
     def _check(self):
-        k, R = checked_samples(self.k, self.R, complex, min_size=2)
+        k, R = sample_fields(self, "k", "R", complex, min_size=2)
         if not (k[0] < 0.0 < k[-1]):
             raise ValueError("grid must cover negative and positive momenta")
         mod = np.abs(R)
@@ -89,8 +89,6 @@ class ReflectionData(Document):
             raise ValueError("|R| must stay below 1 (log singularity otherwise)")
         if mod[0] >= 1e-6 or mod[-1] >= 1e-6:
             raise ValueError("|R| must decay below 1e-6 at the grid ends")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "R", R)
 
     def reflection_at(self, k: float) -> complex:
         re = np.interp(k, self.k, self.R.real)
@@ -164,7 +162,9 @@ def sample_reflection(
         raise ValueError(f"need a finite kmax > {_K_LO / _TAPER:g}")
     if not 0 < dk <= kmax:
         raise ValueError(f"need 0 < dk <= kmax, got dk = {dk}")
-    nodes = np.geomspace(_K_LO, kmax, n_solve)
+    if not (n_solve >= 3 and float(n_solve).is_integer()):
+        raise ValueError(f"need an integer n_solve >= 3, got {n_solve}")
+    nodes = np.geomspace(_K_LO, kmax, int(n_solve))
     coeffs = solve_grid(q, nodes)
     r_nodes = np.array([c.reflection for c in coeffs])
     spl_re = CubicSpline(np.log(nodes), r_nodes.real)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._magnus import transfer_matrix
+from ._samples import numbers
 from .algebra import HADAMARD, SIGMA3
 from .codec import Document
 from .errors import NumericalError
@@ -38,7 +39,7 @@ class FuchsianSystem(Document):
     residues: tuple[np.ndarray, ...]
 
     def _check(self):
-        residues = tuple(np.asarray(m, dtype=complex) for m in self.residues)
+        residues = tuple(numbers(m, complex, "residues") for m in self.residues)
         if len(self.poles) != len(residues):
             raise ValueError("need one residue matrix per pole")
         if any(m.shape != (2, 2) for m in residues):

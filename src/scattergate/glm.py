@@ -33,7 +33,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
-from ._samples import SampleTable, checked_grid, checked_samples
+from ._samples import SampleTable, checked_grid, sample_fields
 from .codec import Document
 from .direct1d import Tabulated
 from .dispersion import ReflectionData, _dispersion, _dispersion_slope
@@ -103,15 +103,13 @@ class MarchenkoKernel:
 
     def __post_init__(self):
         dtype = complex if np.iscomplexobj(self.refl) else float
-        table = SampleTable(self.z, self.refl, dtype)
+        table = SampleTable(*sample_fields(self, "z", "refl", dtype))
         dz = np.diff(table.grid)
         if not np.allclose(dz, dz[0], rtol=1e-9):
             raise ValueError("tabulation grid must be uniform ascending")
         for eta, g in self.bound_terms:
             if not np.real(eta) > 0:
                 raise ValueError("bound-term decay rates must be positive")
-        object.__setattr__(self, "z", table.grid)
-        object.__setattr__(self, "refl", table.values)
         object.__setattr__(self, "bound_terms", tuple(self.bound_terms))
         object.__setattr__(self, "_table", table)
 
@@ -382,15 +380,13 @@ class TwoLevelScatteringData(Document):
     norming: tuple[complex, ...] = ()
 
     def _check(self):
-        zeta, r = checked_samples(self.zeta, self.r, complex, min_size=2)
+        _, r = sample_fields(self, "zeta", "r", complex, min_size=2)
         if abs(r[0]) >= 1e-6 or abs(r[-1]) >= 1e-6:
             raise ValueError("reflection ratio must decay below 1e-6 at the ends")
         if len(self.poles) != len(self.norming):
             raise ValueError("need one norming constant per pole")
         if any(p.imag <= 0 for p in self.poles):
             raise ValueError("transmission zeros must lie in the upper half plane")
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "r", r)
 
 
 def transmission_a_two_level(data: TwoLevelScatteringData, zeta) -> complex:

@@ -26,10 +26,14 @@ in the zero tail sees a zero derivative and can step over the whole pulse.
 
 Algebraic (Lorentzian) envelopes decay like 1/t^2, so cutting the time
 integration where |E| drops below a threshold would still lose an area of
-order sqrt(threshold).  The integrator runs on a core window and the two
-tails enter as first-order Magnus factors with analytically computed
-moments; the neglected tail commutator is O(tail area squared) ~ 2.5e-8 at
-the default cutoff, and vanishes identically on resonance.
+order sqrt(threshold).  The integrator runs on |t| <= T = sqrt(sum 2 a |b| /
+1e-7); each tail is a first-order Magnus factor of its moment int c(t) dt:
+arctan integrals on resonance, else the two-term asymptotic in 1/delta where
+a bound on its first neglected term sum |f''(T)| / |delta|^3 is at most
+rtol, else exact: with 2ab / (t^2 + a^2) = -ib (1/(t - ia) - 1/(t + ia)),
+e^{-i delta t} / (t - p) integrates over (T, inf) to e^{-i delta p}
+E1(i delta (T - p)) (Abramowitz & Stegun 5.1); NumericalError where
+e^{|delta| a} overflows.
 """
 
 from __future__ import annotations
@@ -39,11 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import exp1
 
 from ._ode import integrate
-from ._samples import SampleTable
+from ._samples import SampleTable, sample_fields
 from .codec import Document
-from .direct1d import _FLOOR, _lorentzian, _lorentzian_window
+from .direct1d import _lorentzian, _lorentzian_window
 from .errors import NumericalError
 
 _RTOL = 1e-11
@@ -144,10 +149,7 @@ class TabulatedPulse(PulseEnvelope):
     variant = "tabulated"
 
     def _check(self):
-        table = SampleTable(self.t, self.E, complex)
-        object.__setattr__(self, "t", table.grid)
-        object.__setattr__(self, "E", table.values)
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_table", SampleTable(*sample_fields(self, "t", "E", complex)))
 
     @property
     def window(self):
@@ -180,7 +182,7 @@ class PulseSpec(Document):
 def _magnus_factor(moment):
     # exp(-i [[0, M], [conj M, 0]]) in closed form
     m = abs(moment)
-    if m == 0.0:
+    if m < np.finfo(float).tiny:  # within 2.3e-308 of I; numpy's moment / m overflows
         return np.eye(2, dtype=complex)
     u = moment / m
     return np.array(
@@ -192,38 +194,38 @@ def _magnus_factor(moment):
     )
 
 
-def _lorentzian_tails(terms, delta):
-    """Core half-width and tail moments int c(t) dt over (T, inf) / (-inf, -T).
-
-    On resonance the moments are exact arctan integrals; off resonance a
-    two-term integration-by-parts asymptotic in 1/delta is used, so the core
-    is stretched until |delta| T is comfortably in the asymptotic regime.
-    """
+def _lorentzian_tails(terms, delta, rtol=_RTOL):
+    """Core half-width T and tail moments int c(t) dt over (T, inf) / (-inf, -T),
+    as in the module notes; the left moment of the real envelope is the
+    conjugate of the right one."""
     mass = sum(2.0 * a * abs(b) for a, b in terms)
     if mass == 0.0:
         return 0.0, 0.0j, 0.0j
     T = np.sqrt(mass / _TAIL_CUT)
-    if delta != 0.0:
-        window = np.sqrt(mass / _FLOOR)
-        T = min(max(T, 8.0 / abs(delta)), window)
-    if delta == 0.0 or abs(delta) * T < 8.0:
-        # resonant moment; also the near-resonant fallback when even the
-        # full decay window cannot reach the asymptotic regime (the phase
-        # barely turns where E is still visible, residual ~1e-5 at worst)
+    if delta == 0.0:
         m = sum(2.0 * b * (np.pi / 2.0 - np.arctan(T / a)) for a, b in terms)
         return T, complex(m), complex(m)
-    right = 0.0j
-    left = 0.0j
-    for a, b in terms:
-        f = 2.0 * a * b / (T * T + a * a)
-        fp = -4.0 * a * b * T / (T * T + a * a) ** 2
-        # fp / (i delta)^2 without the complex power, which raises where
-        # delta * delta overflows; the term is then 0
-        second = fp * (1.0 / -(delta * delta))
-        right += np.exp(-1j * delta * T) * (f / (1j * delta) + second)
-        # at -T the slope flips sign and the boundary term enters with -1
-        left -= np.exp(1j * delta * T) * (f / (1j * delta) - second)
-    return T, right, left
+    # |f''(T)| <= 12 a |b| / (T^2 + a^2)^2, with no square formed; Python
+    # floats form rtol |delta|^3, overflowing or underflowing with no warning
+    d = abs(delta)
+    f2 = sum(12.0 * a * abs(b) / (T * T + a * a) / (T * T + a * a) for a, b in terms)
+    if f2 <= rtol * d * d * d:
+        right = 0.0j
+        for a, b in terms:
+            f = 2.0 * a * b / (T * T + a * a)
+            fp = -4.0 * a * b * T / (T * T + a * a) ** 2
+            # fp / (i delta)^2 without the complex power, which raises where
+            # delta * delta overflows; the term is then 0
+            second = fp * (1.0 / -(delta * delta))
+            right += np.exp(-1j * delta * T) * (f / (1j * delta) + second)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            right = sum(-1j * b * (np.exp(delta * a) * exp1(1j * delta * (T - 1j * a))
+                                   - np.exp(-delta * a) * exp1(1j * delta * (T + 1j * a)))
+                        for a, b in terms)
+        if not np.isfinite(right):
+            raise NumericalError(f"Lorentzian tail moment at detuning {delta:g} overflows")
+    return T, right, np.conj(right)
 
 
 def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
@@ -236,7 +238,7 @@ def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
     """
     env = pulse.envelope
     if isinstance(env, _LorentzianTerms):
-        t_core, m_right, m_left = _lorentzian_tails(env.terms, pulse.detuning)
+        t_core, m_right, m_left = _lorentzian_tails(env.terms, pulse.detuning, rtol)
         lo, hi = -t_core, t_core
     else:
         m_right = m_left = 0.0j

@@ -1,11 +1,13 @@
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from scattergate.algebra import SIGMA3
-from scattergate.cli import main
+from scattergate.cli import build_parser, main
 from scattergate.fuchsian import FuchsianSystem, CircleLoop, lorentzian_to_fuchsian
 from scattergate.twolevel import DipoleParams, LorentzianPulse, PulseSpec, scattering_matrix
 
@@ -373,3 +375,75 @@ class TestFailureModes:
         assert code == 0
         assert "direct solve" in err
         assert out.startswith("k,re_a")
+
+
+# each subcommand with --tol: the library call as bound in scattergate.cli, the
+# keyword --tol must set there, and the documents the run reads
+TOL_TARGETS = {
+    "direct": ("solve_grid", "rtol"),
+    "inverse": ("recover_potential", "tail_tol"),
+    "gate": ("recover_potential", "tail_tol"),
+    "twolevel": ("scattering_matrix", "rtol"),
+    "monodromy": ("monodromy", "rtol"),
+}
+TOLERANCES = {"rtol", "tail_tol", "atol", "tol"}
+
+
+def tol_argv(sub, tmp_path):
+    if sub == "direct":
+        return ["--potential", write_json(tmp_path / "p.json", {"variant": "zero"}), "--n", "2"]
+    if sub == "inverse":
+        doc = {"k": [-2.0, 0.0, 2.0], "re_R": [0.0, 0.1, 0.0], "im_R": [0.0] * 3}
+        return ["--data", write_json(tmp_path / "d.json", doc), "--n", "5"]
+    if sub == "gate":
+        return ["--target", "hadamard", "--n", "5"]
+    if sub == "twolevel":
+        return ["--pulse", write_json(tmp_path / "p.json", {"variant": "lorentzian", "a": 1.0, "b": 0.1})]
+    system = FuchsianSystem(poles=(0.0,), residues=(0.25 * SIGMA3,)).to_json()
+    loop = CircleLoop(center=0.0, radius=1.0).to_json()
+    return ["--system", write_json(tmp_path / "s.json", system),
+            "--loop", write_json(tmp_path / "l.json", loop)]
+
+
+class TestDeclarations:
+    @pytest.mark.parametrize("tol", [None, "1e-6"])
+    @pytest.mark.parametrize("sub", list(TOL_TARGETS))
+    def test_tol_sets_its_declared_keyword(self, sub, tol, capsys, monkeypatch, tmp_path):
+        import scattergate.cli as cli_mod
+        from scattergate.errors import NumericalError
+
+        target, keyword = TOL_TARGETS[sub]
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append({k: v for k, v in kwargs.items() if k in TOLERANCES})
+            raise NumericalError("stopped after the call")
+
+        monkeypatch.setattr(cli_mod, target, record)
+        monkeypatch.setattr(cli_mod, "build_scattering_data", lambda targets: None)
+        argv = [sub, *tol_argv(sub, tmp_path)] + ([] if tol is None else ["--tol", tol])
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, ""), err
+        assert seen == [{} if tol is None else {keyword: float(tol)}]
+
+    @pytest.mark.parametrize("sub", [*TOL_TARGETS, "entangle"])
+    def test_help_exits_0(self, sub, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main([sub, "--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: scattergate {sub} ")
+        assert ("--tol" in out) == (sub != "entangle")
+
+    def test_readme_table_mirrors_the_declarations(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = dict(re.findall(r"^\| `(\w+)` \|(.*)\|$", readme, re.M))
+        parsers = next(a for a in build_parser()._actions if a.dest == "subcommand").choices
+        assert rows.keys() == parsers.keys()
+        for sub, parser in parsers.items():
+            _, grid, tol, stdout = (cell.strip() for cell in rows[sub].split("|"))
+            kmin, kmax, n = (parser.get_default(k) for k in ("kmin", "kmax", "n"))
+            assert grid.startswith("none" if kmin is None else f"{kmin:g}, {kmax:g}, {n or 'none'} ")
+            keyword = parser.get_default("tol_keyword")
+            assert tol.startswith("none" if keyword is None else f"`{keyword}` of ")
+            assert stdout == ("CSV table" if parser.get_default("csv") else "JSON")

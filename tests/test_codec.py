@@ -357,6 +357,64 @@ def test_reader_and_constructor_refuse_alike(make):
         make()
 
 
+# booleans and strings are not numbers, in scalars, pairs and arrays alike;
+# each case names the field it refuses
+TABLE = {"variant": "tabulated", "x": [-1, 0, 1, 2]}
+CIRCLE = {"kind": "circle", "center": [0, 0], "radius": 1.0}
+NOT_NUMBERS = {
+    "boolean eta read": ("eta", lambda: from_json(
+        PotentialSpec, {"variant": "sech_squared", "eta": True})),
+    "boolean eta built": ("eta", lambda: SechSquared(eta=True)),
+    "boolean orientation read": ("orientation", lambda: from_json(
+        Loop, {**CIRCLE, "orientation": True})),
+    "boolean orientation built": ("orientation", lambda: CircleLoop(0.0, 1.0, orientation=True)),
+    "boolean radius read": ("radius", lambda: from_json(Loop, {**CIRCLE, "radius": True})),
+    "boolean radius built": ("radius", lambda: CircleLoop(0.0, np.True_)),
+    "boolean in a pair": ("center", lambda: from_json(Loop, {**CIRCLE, "center": [True, 0]})),
+    "boolean in samples read": ("q", lambda: from_json(
+        PotentialSpec, {**TABLE, "q": [0, True, 1, 0]})),
+    "boolean samples built": ("q", lambda: Tabulated(x=[-1, 0, 1, 2], q=[False, True, True, False])),
+    "string grid built": ("x", lambda: Tabulated(
+        x=["-1", "0", "1", "2"], q=[False, True, True, False])),
+    "string grid read": ("x", lambda: from_json(
+        PotentialSpec, {**TABLE, "x": ["-1", "0", "1", "2"], "q": [False, True, True, False]})),
+    "boolean residue built": ("residues", lambda: FuchsianSystem(
+        poles=(0.0,), residues=([[True, 0], [0, 1]],))),
+    "boolean residue read": ("residues", lambda: from_json(
+        FuchsianSystem, {"poles": [[0, 0]], "residues": [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]]})),
+    "complex samples in a real table built": ("q", lambda: Tabulated(x=[-1, 0, 1, 2], q=[0, 1j, 0, 0])),
+    "complex samples in a real table read": ("q", lambda: from_json(
+        PotentialSpec, {**TABLE, "re_q": [0, 1, 0, 0], "im_q": [0, 1, 0, 0]})),
+    "halves of different lengths": ("E", lambda: from_json(
+        PulseSpec, {"t": [0, 1, 2, 3], "re_E": [0, 1, 1, 0], "im_E": [0, 1, 0]})),
+    "halves that broadcast": ("E", lambda: from_json(
+        PulseSpec, {"t": [0, 1, 2, 3], "re_E": [0, 1, 1, 0], "im_E": [0]})),
+    "int beyond the float range": ("q", lambda: from_json(
+        PotentialSpec, {**TABLE, "q": [0, 10**400, 0, 0]})),
+}
+
+
+@pytest.mark.parametrize("field, make", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+def test_only_numbers_are_numbers(field, make):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        make()
+
+
+def test_refused_sample_array_exits_2(tmp_path, capsys):
+    path = _write(tmp_path / "table.json", {**TABLE, "q": [0, True, 1, 0]})
+    code = main(["direct", "--potential", path, "--n", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"] == "ValueError: q: True is not a finite real number"
+
+
+def test_boolean_fields_take_booleans_and_0_1():
+    for value in (True, False, 0, 1, np.True_):
+        loop = from_json(Loop, {**CIRCLE, "on_contour": value})
+        assert loop.on_contour is bool(value)
+        assert CircleLoop(0.0, 1.0, on_contour=value).on_contour is bool(value)
+
+
 def test_bound_state_and_gate_target_are_documents():
     for obj in (EXAMPLES[BoundState], EXAMPLES[GateTarget]):
         assert obj.to_json() == to_json(obj)

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 
 import scattergate
@@ -203,3 +204,23 @@ def test_bad_scalar_argument_is_a_value_error(call, budget):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: momentum_grid(0.5, 5.0, 2.5),
+    lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=2.5),
+    lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=4.5),
+    lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=2),
+    lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=1),
+    lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=0),
+], ids=["grid n=2.5", "sample n_solve=2.5", "sample n_solve=4.5", "sample n_solve=2",
+        "sample n_solve=1", "sample n_solve=0"])
+def test_grid_size_must_be_an_integer(call, budget):
+    with pytest.raises(ValueError, match="integer n"):
+        call()
+
+
+def test_integral_float_grid_sizes_still_work(budget):
+    assert np.array_equal(momentum_grid(0.5, 5.0, 3.0), momentum_grid(0.5, 5.0, 3))
+    four = sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=4.0)
+    assert np.array_equal(four.R, sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=4).R)

@@ -11,6 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from scattergate import twolevel
@@ -171,6 +172,33 @@ class TestScatteringMatrix:
         assert np.isfinite(t_core) and t_core > 0
         assert np.isfinite(right) and np.isfinite(left)
         assert abs(right) < 1e-200 and abs(left) < 1e-200
+
+    @pytest.mark.parametrize("delta", [1e-5, -1e-4, 1e-3, -1e-2, 0.1])
+    def test_lorentzian_tails_against_quadrature(self, delta, monkeypatch, budget):
+        # reference: the same core on |t| <= 8000 between tail moments that
+        # quad integrates with Fourier weights (left = conj(right), E is real)
+        a, b, cut = 1.0, 0.25, 8000.0
+        pulse = PulseSpec(envelope=LorentzianPulse(a=a, b=b), detuning=delta)
+        s = scattering_matrix(pulse)
+        env = lambda t: 2.0 * a * b / (t * t + a * a)
+        cos = quad(env, cut, np.inf, weight="cos", wvar=abs(delta))[0]
+        sin = quad(env, cut, np.inf, weight="sin", wvar=abs(delta))[0]
+        right = complex(cos, -np.sign(delta) * sin)
+        monkeypatch.setattr(twolevel, "_lorentzian_tails",
+                            lambda terms, d, rtol=None: (cut, right, np.conj(right)))
+        np.testing.assert_allclose(s, scattering_matrix(pulse), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("delta", [1e-3, 0.5])
+    def test_left_tail_is_the_conjugate_of_the_right(self, delta):
+        # delta = 1e-3 takes the exact moments, delta = 0.5 the asymptotic
+        _, right, left = twolevel._lorentzian_tails(((1.0, 0.25), (2.0, -0.1)), delta)
+        assert left == np.conj(right) and abs(right) > 0
+
+    def test_overflowing_tail_moment_raises(self, budget):
+        # a^2 / b = 1e14: e^{delta a} = e^1000 overflows before any core solve
+        pulse = PulseSpec(envelope=LorentzianPulse(a=1e6, b=1e-2), detuning=1e-3)
+        with pytest.raises(NumericalError, match="tail moment .* overflows"):
+            scattering_matrix(pulse)
 
     def test_soliton_pulse_is_reflectionless(self):
         s = scattering_matrix(soliton_pulse())
