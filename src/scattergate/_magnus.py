@@ -3,8 +3,9 @@
 ``transfer_matrix`` propagates y' = A(x) y from x_from to x_to, in either
 direction, for any 2x2 generator A: real or complex, with or without trace.
 The Schrodinger systems pass [[0, k], [-(k^2 + Q)/k, 0]] (the variables
-(psi, psi'/k)), the bound-state search adds -eta I to its tilted frame, and
-a Fuchsian monodromy passes dz(u) omega(z(u)) along each loop segment.
+(psi, psi'/k)), the bound-state search adds -eta I to its tilted frame, a
+Fuchsian monodromy passes dz(u) omega(z(u)) along each loop segment, and a
+pulse S-matrix passes the rotating-frame -i [[-delta/2, E], [conj E, delta/2]].
 
 Each step is the two-Gauss-point Magnus exponential
 

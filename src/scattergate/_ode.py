@@ -1,6 +1,10 @@
-"""The DOP853 driver of the pulse S-matrix, ``twolevel.scattering_matrix``.
+"""The DOP853 driver of a ``TabulatedPulse``'s S-matrix.
 
-Every other propagation runs on the Magnus transfer matrix of ``_magnus``.
+Every other propagation, analytic pulse envelopes included, runs on the
+Magnus transfer matrix of ``_magnus``.  Tables stay here only while
+perfbench's tabulated-sech "b = 0" check measures the spline rather than the
+propagator (DOP853 at rtol 1e-11 understates that error, 2.74e-8 against
+3.37e-8); the benchmark change that re-pins the check deletes this module.
 ``integrate`` steps scipy's DOP853 directly, ending on exactly the state
 ``solve_ivp(..., method="DOP853").y[:, -1]`` returns, and refuses what would
 make scipy's step loop spin forever: a non-finite tolerance or span, or a
@@ -16,9 +20,10 @@ from scipy.integrate import DOP853
 
 from .errors import NumericalError
 
-# steps of one solve: over 10x the most any shipped test, demo or benchmark
-# request takes (12 936, a detuned Lorentzian pulse), so that every input
-# ends in bounded time
+# steps of one solve, so that every input ends in bounded time: set at over
+# 10x the 12 936 a detuned Lorentzian pulse took before analytic envelopes
+# moved to the Magnus step; a table takes at most 166 in the shipped tests
+# and 133 in a benchmark request
 _MAX_STEPS = 150_000
 
 

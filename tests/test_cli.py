@@ -234,6 +234,15 @@ class TestTwoLevel:
         s = np.array([[complex(*v) for v in row] for row in point["S"]])
         np.testing.assert_allclose(s, want, rtol=0, atol=1e-10)
 
+    def test_huge_detuning_exits_3_in_bounded_time(self, capsys, tmp_path, budget):
+        # delta = -2e6: the Magnus interval budget ends the solve in seconds
+        pulse_path = write_json(tmp_path / "lor.json", {"variant": "lorentzian", "a": 1.0, "b": 0.25})
+        code, out, err = run_cli(capsys, ["twolevel", "--pulse", pulse_path, "--zeta", "1e6"])
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "Magnus intervals" in json.loads(lines[0])["error"]["message"]
+
     def test_zeta_and_grid_conflict(self, capsys, tmp_path):
         pulse_path = write_json(tmp_path / "lor.json", {"variant": "lorentzian", "a": 1.0, "b": 0.1})
         code, _, err = run_cli(

@@ -204,11 +204,11 @@ GOLDEN_STDOUT = {
         '0.0732379869201535]}\n'
     ),
     "twolevel": (
-        '{"subcommand": "twolevel", "S": [[[0.8210543515578439, '
-        '-0.35505372281836778], [1.4607986702998333e-13, -0.44699732180557145]], '
-        '[[-1.4607986703579583e-13, -0.4469973218055715], [0.8210543515578439, '
-        '0.35505372281836778]]], "a": [0.8210543515578439, -0.35505372281836778], '
-        '"b": [-1.4607986703579583e-13, -0.4469973218055715]}\n'
+        '{"subcommand": "twolevel", "S": [[[0.82105435155749751, '
+        '-0.35505372281847086], [1.7951594905230237e-15, -0.44699732180545271]], '
+        '[[1.7879250575362059e-15, -0.44699732180544016], [0.82105435155749462, '
+        '0.35505372281847736]]], "a": [0.82105435155749751, -0.35505372281847086], '
+        '"b": [1.7879250575362059e-15, -0.44699732180544016]}\n'
     ),
     "entangle": (
         '{"schmidt_values": [1.9143904405240877, 0.43444210344141071, '

@@ -7,7 +7,7 @@ SIGALRM budget, so a regression fails instead of stalling the suite.
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from scattergate import _ode
 from scattergate._ode import integrate
@@ -18,6 +18,7 @@ from scattergate.twolevel import (
     PulseEnvelope,
     PulseSpec,
     RectangularPulse,
+    TabulatedPulse,
     scattering_matrix,
 )
 
@@ -63,8 +64,27 @@ def test_state_keeps_the_shape_of_y0():
     PulseSpec(LorentzianPulseSum(terms=((2.0, 7.710184765299076e-160),))),
 ])
 def test_underflowing_error_norm_does_not_fail_the_solve(pulse):
-    # derivatives near 1e-160 drive scipy's squared error norms to 0/0
+    # analytic envelopes take the Magnus step, where h^2 |E|^2 underflows at
+    # this size
     s = scattering_matrix(pulse)
+    np.testing.assert_allclose(s, np.eye(2), atol=1e-150)
+
+
+def test_tabulated_pulse_reaches_the_underflow_guard(monkeypatch):
+    # derivatives near 1e-160 drive scipy's squared error norms to 0/0; a
+    # table still steps with DOP853, so the hypot form must take over
+    nan_norms = []
+    scipy_norm = DOP853._estimate_error_norm
+
+    def spy(self, K, h, scale):
+        norm = scipy_norm(self, K, h, scale)
+        nan_norms.append(norm != norm)
+        return norm
+
+    monkeypatch.setattr(DOP853, "_estimate_error_norm", spy)
+    t = np.linspace(-1.0, 1.0, 5)
+    s = scattering_matrix(PulseSpec(TabulatedPulse(t=t, E=np.full(5, 1e-159j))))
+    assert any(nan_norms)
     np.testing.assert_allclose(s, np.eye(2), atol=1e-150)
 
 

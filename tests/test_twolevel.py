@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from scattergate import twolevel
@@ -220,6 +221,91 @@ class TestScatteringMatrix:
             method="bounded",
         )
         assert abs(fit.x - 1.0) < 1e-3
+
+
+# (S[0, 0], S[1, 0]) of Lorentzian pulses, keyed by (terms, detuning), from
+# DOP853 on the interaction picture (the route tables take) at rtol 1e-13 and
+# atol 1e-13 on |t| <= T, with no step cap, between the same tail factors.
+# Up to 45 s a point, so pinned.
+DOP853_REFERENCE = {
+    (((1e-12, 0.25),), 0.7): (7.495302451499021e-13 + 1.967316252595295e-11j,
+                              -1.3062522172506429e-24 - 0.999999999999983j),
+    (((1e-12, -1.3),), 0.7): (-0.30901699436996066 + 9.245547815887204e-11j,
+                              -7.528228008269682e-19 + 0.9510565162967066j),
+    (((1e-9, 0.25),), 0.7): (1.0992567616889051e-09 + 1.4837111016464145e-08j,
+                             -7.477369755916089e-22 - 0.9999999999999833j),
+    (((1e-9, -1.3),), 0.7): (-0.30901698893751517 + 6.854243373918326e-08j,
+                             -1.4983568514558075e-17 + 0.9510565180618125j),
+    (((1e-6, 0.25),), 0.7): (1.0995571486602048e-06 + 1.0001681913886504e-05j,
+                             -4.950393419708612e-19 - 0.9999999999493617j),
+    (((1e-6, -1.3),), 0.7): (-0.30901155651070766 + 4.462884975188024e-05j,
+                             -5.059324039615559e-16 + 0.9510582820999816j),
+    (((1.0, 0.25),), 0.7): (0.7001833312240126 + 0.4033532497288197j,
+                            1.3387701358095055e-14 - 0.5891090379626058j),
+    (((1.0, -1.3),), 0.7): (0.4941138163132856 - 0.8581894680306373j,
+                            -4.04391092972567e-15 + 0.1391487459143665j),
+    (((1e3, 0.25),), 0.7): (0.9999998426403522 + 0.0005609983788622927j,
+                            -9.505607443651035e-15 - 1.7964014916543047e-15j),
+    (((1e3, -1.3),), 0.7): (0.999884948561732 + 0.01516870592064655j,
+                            -1.5260443219753943e-15 - 2.0396460296490885e-14j),
+    (((1e-3, 0.2), (10.0, -0.3)), 0.7): (0.32350545728486096 - 0.13932343595740954j,
+                                         2.2797428054266275e-14 - 0.9359130297735251j),
+    # the forward benchmark's pulse
+    (((1.0, 0.25),), 0.0): (-1.638854256698728e-13 + 0j, -0.9999999999999823j),
+    (((1.0, 0.25),), 1.0): (0.8210543515575539 + 0.3550537228184119j,
+                            1.9927877862294715e-14 - 0.4469973218053785j),
+    (((1.0, 0.25),), -1.0): (0.8210543515575539 - 0.3550537228184119j,
+                             -1.9927877862294715e-14 - 0.4469973218053785j),
+    (((1.0, 0.25),), 2.0): (0.9626990052274506 + 0.2091017118482437j,
+                            3.523033897887472e-16 - 0.17171808127327676j),
+    (((1.0, 0.25),), -2.0): (0.9626990052274506 - 0.2091017118482437j,
+                             -3.523033897887472e-16 - 0.17171808127327676j),
+    (((1.0, 0.25),), 6.0): (0.9978077983132269 + 0.06609552693560462j,
+                            -1.3193280003808335e-15 - 0.003313449012252824j),
+    (((1.0, 0.25),), 40.0): (0.9999517882117576 + 0.009819432368259802j,
+                             -1.0765693491146077e-15 - 3.8707010350105914e-15j),
+}
+
+
+def ab_error(terms, delta):
+    s = scattering_matrix(PulseSpec(LorentzianPulseSum(terms), detuning=delta))
+    if delta == 0.0 and (terms, delta) not in DOP853_REFERENCE:
+        # real envelope on resonance: the pulse-area formula
+        want = area_gate(2.0 * np.pi * sum(b for _, b in terms))[:, 0]
+    else:
+        want = DOP853_REFERENCE[terms, delta]
+    return np.max(np.abs(s[:, 0] - want))
+
+
+class TestRotatingFrame:
+    """The Magnus step in the rotating frame, against DOP853 and closed forms."""
+
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    @pytest.mark.parametrize("b", [0.25, -1.3])
+    @pytest.mark.parametrize("a", [1e-12, 1e-9, 1e-6, 1.0, 1e3])
+    def test_narrow_and_wide_lorentzians(self, a, b, delta, budget):
+        # worst 3.5e-12; at a = 1e-12 a span through the peak at t = 0 errs by
+        # 2.6e-8, and two spans that end there by 5e-9
+        assert ab_error(((a, b),), delta) <= 1e-10
+
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    def test_lorentzians_of_two_widths(self, delta, budget):
+        assert ab_error(((1e-3, 0.2), (10.0, -0.3)), delta) <= 1e-10
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -1.0, 2.0, -2.0, 6.0, 40.0])
+    def test_benchmark_pulse_against_dop853(self, delta, budget):
+        # DOP853 at its default rtol 1e-11 is itself off by up to 4.7e-13 here
+        assert ab_error(((1.0, 0.25),), delta) <= 1e-10
+
+    @pytest.mark.parametrize("delta", [0.0, 0.7, -3.0, 25.0])
+    def test_rectangular_pulse_is_exact(self, delta):
+        # S = D(T)^{-1} e^{-2iT K} D(-T), K = [[-delta/2, x], [conj x, delta/2]];
+        # the step is exact where E is constant
+        x, t = 0.3 - 0.1j, 2.0
+        s = scattering_matrix(PulseSpec(RectangularPulse(x=x, half_width=t), detuning=delta))
+        d = np.diag(np.exp([-0.5j * delta * t, 0.5j * delta * t]))
+        k = np.array([[-delta / 2.0, x], [np.conj(x), delta / 2.0]])
+        np.testing.assert_allclose(s, d @ expm(-2j * t * k) @ d, rtol=0, atol=1e-13)
 
 
 def generic_params(**kw):
