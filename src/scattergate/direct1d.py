@@ -15,8 +15,8 @@ Magnus transfer matrix of ``_magnus``: its steps are exact where Q is
 constant, so zero-potential stretches and square wells cost one step each.
 Bound states use the same propagator at k = i eta in the frame
 e^{-eta x}(phi, phi'), which stays bounded along the decaying solution.
-On a table the propagator starts from the knots, so a narrow well inside a
-wide table is not stepped over.
+On a table the propagator starts from the knots, and a Lorentzian sum runs
+outward from its peak at x = 0, so a narrow well is not stepped over.
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ class LorentzianSum(PotentialSpec):
     """Q(x) = sum_j 2 a_j b_j / (x^2 + a_j^2).
 
     The 1/x^2 tails force a very wide support window to honour the
-    |Q| <= 1e-10 decay contract, so scattering solves are noticeably
-    slower than for the exponentially confined families.
+    |Q| <= 1e-10 decay contract, and still the window drops a tail area of
+    about 2 sqrt(2 a b 1e-10) per term: |T| moves by 2e-6 at a = 1, b = 0.02.
     """
 
     pairs: tuple[tuple[float, float], ...]
@@ -256,8 +256,16 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
     x0, x1 = q.window
     if not x1 > x0:
         return ScatterCoeffs(k=k, a=1.0 + 0.0j, b=0.0j)
-    m = transfer_matrix(lambda x: (0.0, k, -(k * k + q(x)) / k, 0.0), x0, x1, rtol,
-                        f"scattering (k = {k})", _knots(q))
+
+    def gen(x):
+        return 0.0, k, -(k * k + q(x)) / k, 0.0
+
+    start, what = (0.0 if isinstance(q, LorentzianSum) else x0), f"scattering (k = {k})"
+    m = transfer_matrix(gen, start, x1, rtol, what, _knots(q))
+    if start > x0:
+        # det = 1 (traceless generator): the adjugate inverts, where LU loses a tiny |T|
+        (l00, l01), (l10, l11) = transfer_matrix(gen, start, x0, rtol, what)
+        m = m @ np.array([[l11, -l01], [-l10, l00]])
     # (phi, phi'/k) starts as e^{-ikx0} (1, -i); phi +- i phi'/k picks out 2a, 2b
     y0 = m[0, 0] - 1j * m[0, 1]
     y1 = m[1, 0] - 1j * m[1, 1]

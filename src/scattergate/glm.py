@@ -21,6 +21,7 @@ transmission amplitude with their norming constants.  The kernel is complex
 and the integral equation couples two rows, but the recipe is the same and
 the pulse envelope is read off the diagonal of the solution.
 
+The kernel is tabulated once, on a z grid padded until its end decays.
 At each node the equation is discretized by Simpson's rule (Nystroem) and
 solved by conjugate gradients on its symmetrized, positive definite form;
 the Hankel products cost O(n log n) by FFT and no n x n matrix is formed.
@@ -54,20 +55,11 @@ def _trapezoid_weights(x):
     return w
 
 
-def _fourier_rows(k, values, z, done=None):
-    """(1/2 pi) int values(k) e^{ikz} dk on the grid, chunked over z.
-
-    done holds rows already computed on a prefix of z.  Its whole chunks are
-    kept and only the chunks after them are computed, so an extended table
-    equals a one-shot build bit for bit.
-    """
+def _fourier_rows(k, values, z):
+    """(1/2 pi) int values(k) e^{ikz} dk on the grid, chunked over z."""
     wk = _trapezoid_weights(k) * values
     out = np.empty(z.size, dtype=complex)
-    start = 0
-    if done is not None:
-        start = done.size - done.size % _FOURIER_CHUNK
-        out[:start] = done[:start]
-    for i0 in range(start, z.size, _FOURIER_CHUNK):
+    for i0 in range(0, z.size, _FOURIER_CHUNK):
         blk = np.exp(1j * np.outer(z[i0 : i0 + _FOURIER_CHUNK], k))
         out[i0 : i0 + _FOURIER_CHUNK] = blk @ wk / (2.0 * np.pi)
     return out
@@ -307,17 +299,16 @@ def solve_marchenko(
 
 
 def _tabulate_kernel(k, values, terms, z_lo, z_hi, tail_tol, real):
-    """Kernel of the data (k, values) and the ready bound terms (eta, g) on
-    a uniform grid from z_lo, grown to the right of z_hi until |C| has
-    decayed below tail_tol; each extension computes only the Fourier rows
-    the last one did not.  real selects the real (potential) kernel."""
+    """Kernel of (k, values) and the ready bound terms (eta, g) on a uniform
+    grid from z_lo, padded right of z_hi until |C| on the last two units of z,
+    the only rows a trial pad forms, is below tail_tol; real: rows must be real."""
     dz = min(0.094 / np.max(np.abs(k)), 0.25)
     pad = 12.0
     if terms:
         gmax = max(abs(g) for _, g in terms)
         rate = min(eta.real for eta, _ in terms)
         pad = max(pad, 2.0 + np.log(max(gmax, 1.0) / tail_tol) / rate)
-    rows = None
+    form = _real_rows if real else np.asarray
     for _ in range(6):
         n = (z_hi + pad + dz - z_lo) / dz
         if not n <= _MAX_Z_POINTS:
@@ -328,15 +319,15 @@ def _tabulate_kernel(k, values, terms, z_lo, z_hi, tail_tol, real):
                 f"of {_MAX_Z_POINTS:.0e}"
             )
         z = np.arange(z_lo, z_hi + pad + dz, dz)
-        rows = _fourier_rows(k, values, z, rows)
-        refl = _real_rows(rows) if real else rows
-        kernel = MarchenkoKernel(z=z, refl=refl, bound_terms=terms)
-        tail = np.max(np.abs(kernel(kernel.z[kernel.z > kernel.z[-1] - 2.0])))
-        if tail <= tail_tol:
-            return kernel
+        end = z[z > z[-1] - 2.0]
+        tail = form(_fourier_rows(k, values, end))
+        for eta, g in terms:  # as MarchenkoKernel adds them
+            tail = tail + g * np.exp(-eta * end)
+        if np.max(np.abs(tail)) <= tail_tol:
+            return MarchenkoKernel(z=z, refl=form(_fourier_rows(k, values, z)), bound_terms=terms)
         pad *= 1.7
     raise NumericalError(
-        f"kernel tail still {tail:.2e} after extension; data decays too "
+        f"kernel tail still {np.max(np.abs(tail)):.2e} after extension; data decays too "
         "slowly for the requested tail_tol"
     )
 

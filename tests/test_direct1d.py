@@ -256,6 +256,25 @@ class TestWideTables:
             2.8077640640, 7.8077640640]
 
 
+class TestNarrowLorentzians:
+    """A Lorentzian sum runs out of its peak at x = 0, so a narrow well there
+    is resolved instead of stepped over."""
+
+    # a -> 0 gives Q = 2 pi b delta(x): |R|^2 = g^2/(1 + g^2), g = pi b / k = 2 pi
+    DELTA_LIMIT = 4.0 * np.pi**2 / (1.0 + 4.0 * np.pi**2)
+
+    @pytest.mark.parametrize("a", [1e-18, 1e-16, 1e-14, 1e-13])
+    def test_narrow_well_reaches_the_delta_limit(self, a, budget):
+        c = solve_scattering(LorentzianSum(((a, 1.0),)), 0.5)
+        assert abs(abs(c.reflection) ** 2 - self.DELTA_LIMIT) <= 1e-9
+
+    def test_barrier_transmission(self, budget):
+        # |T| ~ 3.5e-23: the two spans are joined by the adjugate, where an
+        # LU inverse of the leftward span gave 9.8e-16
+        c = solve_scattering(LorentzianSum(((3.0, -20.0),)), 0.5)
+        assert abs(c.transmission) == pytest.approx(3.526934372e-23, rel=1e-6)
+
+
 class TestBoundStates:
     def test_free_particle_none(self):
         assert find_bound_states(Zero(), 3.0) == []

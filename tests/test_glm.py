@@ -594,13 +594,60 @@ class TestNonPhysicalData:
             recover_potential(data, np.linspace(-1.0, 1.0, 5))
 
 
-class TestKernelExtension:
-    def test_extended_rows_equal_one_shot_rows(self):
-        # prefixes whose lengths are not multiples of the chunk size
-        k = np.arange(-6.0, 6.0 + 0.01, 0.01)
-        values = 0.4 * np.exp(-(k**2)) * np.exp(0.3j * k)
-        rows = None
-        for z_hi in (3.1, 4.0, 7.77, 15.0):
-            z = np.arange(-2.0, z_hi + 0.05, 0.05)
-            rows = glm._fourier_rows(k, values, z, rows)
-            assert np.array_equal(rows, glm._fourier_rows(k, values, z))
+def spy_fourier_rows(mp):
+    """Record the z grid of every _fourier_rows call."""
+    grids, rows = [], glm._fourier_rows
+
+    def spy(k, values, z):
+        grids.append(z)
+        return rows(k, values, z)
+
+    mp.setattr(glm, "_fourier_rows", spy)
+    return grids
+
+
+class TestKernelTabulation:
+    """Each trial pad forms only its end rows; the kernel is formed once."""
+
+    def test_gate_kernel_forms_its_grid_once(self):
+        s2 = 1.0 / np.sqrt(2.0)
+        data = build_scattering_data([GateTarget(k=1.0, t=s2, r=s2), GateTarget(k=2.0, t=s2, r=s2)])
+        with pytest.MonkeyPatch.context() as mp:
+            grids = spy_fourier_rows(mp)
+            mp.setattr(glm, "solve_marchenko", lambda kernel, *args, **kwargs: kernel)
+            kernel = recover_potential(data, np.linspace(-55.0, 46.0, 506), ds=0.15)
+        *trials, last = grids
+        assert np.array_equal(last, kernel.z) and len(trials) == 6
+        dz = kernel.z[1] - kernel.z[0]
+        assert all(z.size <= 2.0 / dz + 1 for z in trials)
+
+    def test_extended_pulse_kernel_equals_one_shot_rows(self):
+        # a narrow r decays slowly in z: the first pad fails, the second passes
+        zeta = np.arange(-6.0, 6.0 + 0.01, 0.01)
+        r = 0.02 * np.exp(-((zeta / 0.3) ** 2)) * np.exp(0.7j * zeta)
+        data = TwoLevelScatteringData(zeta=zeta, r=r, poles=(1j,), norming=(-1j,))
+        kernels = []
+        with pytest.MonkeyPatch.context() as mp:
+            grids = spy_fourier_rows(mp)
+            mp.setattr(glm, "_pulse_sample", lambda kernel, t, ds: kernels.append(kernel) or 0j)
+            recover_pulse(data, np.linspace(-1.0, 1.0, 5))
+        assert len(grids) == 3
+        kernel = kernels[0]
+        assert np.array_equal(kernel.refl, glm._fourier_rows(zeta, r, kernel.z))
+
+    def test_non_symmetric_reflection_is_refused(self, budget):
+        # R(-k) != conj(R(k)): the end rows decay, so the full grid refuses it
+        k = np.linspace(-5.0, 5.0, 1001)
+        data = ReflectionData(k=k, R=0.3 * np.exp(-((k - 1.0) ** 2)) + 0j)
+        with pytest.raises(NumericalError, match="kernel came out complex"):
+            recover_potential(data, np.linspace(-1.0, 1.0, 5))
+
+    def test_slowly_decaying_complex_kernel_is_refused_at_the_first_trial(self, budget):
+        # a one-sided step decays like 1/z: its end rows are already complex
+        k = np.linspace(-5.0, 5.0, 2001)
+        data = ReflectionData(k=k, R=np.where((k > 0.0) & (k < 2.0), 0.3, 0.0) + 0j)
+        with pytest.MonkeyPatch.context() as mp:
+            grids = spy_fourier_rows(mp)
+            with pytest.raises(NumericalError, match="kernel came out complex"):
+                recover_potential(data, np.linspace(-1.0, 1.0, 5))
+        assert len(grids) == 1
