@@ -28,14 +28,12 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 
 from ._magnus import transfer_matrix
-from ._samples import SampleTable, checked_grid, sample_fields
+from ._samples import FLOOR, SampleTable, checked_grid, sample_fields
 from .algebra import tau
 from .codec import Document
 from .errors import NumericalError
 
 _RTOL = 1e-10
-# |Q| below this is zero: it bounds every support window
-_FLOOR = 1e-10
 
 
 class PotentialSpec(Document, tag="variant", noun="potential", derived=("window",)):
@@ -135,12 +133,12 @@ def _lorentzian(pairs, x, dtype):
 
 def _lorentzian_window(pairs):
     # symmetric window outside which the 1/x^2 tails of _lorentzian stay
-    # below _FLOOR, reaching at least 12 of the widest a_j to each side
+    # below FLOOR, reaching at least 12 of the widest a_j to each side
     if not pairs:
         return (0.0, 0.0)
     amax = max(a for a, _ in pairs)
     mass = sum(2.0 * a * abs(b) for a, b in pairs)
-    pad = max(12.0 * amax, np.sqrt(mass / _FLOOR))
+    pad = max(12.0 * amax, np.sqrt(mass / FLOOR))
     return (-float(pad), float(pad))
 
 
@@ -171,7 +169,7 @@ class LorentzianSum(PotentialSpec):
 
 @dataclass(frozen=True, eq=False)
 class Tabulated(PotentialSpec):
-    """Cubic-spline interpolant of samples (x, q); zero outside the grid hull."""
+    """Quintic-spline interpolant of samples (x, q); zero outside the grid hull."""
 
     x: np.ndarray
     q: np.ndarray
@@ -232,13 +230,9 @@ class ScatterCoeffs:
 
 
 def _knots(q):
-    # a table's knots, where the Magnus propagator starts so that it cannot
-    # step over a narrow well; each run of samples below the floor merges
-    # into one interval, which a single step crosses exactly
-    if not isinstance(q, Tabulated):
-        return None
-    near = np.convolve(np.abs(q.q) >= _FLOOR, np.ones(3), "same") > 0
-    return q.x[near]
+    # where the Magnus propagator starts, so that it cannot step over a
+    # narrow well; a run of zero samples is one interval, crossed exactly
+    return q._table.knots if isinstance(q, Tabulated) else None
 
 
 def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> ScatterCoeffs:

@@ -24,13 +24,12 @@ The propagation runs in the rotating frame y = D(t) u, D(t) = diag(e^{i
 delta t/2}, e^{-i delta t/2}), where y' = -i [[-delta/2, E], [conj E,
 delta/2]] y keeps the detuning a constant of the generator: the ``_magnus``
 step, exact where E is constant, need not resolve the carrier period by
-period.  The core is D(hi)^{-1} Y D(lo).  A ``TabulatedPulse`` alone still
-steps the interaction picture with DOP853, for the benchmark check that
-``_ode`` names.
+period.  The core is D(hi)^{-1} Y D(lo).
 
 The propagation always spans the envelope's own window, outside which
-|E| <= 1e-10; no setting widens it.  An adaptive integrator started far out
-in the zero tail sees a zero derivative and can step over the whole pulse.
+|E| <= 1e-10; no setting widens it.  On a ``TabulatedPulse`` the first
+round of steps starts at the table's knots, so a pulse in a wide zero tail
+is not stepped over.
 
 Algebraic (Lorentzian) envelopes decay like 1/t^2, so cutting the time
 integration where |E| drops below a threshold would still lose an area of
@@ -56,14 +55,12 @@ from scipy.linalg import expm
 from scipy.special import exp1
 
 from ._magnus import transfer_matrix
-from ._ode import integrate
 from ._samples import SampleTable, sample_fields
 from .codec import Document
 from .direct1d import _lorentzian, _lorentzian_window
 from .errors import NumericalError
 
 _RTOL = 1e-11
-_ATOL = 1e-13
 _TAIL_CUT = 1e-7
 
 
@@ -152,7 +149,7 @@ class RectangularPulse(PulseEnvelope):
 
 @dataclass(frozen=True, eq=False)
 class TabulatedPulse(PulseEnvelope):
-    """Complex cubic-spline interpolant of samples (t, E); zero outside."""
+    """Complex quintic-spline interpolant of samples (t, E); zero outside."""
 
     t: np.ndarray
     E: np.ndarray
@@ -248,10 +245,9 @@ def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
     """Full-window limit of the free-evolution-stripped propagator.
 
     Propagates the rotating-frame system over the pulse support with the
-    Magnus step (a ``TabulatedPulse``: the interaction picture with DOP853),
-    between Magnus tail factors for the algebraic envelopes, and returns
-    the SU(2) S-matrix [[a, -conj(b)], [b, conj(a)]].  The limit does not
-    depend on the level splitting zeta, so none is taken.
+    Magnus step, between Magnus tail factors for the algebraic envelopes,
+    and returns the SU(2) S-matrix [[a, -conj(b)], [b, conj(a)]].  The
+    limit does not depend on the level splitting zeta, so none is taken.
     """
     env = pulse.envelope
     delta = pulse.detuning
@@ -263,28 +259,16 @@ def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
         m_right = m_left = 0.0j
         lo, hi = env.window
         start = lo
+    knots = env._table.knots if isinstance(env, TabulatedPulse) else None
 
     if not hi > lo:
         core = np.eye(2, dtype=complex)
-    elif isinstance(env, TabulatedPulse):
-        def rhs(t, y):
-            u = y.reshape(2, 2)
-            c = pulse.coupling(t)
-            return (
-                -1j
-                * (np.array([[0.0, c], [np.conj(c), 0.0]]) @ u)
-            ).ravel()
-
-        # DOP853 until perfbench's tabulated_sech "b = 0" pin is mended (+23%
-        # err); that benchmark change moves tables to the rotating frame and
-        # deletes _ode
-        core = integrate(rhs, (lo, hi), np.eye(2, dtype=complex), rtol, _ATOL, "S-matrix")
     else:
         def gen(t):
             e = env(t)
             return 0.5j * delta, -1j * e, -1j * np.conj(e), -0.5j * delta
 
-        y = transfer_matrix(gen, start, hi, rtol, "S-matrix")
+        y = transfer_matrix(gen, start, hi, rtol, "S-matrix", knots)
         if start > lo:
             y = y @ np.linalg.inv(transfer_matrix(gen, start, lo, rtol, "S-matrix"))
         core = _frame(-delta * hi) @ y @ _frame(delta * lo)

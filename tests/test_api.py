@@ -88,16 +88,19 @@ def test_cli_has_no_threads_flag():
         assert "--threads" not in flags, name
 
 
-def test_only_twolevel_imports_the_ode_driver():
-    # every other propagation runs on the Magnus transfer matrix
-    importers = set()
+def test_no_module_imports_a_scipy_ode_solver():
+    # every propagation runs on the Magnus transfer matrix; quadrature such
+    # as cumulative_trapezoid stays allowed
+    solvers = {"solve_ivp", "odeint", "ode", "complex_ode", "OdeSolver", "DenseOutput",
+               "RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA"}
+    found = []
     for path in pathlib.Path(scattergate.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
-                if any(name.split(".")[-1] == "_ode" for name in names):
-                    importers.add(path.stem)
-    assert importers == {"twolevel"}
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                found += [(path.stem, a.name) for a in node.names if a.name in solvers]
+            elif isinstance(node, ast.Attribute) and node.attr in solvers:
+                found.append((path.stem, node.attr))
+    assert found == []
 
 
 def test_star_import_binds_the_public_names():

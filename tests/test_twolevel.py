@@ -18,6 +18,7 @@ from scipy.optimize import minimize_scalar
 from scattergate import twolevel
 from scattergate.algebra import SIGMA1, entanglement_verdict, operator_schmidt
 from scattergate.codec import from_json
+from scattergate.direct1d import PotentialSpec, find_bound_states, solve_scattering
 from scattergate.errors import NumericalError
 from scattergate.twolevel import (
     DipoleParams,
@@ -224,9 +225,9 @@ class TestScatteringMatrix:
 
 
 # (S[0, 0], S[1, 0]) of Lorentzian pulses, keyed by (terms, detuning), from
-# DOP853 on the interaction picture (the route tables take) at rtol 1e-13 and
-# atol 1e-13 on |t| <= T, with no step cap, between the same tail factors.
-# Up to 45 s a point, so pinned.
+# scipy's DOP853 on the interaction picture, an integrator independent of the
+# Magnus step, at rtol 1e-13 and atol 1e-13 on |t| <= T, with no step cap,
+# between the same tail factors.  Up to 45 s a point, so pinned.
 DOP853_REFERENCE = {
     (((1e-12, 0.25),), 0.7): (7.495302451499021e-13 + 1.967316252595295e-11j,
                               -1.3062522172506429e-24 - 0.999999999999983j),
@@ -265,6 +266,77 @@ DOP853_REFERENCE = {
     (((1.0, 0.25),), 40.0): (0.9999517882117576 + 0.009819432368259802j,
                              -1.0765693491146077e-15 - 3.8707010350105914e-15j),
 }
+
+
+class TestTabulatedPulse:
+    """Tables step on the rotating-frame Magnus propagator from their knots."""
+
+    def test_sech_table_is_quintic_accurate(self):
+        # the cubic spline of these 961 samples was off by 3.0e-7
+        t = np.linspace(-14.0, 14.0, 961)
+        table = TabulatedPulse(t=t, E=2.0 / np.cosh(2.0 * t))
+        tq = np.linspace(-14.0, 14.0, 100001)
+        assert np.max(np.abs(table(tq) - 2.0 / np.cosh(2.0 * tq))) <= 1e-9
+
+    def test_tabulated_soliton_scan_is_reflectionless(self):
+        # a(zeta) = (zeta - i)/(zeta + i), b = 0; the cubic spline read |b| = 2.7e-8
+        t = np.linspace(-14.0, 14.0, 961)
+        zetas = np.linspace(-1.0, 1.0, 9)
+        mats = scattering_scan(PulseSpec(TabulatedPulse(t=t, E=2.0 / np.cosh(2.0 * t))),
+                               -2.0 * zetas)
+        assert np.max(np.abs(mats[:, 1, 0])) <= 1e-10
+        np.testing.assert_allclose(mats[:, 0, 0], (zetas - 1j) / (zetas + 1j), rtol=0, atol=1e-9)
+
+    def test_pulse_in_a_wide_table_is_not_stepped_over(self, budget):
+        # a step from the zero tail once crossed the whole pulse: S = I here
+        def spec(half_width, n):
+            t = np.linspace(-half_width, half_width, n)
+            e = np.exp(-2.0 * np.abs(t - 0.37))
+            return PulseSpec(TabulatedPulse(t=t, E=e / (1.0 + e * e)), detuning=0.3)
+
+        wide, near = scattering_matrix(spec(1000.0, 20001)), scattering_matrix(spec(10.0, 2001))
+        assert abs(near[1, 0]) == pytest.approx(0.687923, abs=1e-6)
+        np.testing.assert_allclose(wide, near, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("envelope", [
+        RectangularPulse(x=1.2741396422353426e-159j, half_width=1.0),
+        LorentzianPulseSum(terms=((2.0, 7.710184765299076e-160),)),
+        TabulatedPulse(t=np.linspace(-1.0, 1.0, 5), E=np.full(5, 1e-159j)),
+    ], ids=["rectangular", "lorentzian_sum", "tabulated"])
+    def test_underflowing_coupling_gives_identity(self, envelope):
+        # h^2 |E|^2 underflows in the Magnus step at this size
+        np.testing.assert_allclose(scattering_matrix(PulseSpec(envelope)), np.eye(2), atol=1e-150)
+
+
+class NanPotential(PotentialSpec):
+    @property
+    def window(self):
+        return (-1.0, 1.0)
+
+    def __call__(self, x):
+        out = np.full(np.shape(x), np.nan)
+        return out if out.ndim else float(out)
+
+
+class NanEnvelope(PulseEnvelope):
+    @property
+    def window(self):
+        return (-1.0, 1.0)
+
+    def __call__(self, t):
+        out = np.full(np.shape(t), np.nan, dtype=complex)
+        return out if out.ndim else complex(out)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_scattering(NanPotential(), 1.0),
+    lambda: find_bound_states(NanPotential(), 1.0),
+    lambda: scattering_matrix(PulseSpec(NanEnvelope())),
+], ids=["solve_scattering", "find_bound_states", "scattering_matrix"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_model_raises_instead_of_hanging(solve, budget):
+    with pytest.raises(NumericalError, match="integration failed"):
+        solve()
 
 
 def ab_error(terms, delta):
