@@ -16,7 +16,8 @@ constant, so zero-potential stretches and square wells cost one step each.
 Bound states use the same propagator at k = i eta in the frame
 e^{-eta x}(phi, phi'), which stays bounded along the decaying solution.
 On a table the propagator starts from the knots, and a Lorentzian sum runs
-outward from its peak at x = 0, so a narrow well is not stepped over.
+outward from its peak at x = 0, so a narrow well is not stepped over; the
+even profile makes the leftward span the mirror image of the rightward one.
 """
 
 from __future__ import annotations
@@ -131,15 +132,15 @@ def _lorentzian(pairs, x, dtype):
     return out if out.ndim else dtype(out)
 
 
-def _lorentzian_window(pairs):
-    # symmetric window outside which the 1/x^2 tails of _lorentzian stay
-    # below FLOOR, reaching at least 12 of the widest a_j to each side
+def _lorentzian_window(pairs, cut=FLOOR):
+    # symmetric window outside which the 1/x^2 tails of _lorentzian stay below
+    # cut, reaching at least 12 of the widest a_j to each side (NaN stays NaN)
     if not pairs:
         return (0.0, 0.0)
     amax = max(a for a, _ in pairs)
     mass = sum(2.0 * a * abs(b) for a, b in pairs)
-    pad = max(12.0 * amax, np.sqrt(mass / FLOOR))
-    return (-float(pad), float(pad))
+    pad = float(np.maximum(12.0 * amax, np.sqrt(mass / cut)))
+    return (-pad, pad)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,6 +150,8 @@ class LorentzianSum(PotentialSpec):
     The 1/x^2 tails force a very wide support window to honour the
     |Q| <= 1e-10 decay contract, and still the window drops a tail area of
     about 2 sqrt(2 a b 1e-10) per term: |T| moves by 2e-6 at a = 1, b = 0.02.
+    A solve propagates the half window from the peak at x = 0 to the right;
+    Q is even, so the leftward span is P M P, P = diag(1, -1), for that span M.
     """
 
     pairs: tuple[tuple[float, float], ...]
@@ -254,12 +257,13 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
     def gen(x):
         return 0.0, k, -(k * k + q(x)) / k, 0.0
 
-    start, what = (0.0 if isinstance(q, LorentzianSum) else x0), f"scattering (k = {k})"
-    m = transfer_matrix(gen, start, x1, rtol, what, _knots(q))
-    if start > x0:
-        # det = 1 (traceless generator): the adjugate inverts, where LU loses a tiny |T|
-        (l00, l01), (l10, l11) = transfer_matrix(gen, start, x0, rtol, what)
-        m = m @ np.array([[l11, -l01], [-l10, l00]])
+    lorentzian, what = isinstance(q, LorentzianSum), f"scattering (k = {k})"
+    m = transfer_matrix(gen, 0.0 if lorentzian else x0, x1, rtol, what, _knots(q))
+    if lorentzian:
+        # Q is even, so the span from 0 to x0 = -x1 is P m P, P = diag(1, -1);
+        # det = 1 (traceless generator): its adjugate inverts, where LU loses a tiny |T|
+        (m00, m01), (m10, m11) = m
+        m = m @ np.array([[m11, m01], [m10, m00]])
     # (phi, phi'/k) starts as e^{-ikx0} (1, -i); phi +- i phi'/k picks out 2a, 2b
     y0 = m[0, 0] - 1j * m[0, 1]
     y1 = m[1, 0] - 1j * m[1, 1]

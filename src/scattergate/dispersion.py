@@ -33,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from ._samples import sample_fields
+from ._samples import SampleTable, sample_fields
 from .codec import Document
 from .direct1d import BoundState, Tabulated, find_bound_states, solve_grid
 from .errors import InfeasibleTargetError, NumericalError
@@ -150,7 +149,7 @@ def sample_reflection(
     """Sample R(k) = b/a of a potential onto a dense symmetric grid.
 
     Direct solves run on a geometric node set in [0.04, kmax] and are
-    interpolated (cubic in ln k) onto the uniform output grid.  Below 0.04
+    interpolated (quintic in ln k) onto the uniform output grid.  Below 0.04
     the samples are extended by the generic total-reflection model
     ln(1-|R|^2) ~ 2 ln k + const when |R(0.04)| is already close to 1, and
     by a constant otherwise (weak or reflectionless scatterers).  |R| is
@@ -167,13 +166,12 @@ def sample_reflection(
     nodes = np.geomspace(_K_LO, kmax, int(n_solve))
     coeffs = solve_grid(q, nodes)
     r_nodes = np.array([c.reflection for c in coeffs])
-    spl_re = CubicSpline(np.log(nodes), r_nodes.real)
-    spl_im = CubicSpline(np.log(nodes), r_nodes.imag)
 
     kk = np.arange(dk, kmax + 0.5 * dk, dk)
     R = np.empty(kk.size, dtype=complex)
     body = kk >= _K_LO
-    R[body] = spl_re(np.log(kk[body])) + 1j * spl_im(np.log(kk[body]))
+    # the table reads zero past ln kmax, where only the last kk, tapered to 0, can fall
+    R[body] = SampleTable(np.log(nodes), r_nodes)(np.log(kk[body]))
 
     head = ~body
     r0 = r_nodes[0]

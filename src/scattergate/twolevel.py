@@ -33,16 +33,17 @@ is not stepped over.
 
 Algebraic (Lorentzian) envelopes decay like 1/t^2, so cutting the time
 integration where |E| drops below a threshold would still lose an area of
-order sqrt(threshold).  The core runs on |t| <= T = sqrt(sum 2 a |b| /
-1e-7) as two spans that start at the common peak t = 0, so nodes next to a
+order sqrt(threshold).  The core runs on |t| <= T, the reach of
+``direct1d._lorentzian_window`` at 1e-7, which is at least 12 widths.  Only
+the half from the common peak t = 0 to T is propagated, so nodes next to a
 narrow peak keep full relative precision (a span that ends at or crosses it
-rounds them to T eps: 5e-9 in S for a = 1e-12).  Each tail is a first-order
-Magnus factor of its moment int c(t) dt: arctan integrals on resonance,
-else the two-term asymptotic in 1/delta where a bound on its first
-neglected term sum |f''(T)| / |delta|^3 is at most rtol, else exact: with
-2ab / (t^2 + a^2) = -ib (1/(t - ia) - 1/(t + ia)), e^{-i delta t} / (t - p)
-integrates over (T, inf) to e^{-i delta p} E1(i delta (T - p)) (Abramowitz
-& Stegun 5.1); NumericalError where e^{|delta| a} overflows.
+rounds them to T eps: 5e-9 in S for a = 1e-12); the envelope is real and
+even, so the other half is its conjugate.  Each tail is a first-order
+Magnus factor of its moment int c(t) dt, the left one the conjugate of the
+right: arctan integrals on resonance, else exact.  With 2ab / (t^2 + a^2)
+= -ib (1/(t - ia) - 1/(t + ia)) and s(z) = e^z E1(z) (Abramowitz & Stegun
+5.1), the right moment is e^{-i delta T} sum -ib [s(delta a + i delta T) -
+s(-delta a + i delta T)], finite at every width, strength and detuning.
 """
 
 from __future__ import annotations
@@ -207,38 +208,31 @@ def _frame(phase):
     return np.diag(np.exp([0.5j * phase, -0.5j * phase]))
 
 
-def _lorentzian_tails(terms, delta, rtol=_RTOL):
+def _scaled_e1(z):
+    # s(z) = e^z E1(z): neither factor leaves the float range for |z| <= 600;
+    # beyond, eight terms of A&S 5.1.51, s ~ sum_n (-1)^n n! / z^(n+1), err by
+    # about 8!/|z|^8 < 3e-18 near the imaginary axis, where T >= 12 a puts z
+    if abs(z) <= 600.0:
+        return complex(np.exp(z) * exp1(z))
+    w, acc = 1.0 / z, 1.0
+    for n in range(7, 0, -1):
+        acc = 1.0 - n * w * acc
+    return w * acc
+
+
+def _lorentzian_tails(terms, delta):
     """Core half-width T and tail moments int c(t) dt over (T, inf) / (-inf, -T),
     as in the module notes; the left moment of the real envelope is the
     conjugate of the right one."""
-    mass = sum(2.0 * a * abs(b) for a, b in terms)
-    if mass == 0.0:
-        return 0.0, 0.0j, 0.0j
-    T = np.sqrt(mass / _TAIL_CUT)
+    T = _lorentzian_window(terms, _TAIL_CUT)[1]
     if delta == 0.0:
-        m = sum(2.0 * b * (np.pi / 2.0 - np.arctan(T / a)) for a, b in terms)
-        return T, complex(m), complex(m)
-    # |f''(T)| <= 12 a |b| / (T^2 + a^2)^2, with no square formed; Python
-    # floats form rtol |delta|^3, overflowing or underflowing with no warning
-    d = abs(delta)
-    f2 = sum(12.0 * a * abs(b) / (T * T + a * a) / (T * T + a * a) for a, b in terms)
-    if f2 <= rtol * d * d * d:
-        right = 0.0j
-        for a, b in terms:
-            f = 2.0 * a * b / (T * T + a * a)
-            fp = -4.0 * a * b * T / (T * T + a * a) ** 2
-            # fp / (i delta)^2 without the complex power, which raises where
-            # delta * delta overflows; the term is then 0
-            second = fp * (1.0 / -(delta * delta))
-            right += np.exp(-1j * delta * T) * (f / (1j * delta) + second)
+        right = complex(sum(2.0 * b * (np.pi / 2.0 - np.arctan(T / a)) for a, b in terms))
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            right = sum(-1j * b * (np.exp(delta * a) * exp1(1j * delta * (T - 1j * a))
-                                   - np.exp(-delta * a) * exp1(1j * delta * (T + 1j * a)))
-                        for a, b in terms)
-        if not np.isfinite(right):
-            raise NumericalError(f"Lorentzian tail moment at detuning {delta:g} overflows")
-    return T, right, np.conj(right)
+        right = complex(np.exp(-1j * delta * T) * sum(
+            -1j * b * (_scaled_e1(complex(delta * a, delta * T))
+                       - _scaled_e1(complex(-delta * a, delta * T)))
+            for a, b in terms))
+    return T, right, right.conjugate()
 
 
 def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
@@ -252,8 +246,8 @@ def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
     env = pulse.envelope
     delta = pulse.detuning
     if isinstance(env, _LorentzianTerms):
-        t_core, m_right, m_left = _lorentzian_tails(env.terms, delta, rtol)
-        # every term peaks at t = 0, where both halves start (module notes)
+        t_core, m_right, m_left = _lorentzian_tails(env.terms, delta)
+        # every term peaks at t = 0, where the propagated half starts (module notes)
         lo, start, hi = -t_core, 0.0, t_core
     else:
         m_right = m_left = 0.0j
@@ -270,7 +264,9 @@ def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
 
         y = transfer_matrix(gen, start, hi, rtol, "S-matrix", knots)
         if start > lo:
-            y = y @ np.linalg.inv(transfer_matrix(gen, start, lo, rtol, "S-matrix"))
+            # the real, even envelope makes the half from 0 to lo = -hi the
+            # conjugate of this one (module notes)
+            y = y @ np.linalg.inv(np.conj(y))
         core = _frame(-delta * hi) @ y @ _frame(delta * lo)
     s = _magnus_factor(m_right) @ core @ _magnus_factor(m_left)
     defect = np.linalg.norm(s.conj().T @ s - np.eye(2))

@@ -8,6 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from scattergate import direct1d
+from scattergate._magnus import transfer_matrix
 from scattergate.cli import main
 from scattergate.codec import from_json
 from scattergate.direct1d import (
@@ -301,6 +303,35 @@ class TestNarrowLorentzians:
         # LU inverse of the leftward span gave 9.8e-16
         c = solve_scattering(LorentzianSum(((3.0, -20.0),)), 0.5)
         assert abs(c.transmission) == pytest.approx(3.526934372e-23, rel=1e-6)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_leftward_span_is_the_mirror_image(self, seed):
+        # Q is even: the span from 0 to -X is P M P, P = diag(1, -1), for the
+        # span M from 0 to X
+        rng = np.random.default_rng(seed)
+        q = LorentzianSum(tuple(zip(rng.uniform(0.1, 3.0, 3), rng.uniform(-0.5, 0.5, 3))))
+        k = rng.uniform(0.1, 3.0)
+        x0, x1 = q.window
+
+        def gen(x):
+            return 0.0, k, -(k * k + q(x)) / k, 0.0
+
+        m = transfer_matrix(gen, 0.0, x1, 1e-10, "right span")
+        left = transfer_matrix(gen, 0.0, x0, 1e-10, "left span")
+        p = np.diag([1.0, -1.0])
+        assert np.max(np.abs(left - p @ m @ p)) <= 1e-14 * np.max(np.abs(m))
+
+    def test_one_span_per_solve(self, monkeypatch):
+        calls = []
+
+        def spy(gen, x_from, x_to, *args):
+            calls.append((x_from, x_to))
+            return transfer_matrix(gen, x_from, x_to, *args)
+
+        monkeypatch.setattr(direct1d, "transfer_matrix", spy)
+        q = LorentzianSum(((1.0, 0.3), (0.2, -0.1)))
+        solve_scattering(q, 0.7)
+        assert calls == [(0.0, q.window[1])]
 
 
 class TestBoundStates:

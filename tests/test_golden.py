@@ -204,11 +204,11 @@ GOLDEN_STDOUT = {
         '0.0732379869201535]}\n'
     ),
     "twolevel": (
-        '{"subcommand": "twolevel", "S": [[[0.82105435155749751, '
-        '-0.35505372281847086], [1.7951594905230237e-15, -0.44699732180545271]], '
-        '[[1.7879250575362059e-15, -0.44699732180544016], [0.82105435155749462, '
-        '0.35505372281847736]]], "a": [0.82105435155749751, -0.35505372281847086], '
-        '"b": [1.7879250575362059e-15, -0.44699732180544016]}\n'
+        '{"subcommand": "twolevel", "S": [[[0.82105435155757056, '
+        '-0.3550537228183922], [1.7951594772886396e-15, -0.44699732180538121]], '
+        '[[1.7879250556118058e-15, -0.44699732180536861], [0.82105435155756767, '
+        '0.3550537228183987]]], "a": [0.82105435155757056, -0.3550537228183922], '
+        '"b": [1.7879250556118058e-15, -0.44699732180536861]}\n'
     ),
     "entangle": (
         '{"schmidt_values": [1.9143904405240877, 0.43444210344141071, '

@@ -9,6 +9,7 @@ exact derivative F'(0) = 2i (H(0,0) - H(x,y)).
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,6 +17,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from scattergate import twolevel
+from scattergate._magnus import transfer_matrix
 from scattergate.algebra import SIGMA1, entanglement_verdict, operator_schmidt
 from scattergate.codec import from_json
 from scattergate.direct1d import PotentialSpec, find_bound_states, solve_scattering
@@ -169,7 +171,7 @@ class TestScatteringMatrix:
 
     @pytest.mark.parametrize("delta", [1e200, -1e200])
     def test_tail_moments_at_huge_detuning(self, delta):
-        # delta^2 overflows: the 1/delta^2 term vanishes instead of raising
+        # e^{delta a} overflows: the scaled e^z E1(z) takes its large-|z| series
         t_core, right, left = twolevel._lorentzian_tails(((1.0, 0.25),), delta)
         assert np.isfinite(t_core) and t_core > 0
         assert np.isfinite(right) and np.isfinite(left)
@@ -187,20 +189,83 @@ class TestScatteringMatrix:
         sin = quad(env, cut, np.inf, weight="sin", wvar=abs(delta))[0]
         right = complex(cos, -np.sign(delta) * sin)
         monkeypatch.setattr(twolevel, "_lorentzian_tails",
-                            lambda terms, d, rtol=None: (cut, right, np.conj(right)))
+                            lambda terms, d: (cut, right, np.conj(right)))
         np.testing.assert_allclose(s, scattering_matrix(pulse), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("delta", [1e-3, 0.5])
     def test_left_tail_is_the_conjugate_of_the_right(self, delta):
-        # delta = 1e-3 takes the exact moments, delta = 0.5 the asymptotic
+        # |z| is 3 at delta = 1e-3, below the switch of s(z) = e^z E1(z) to its
+        # series, and 1500 at delta = 0.5, above it
         _, right, left = twolevel._lorentzian_tails(((1.0, 0.25), (2.0, -0.1)), delta)
         assert left == np.conj(right) and abs(right) > 0
 
-    def test_overflowing_tail_moment_raises(self, budget):
-        # a^2 / b = 1e14: e^{delta a} = e^1000 overflows before any core solve
+    @pytest.mark.parametrize("delta", [1e-3, 0.5, -2.0, 3.0])
+    def test_tail_moments_against_quad(self, delta):
+        terms = ((1.0, 0.25), (2.0, -0.1))
+        cut, right, _ = twolevel._lorentzian_tails(terms, delta)
+
+        def env(t):
+            return sum(2.0 * a * b / (t * t + a * a) for a, b in terms)
+
+        cos, sin = (quad(env, cut, np.inf, weight=w, wvar=abs(delta), epsabs=1e-17,
+                         epsrel=1e-13, limlst=100)[0] for w in ("cos", "sin"))
+        assert abs(right - complex(cos, -np.sign(delta) * sin)) <= 1e-15
+
+    @pytest.mark.parametrize("modulus", [1.0, 30.0, 599.0, 601.0, 5e3, 1e6])
+    @pytest.mark.parametrize("angle", [-1.65, -1.5, 1.5, 1.65])
+    def test_scaled_e1_against_mpmath(self, modulus, angle):
+        # both signs of Re z and of Im z, on both sides of the switch at |z| = 600
+        z = modulus * np.exp(1j * angle)
+        with mpmath.workdps(40):
+            want = complex(mpmath.exp(z) * mpmath.expint(1, z))
+        assert abs(twolevel._scaled_e1(z) - want) <= 2e-14 * abs(want)
+
+    @pytest.mark.parametrize("b, delta", [(1e-20, 1.0), (1e-12, 0.5), (1e-9, 0.5)])
+    def test_weak_pulse_is_right_in_relative_terms(self, b, delta, budget):
+        # first order: S[1, 0] = -2 pi i b e^{-|delta| a}
+        s = scattering_matrix(PulseSpec(LorentzianPulse(a=1.0, b=b), detuning=delta))
+        want = -2j * np.pi * b * np.exp(-abs(delta))
+        assert abs(s[1, 0] - want) <= 1e-6 * abs(want)
+
+    def test_wide_pulse_answers(self, monkeypatch, budget):
+        # a^2 / b = 1e14: e^{delta a} = e^1000 would overflow an unscaled moment
         pulse = PulseSpec(envelope=LorentzianPulse(a=1e6, b=1e-2), detuning=1e-3)
-        with pytest.raises(NumericalError, match="tail moment .* overflows"):
-            scattering_matrix(pulse)
+        s = scattering_matrix(pulse)
+        assert np.all(np.isfinite(s))
+        np.testing.assert_allclose(s.conj().T @ s, np.eye(2), rtol=0, atol=1e-12)
+        assert abs(np.linalg.det(s) - 1.0) <= 1e-12
+        # the same S from a core of 200 widths
+        monkeypatch.setattr(twolevel, "_TAIL_CUT", 2e4 / 2e8**2)
+        assert twolevel._lorentzian_tails(pulse.envelope.terms, 1e-3)[0] == pytest.approx(2e8)
+        np.testing.assert_allclose(s, scattering_matrix(pulse), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_leftward_half_is_the_conjugate(self, seed):
+        rng = np.random.default_rng(seed)
+        terms = tuple(zip(rng.uniform(0.1, 3.0, 3), rng.uniform(-0.5, 0.5, 3)))
+        delta = rng.uniform(-3.0, 3.0)
+        env = LorentzianPulseSum(terms)
+        cut = twolevel._lorentzian_tails(terms, delta)[0]
+
+        def gen(t):
+            e = env(t)
+            return 0.5j * delta, -1j * e, -1j * np.conj(e), -0.5j * delta
+
+        y = transfer_matrix(gen, 0.0, cut, 1e-11, "right half")
+        left = transfer_matrix(gen, 0.0, -cut, 1e-11, "left half")
+        assert np.max(np.abs(left - np.conj(y))) <= 1e-14 * np.max(np.abs(y))
+
+    def test_one_half_per_solve(self, monkeypatch):
+        calls = []
+
+        def spy(gen, x_from, x_to, *args):
+            calls.append((x_from, x_to))
+            return transfer_matrix(gen, x_from, x_to, *args)
+
+        monkeypatch.setattr(twolevel, "transfer_matrix", spy)
+        terms = ((1.0, 0.25), (0.3, -0.1))
+        scattering_matrix(PulseSpec(LorentzianPulseSum(terms), detuning=0.7))
+        assert calls == [(0.0, twolevel._lorentzian_tails(terms, 0.7)[0])]
 
     def test_soliton_pulse_is_reflectionless(self):
         s = scattering_matrix(soliton_pulse())
