@@ -258,7 +258,11 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
         return 0.0, k, -(k * k + q(x)) / k, 0.0
 
     lorentzian, what = isinstance(q, LorentzianSum), f"scattering (k = {k})"
-    m = transfer_matrix(gen, 0.0 if lorentzian else x0, x1, rtol, what, _knots(q))
+    knots = _knots(q)
+    if lorentzian:  # first-round knots a_min 2^m to the edge: no step from the peak is wider
+        amin = min(a for a, _ in q.pairs)
+        knots = amin * 2.0 ** np.arange(np.log2(x1) - np.log2(amin) if x1 < np.inf else 0)
+    m = transfer_matrix(gen, 0.0 if lorentzian else x0, x1, rtol, what, knots)
     if lorentzian:
         # Q is even, so the span from 0 to x0 = -x1 is P m P, P = diag(1, -1);
         # det = 1 (traceless generator): its adjugate inverts, where LU loses a tiny |T|

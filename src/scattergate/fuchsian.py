@@ -282,16 +282,8 @@ def pv_monodromy_example4(a: float) -> np.ndarray:
     sys, loop = odd_lorentzian_to_fuchsian(a)
     exponent = 0.0j
     for s, m in zip(sys.poles, sys.residues):
-        if np.linalg.norm(m - np.diag(np.diag(m))) > 1e-12:
-            raise NumericalError(
-                "principal-value assembly needs commuting diagonal residues"
-            )
-        coeff = m[0, 0]
-        dist = abs(s - loop.center)
         if loop.pole_distance(s) <= _EXCLUSION:
-            exponent += 1j * np.pi * coeff
-        elif dist < loop.radius:
-            exponent += 2j * np.pi * coeff
-    return np.array(
-        [[np.exp(exponent), 0.0], [0.0, np.exp(-exponent)]], dtype=complex
-    )
+            exponent += 1j * np.pi * m[0, 0]
+        elif abs(s - loop.center) < loop.radius:
+            exponent += 2j * np.pi * m[0, 0]
+    return np.diag(np.exp([exponent, -exponent]))

@@ -21,7 +21,8 @@ transmission amplitude with their norming constants.  The kernel is complex
 and the integral equation couples two rows, but the recipe is the same and
 the pulse envelope is read off the diagonal of the solution.
 
-The kernel is tabulated once, on a z grid padded until its end decays.
+The kernel is tabulated once, on a z grid padded until its end decays, by a
+phase recurrence in z: each row is the last one times e^{ik dz}, on any k grid.
 At each node the equation is discretized by Simpson's rule (Nystroem) and
 solved by conjugate gradients on its symmetrized, positive definite form;
 the Hankel products cost O(n log n) by FFT and no n x n matrix is formed.
@@ -41,7 +42,6 @@ from .dispersion import ReflectionData, _dispersion, _dispersion_slope
 from .errors import NumericalError
 from .twolevel import TabulatedPulse
 
-_FOURIER_CHUNK = 64
 # kernel z-grid points: far beyond any data a Nystroem solve can take
 _MAX_Z_POINTS = 10**7
 _FD_STEP = 0.01  # half-width of the central difference Q = 2 dK(x, x)/dx
@@ -56,12 +56,14 @@ def _trapezoid_weights(x):
 
 
 def _fourier_rows(k, values, z):
-    """(1/2 pi) int values(k) e^{ikz} dk on the grid, chunked over z."""
-    wk = _trapezoid_weights(k) * values
+    """(1/2 pi) int values(k) e^{ikz} dk, trapezoid rule in k, on the uniform
+    z grid; the rounding of N rows grows like N eps sum |w values| / 2 pi."""
     out = np.empty(z.size, dtype=complex)
-    for i0 in range(0, z.size, _FOURIER_CHUNK):
-        blk = np.exp(1j * np.outer(z[i0 : i0 + _FOURIER_CHUNK], k))
-        out[i0 : i0 + _FOURIER_CHUNK] = blk @ wk / (2.0 * np.pi)
+    row = _trapezoid_weights(k) * values * np.exp(1j * k * z[0]) / (2.0 * np.pi)
+    step = np.exp(1j * k * (z[-1] - z[0]) / max(z.size - 1, 1))
+    for i in range(z.size):
+        out[i] = row.sum()
+        row *= step
     return out
 
 
@@ -120,7 +122,7 @@ class MarchenkoKernel:
 
 def marchenko_kernel(data: ReflectionData, z) -> MarchenkoKernel:
     """Tabulate the inverse-scattering kernel on the given uniform z grid."""
-    z = np.asarray(z, dtype=float)
+    z = checked_grid(z, name="z")
     refl = _real_rows(_fourier_rows(data.k, data.R, z))
     return MarchenkoKernel(z=z, refl=refl, bound_terms=_potential_terms(data))
 

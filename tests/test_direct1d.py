@@ -293,7 +293,7 @@ class TestNarrowLorentzians:
     # a -> 0 gives Q = 2 pi b delta(x): |R|^2 = g^2/(1 + g^2), g = pi b / k = 2 pi
     DELTA_LIMIT = 4.0 * np.pi**2 / (1.0 + 4.0 * np.pi**2)
 
-    @pytest.mark.parametrize("a", [1e-18, 1e-16, 1e-14, 1e-13])
+    @pytest.mark.parametrize("a", [1e-20, 1e-18, 1e-16, 1e-14, 1e-13])
     def test_narrow_well_reaches_the_delta_limit(self, a, budget):
         c = solve_scattering(LorentzianSum(((a, 1.0),)), 0.5)
         assert abs(abs(c.reflection) ** 2 - self.DELTA_LIMIT) <= 1e-9
@@ -356,6 +356,12 @@ class TestBoundStates:
         # odd first excited state flips the Jost ratio sign
         assert states[0].norming == pytest.approx(-1.0, abs=1e-5)
         assert states[1].norming == pytest.approx(1.0, abs=1e-5)
+
+    def test_norming_off_the_eigenvalue_raises(self):
+        # 1% off the bound state at eta = 1 the two solutions do not match,
+        # and their ratio varies across the window (spread 2.7e-3)
+        with pytest.raises(NumericalError, match="norming ratio varies with x"):
+            direct1d._norming_ratio(SechSquared(1.0), 1.01)
 
     def test_off_center_norming(self):
         # shifting the well by c multiplies the ratio by e^{2 eta c}

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.linalg import hilbert
 
 from scattergate import glm
 from scattergate.cli import main
@@ -557,6 +558,23 @@ class TestConjugateGradientSolve:
         with pytest.raises(NumericalError):
             marchenko_diagonal(kernel, x, 0.05)
 
+    def test_unconverged_solve_raises(self):
+        # the 12 x 12 Hilbert matrix is positive definite, but its condition
+        # number (1.6e16) keeps CG from converging in 12 iterations
+        h = hilbert(12)
+        with pytest.raises(NumericalError, match="did not converge in 12 CG iterations"):
+            glm._cg_solve(lambda y: h @ y, np.ones(12))
+
+    def test_inaccurate_solve_raises(self, monkeypatch):
+        # the one-soliton kernel gives K(0, 0) = -1; a Hankel product at half
+        # its size leaves a residual that the check on the unscaled system sees
+        kernel = marchenko_kernel(soliton_data([BoundState(1.0, 1.0)]), np.arange(-8.0, 20.0, 0.02))
+        assert marchenko_diagonal(kernel, 0.0, 0.02) == pytest.approx(-1.0, abs=1e-8)
+        product = glm._fft_hankel
+        monkeypatch.setattr(glm, "_fft_hankel", lambda c2, d: lambda y: 0.5 * product(c2, d)(y))
+        with pytest.raises(NumericalError, match="Nystroem solve lost accuracy"):
+            marchenko_diagonal(kernel, 0.0, 0.02)
+
     def test_complex_kernel_refused(self):
         z = np.arange(-2.0, 10.0, 0.05)
         kernel = MarchenkoKernel(z=z, refl=0.1 * np.exp(-(z**2)) * np.exp(1j * z))
@@ -651,3 +669,38 @@ class TestKernelTabulation:
             with pytest.raises(NumericalError, match="kernel came out complex"):
                 recover_potential(data, np.linspace(-1.0, 1.0, 5))
         assert len(grids) == 1
+
+
+def fourier_error(k, values, z):
+    """Largest error of _fourier_rows on 31 rows spread over z, against a
+    long-double sum, relative to sum |w values| / 2 pi."""
+    rows = np.linspace(0, z.size - 1, 31).astype(int)
+    got = glm._fourier_rows(k, values, z)[rows]
+    wv = glm._trapezoid_weights(k) * values
+    exact = np.exp(1j * np.outer(z[rows].astype(np.longdouble), k.astype(np.longdouble)))
+    want = exact @ wv.astype(np.clongdouble) / (2.0 * np.pi)
+    return float(np.max(np.abs(got - want)) / (np.sum(np.abs(wv)) / (2.0 * np.pi)))
+
+
+class TestFourierRows:
+    """Each kernel row is the last one times the phase step e^{ik dz}: its
+    rounding grows with the row count, but slowly."""
+
+    def test_gate_kernel_grid(self, gate_kernel):
+        data, kernel = gate_kernel
+        assert kernel.z.size > 10_000
+        assert fourier_error(data.k, data.R, kernel.z) <= 1e-13
+
+    def test_long_grid(self, gate_kernel):
+        # a step from z[1] - z[0] would carry the rounding of z[0] into
+        # every row: 3.2e-10 here
+        data, _ = gate_kernel
+        z = np.arange(200_000) * 0.0357 - 110.02
+        assert fourier_error(data.k, data.R, z) <= 1e-11
+
+    def test_non_uniform_momenta(self):
+        rng = np.random.default_rng(0)
+        k = np.sort(rng.uniform(-5.0, 5.0, 800))
+        values = 0.3 * np.exp(-(k**2) + 0.4j * k)
+        z = -20.0 + np.arange(6809) * (40.0 / 6809)
+        assert fourier_error(k, values, z) <= 1e-13

@@ -169,6 +169,14 @@ class TestScatteringMatrix:
         assert d56 < 2e-5
         assert d67 < 0.4 * d56 + 1e-8
 
+    @pytest.mark.parametrize("delta", [5e-324, -5e-324, 1e-310, 1e-300])
+    def test_tiny_detuning_is_resonant(self, delta):
+        # at 5e-324 delta a and delta T are subnormal and E1 keeps almost no
+        # digits; the true moment moves by pi a b |delta|, far below 1e-300
+        resonant = scattering_matrix(PulseSpec(LorentzianPulse(1.0, 0.25)))
+        s = scattering_matrix(PulseSpec(LorentzianPulse(1.0, 0.25), detuning=delta))
+        assert np.max(np.abs(s - resonant)) <= 1e-15
+
     @pytest.mark.parametrize("delta", [1e200, -1e200])
     def test_tail_moments_at_huge_detuning(self, delta):
         # e^{delta a} overflows: the scaled e^z E1(z) takes its large-|z| series
