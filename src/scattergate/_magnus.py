@@ -1,4 +1,4 @@
-"""Adaptive fourth-order Magnus propagator for every 2x2 linear flow.
+"""Adaptive sixth-order Magnus propagator for every 2x2 linear flow.
 
 ``transfer_matrix`` propagates y' = A(x) y from x_from to x_to, in either
 direction, for any 2x2 generator A: real or complex, with or without trace.
@@ -7,9 +7,13 @@ The Schrodinger systems pass [[0, k], [-(k^2 + Q)/k, 0]] (the variables
 Fuchsian monodromy passes dz(u) omega(z(u)) along each loop segment, and a
 pulse S-matrix passes the rotating-frame -i [[-delta/2, E], [conj E, delta/2]].
 
-Each step is the two-Gauss-point Magnus exponential
+Each step is the three-Gauss-point Magnus exponential of Blanes, Casas & Ros
+(BIT 40, 434 (2000)): with A_1, A_2, A_3 at the nodes 1/2 + (-1, 0, 1)
+sqrt(15)/10, a1 = h A_2, a2 = (sqrt(15)/3) h (A_3 - A_1) and
+a3 = (10/3) h (A_3 - 2 A_2 + A_1),
 
-    Omega = (h/2)(A_1 + A_2) + (sqrt(3) h^2 / 12)[A_2, A_1],
+    C_1 = [a1, a2],  C_2 = -[a1, 2 a3 + C_1]/60,
+    Omega = a1 + a3/12 + [-20 a1 - a3 + C_1, a2 + C_2]/240,
 
 taken in closed form: with tau = tr(Omega)/2, N = Omega - tau I and
 r^2 = -det N, e^Omega = e^tau (cosh r I + (sinh r / r) N).  Real generators
@@ -18,16 +22,20 @@ principal root r.  The trace enters the same exponent as r, so decaying
 frames never overflow.  The step is exact wherever A is constant and keeps
 its accuracy at large h k, so a free stretch costs one step whatever its
 length (Iserles, BIT 42, 561 (2002); Blanes, Casas, Oteo & Ros, Phys. Rep.
-470, 151 (2009)).
+470, 151 (2009)).  An oscillatory step takes r together with its rounding
+residual: a long 1/x^2 tail repeats nearly the same step many thousand
+times, and an r^2 or a sqrt(r^2) that rounds the same way each time would
+add up in det M and so in the flux |a|^2 - |b|^2 = 1.
 
 Refinement runs in rounds, vectorized over up to _CHUNK pending intervals:
 one step M1 is compared with two half-steps M2.  An interval whose
 difference is within max(rtol h / L, 1e-13) of its size is accepted with
-the Richardson value M2 + (M2 - M1)/15.  The others are bisected j times at
-once, 1 <= j <= _LEVELS, where j is what the h^5 fall of the difference
+the Richardson value M2 + (M2 - M1)/63.  The others are bisected j times at
+once, 1 <= j <= _LEVELS, where j is what the h^7 fall of the difference
 predicts the parts need to pass.  Accepted intervals that tile a prefix of
 the span are multiplied in order by a pairwise product tree, so the live
-intervals stay bounded by a few rounds.
+intervals stay bounded by a few rounds.  A solve whose pending intervals
+alone would exceed _MAX_INTERVALS ends at once.
 """
 
 from __future__ import annotations
@@ -36,9 +44,11 @@ import numpy as np
 
 from .errors import NumericalError
 
-# Gauss-Legendre nodes on [0, 1]
-_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
-_COMMUTATOR = np.sqrt(3.0) / 12.0
+# Gauss-Legendre nodes on [0, 1], and the weights of (A_3 - A_1) and
+# (A_3 - 2 A_2 + A_1) in the sixth-order Magnus exponent
+_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
+_FIRST = np.sqrt(15.0) / 3.0
+_SECOND = 10.0 / 3.0
 # relative step-doubling difference that roundoff alone can produce
 _FLOOR = 1e-13
 # an accepted step must not have underflowed to noise
@@ -55,33 +65,60 @@ _MAX_INTERVALS = 1 << 20
 
 
 def _at_nodes(gen, x, what):
-    # the entries (A00, A01, A10, A11) at the first and at the second Gauss
-    # node of each step; a constant entry stays one scalar
+    # the entries (A00, A01, A10, A11) at each Gauss node, one row of steps
+    # per node; a constant entry stays one scalar
     entries = []
     for entry in map(np.asarray, gen(x.ravel())):
         if not np.isfinite(entry).all():
             at = x.ravel()[~np.isfinite(np.broadcast_to(entry, (x.size,)))][0]
             raise NumericalError(f"{what} integration failed: generator not finite at x = {at}")
-        entries.append(entry.reshape(x.shape).T if entry.ndim else (entry.item(),) * 2)
+        entries.append(entry.reshape(x.shape) if entry.ndim else (entry.item(),) * _NODES.size)
     return zip(*entries)
+
+
+def _bracket(x, y):
+    # [X, Y] of the traceless X = [[d, p], [q, -d]], each as (d, p, q)
+    (dx, px, qx), (dy, py, qy) = x, y
+    return px * qy - py * qx, 2.0 * (dx * py - px * dy), 2.0 * (qx * dy - dx * qy)
+
+
+def _halves(v):
+    # Veltkamp's split of v into a 26-bit high part and the exact rest
+    c = (2.0 ** 27 + 1.0) * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _product_error(a, b, ab):
+    # a b - ab exactly for ab = fl(a b) (Dekker)
+    a_hi, a_lo = _halves(a)
+    b_hi, b_lo = (a_hi, a_lo) if b is a else _halves(b)
+    return ((a_hi * b_hi - ab) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _steps(gen, x_from, span, u, du, what):
     """Stacked one-step propagators over the fractions [u, u + du] of the span."""
     h = du * span
-    x = x_from + span * (u[:, None] + du[:, None] * _NODES)
-    (p1, q1, s1, w1), (p2, q2, s2, w2) = _at_nodes(gen, x, what)
-    kappa = _COMMUTATOR * h
-    # Omega = tau I + h nu with nu traceless: the mean of A plus kappa times
-    # the commutator [A_2, A_1], written out entrywise
-    tau = h * (0.25 * (p1 + p2 + w1 + w2))
-    d1, d2 = p1 - w1, p2 - w2
-    nu00 = 0.25 * (d1 + d2) + kappa * (q2 * s1 - q1 * s2)
-    nu01 = 0.5 * (q1 + q2) + kappa * (q1 * d2 - q2 * d1)
-    nu10 = 0.5 * (s1 + s2) + kappa * (s2 * d1 - s1 * d2)
-    r2 = h * h * (nu00 * nu00 + nu01 * nu10)
-    real = not any(np.iscomplexobj(v) for v in (tau, nu00, nu01, nu10))
+    x = x_from + span * (u + du * _NODES[:, None])
+    nodes = _at_nodes(gen, x, what)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # Omega = tau I + N with N = [[n00, n01], [n10, -n00]], from the trace
+        # and the traceless part (d, p, q) of A at each node: a1 = A_2,
+        # a2 = _FIRST (A_3 - A_1) and a3 = _SECOND (A_3 - 2 A_2 + A_1)
+        (t1, m1), (t2, m2), (t3, m3) = ((a00 + a11, (0.5 * (a00 - a11), a01, a10))
+                                        for a00, a01, a10, a11 in nodes)
+        tau = h * ((5.0 / 36.0) * (t1 + t3) + (8.0 / 36.0) * t2)
+        a1 = m2
+        a2 = [_FIRST * (v3 - v1) for v1, v3 in zip(m1, m3)]
+        a3 = [_SECOND * (v3 - 2.0 * v2 + v1) for v1, v2, v3 in zip(m1, m2, m3)]
+        c1 = [h * v for v in _bracket(a1, a2)]
+        c2 = [(h / -60.0) * v for v in _bracket(a1, [2.0 * v3 + c for v3, c in zip(a3, c1)])]
+        outer = _bracket([c - 20.0 * v1 - v3 for v1, v3, c in zip(a1, a3, c1)],
+                         [v2 + c for v2, c in zip(a2, c2)])
+        n00, n01, n10 = (h * (v1 + v3 / 12.0 + (h / 240.0) * b) for v1, v3, b in zip(a1, a3, outer))
+        square, product = n00 * n00, n01 * n10
+        r2 = square + product
+        real = not any(np.iscomplexobj(v) for v in (tau, n00, n01, n10))
         # e^tau cosh r and e^tau sinh(r)/r, with tau inside the exponent of
         # the growing branch; (1 - e^{-2r})/2 is exact for small r
         r = np.sqrt(np.abs(r2)) if real else np.sqrt(r2 + 0j)
@@ -89,17 +126,27 @@ def _steps(gen, x_from, span, u, du, what):
         half_gap = -0.5 * np.expm1(-2.0 * r)
         if real:
             grow = r2 > 0.0
-            cosh_part = np.where(grow, e * (1.0 - half_gap), np.exp(tau) * np.cos(r))
-            sinh_part = np.where(grow, e * half_gap / r, np.exp(tau) * np.sinc(r / np.pi))
+            # r + dr is sqrt(-(n00^2 + n01 n10)) to twice the precision of r,
+            # from the exact roundings of n00^2, n01 n10, their sum and r^2
+            # (where r2 < 0, |product| > square, so the sum's is exact); it
+            # keeps det = 1 unbiased over many nearly equal steps
+            lost = (_product_error(n00, n00, square) + _product_error(n01, n10, product)
+                    + (square - (r2 - product)))
+            dr = ((np.abs(r2) - r * r) - _product_error(r, r, r * r) - lost) / (2.0 * r)
+            # 0 where r = 0, and where r is too large to split
+            dr = np.where(np.isfinite(dr), dr, 0.0)
+            cos, sin = np.cos(r), np.sin(r)
+            sinc = np.where(r == 0.0, 1.0, (sin + (cos - sin / r) * dr) / r)
+            cosh_part = np.where(grow, e * (1.0 - half_gap), np.exp(tau) * (cos - sin * dr))
+            sinh_part = np.where(grow, e * half_gap / r, np.exp(tau) * sinc)
         else:
             cosh_part = e * (1.0 - half_gap)
             sinh_part = np.where(r == 0.0, np.exp(tau), e * half_gap / r)
-        sinh_h = sinh_part * h
         out = np.empty((u.size, 2, 2), dtype=float if real else complex)
-        out[:, 0, 0] = cosh_part + sinh_h * nu00
-        out[:, 0, 1] = sinh_h * nu01
-        out[:, 1, 0] = sinh_h * nu10
-        out[:, 1, 1] = cosh_part - sinh_h * nu00
+        out[:, 0, 0] = cosh_part + sinh_part * n00
+        out[:, 0, 1] = sinh_part * n01
+        out[:, 1, 0] = sinh_part * n10
+        out[:, 1, 1] = cosh_part - sinh_part * n00
     return out
 
 
@@ -132,12 +179,13 @@ def transfer_matrix(gen, x_from, x_to, rtol, what, knots=None):
     done_m = np.empty((0, 2, 2))
     evaluated = 0
     while u.size:
-        n = min(u.size, _CHUNK)
-        evaluated += n
-        if evaluated > _MAX_INTERVALS:
+        # every pending interval is evaluated at least once
+        if evaluated + u.size > _MAX_INTERVALS:
             raise NumericalError(
                 f"{what} integration failed: more than {_MAX_INTERVALS} Magnus intervals"
             )
+        n = min(u.size, _CHUNK)
+        evaluated += n
         cu, cdu = u[:n], du[:n]
         half = 0.5 * cdu
         m = _steps(gen, x_from, span, np.concatenate([cu, cu, cu + half]),
@@ -145,12 +193,13 @@ def transfer_matrix(gen, x_from, x_to, rtol, what, knots=None):
         m1, left, right = m[:n], m[n:2 * n], m[2 * n:]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             m2 = right @ left
-            size = np.max(np.abs(m2), axis=(1, 2))
-            diff = np.max(np.abs(m2 - m1), axis=(1, 2))
+            # the largest |entry| of each matrix, from three elementwise maxima
+            size, diff = (np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(a[:, 2], a[:, 3]))
+                          for a in (np.abs(m2.reshape(n, 4)), np.abs((m2 - m1).reshape(n, 4))))
             tol = np.maximum(rtol * cdu, _FLOOR) * size
             ok = (diff <= tol) & (size >= _TINY) & np.isfinite(size)
-            # the difference falls like h^5: 2^j parts should pass
-            j = np.clip(np.ceil(np.log2(diff[~ok] / tol[~ok]) / 5.0 + _MARGIN), 1, _LEVELS)
+            # the difference falls like h^7: 2^j parts should pass
+            j = np.clip(np.ceil(np.log2(diff[~ok] / tol[~ok]) / 7.0 + _MARGIN), 1, _LEVELS)
         j = np.where(np.isfinite(j), j, _LEVELS).astype(int)
         parts = 1 << j
         su = np.repeat(cu[~ok], parts)
@@ -161,7 +210,7 @@ def transfer_matrix(gen, x_from, x_to, rtol, what, knots=None):
         u = np.concatenate([su, u[n:]])
         du = np.concatenate([sdu, du[n:]])
         done_u = np.concatenate([done_u, cu[ok]])
-        done_m = np.concatenate([done_m, m2[ok] + (m2[ok] - m1[ok]) / 15.0])
+        done_m = np.concatenate([done_m, m2[ok] + (m2[ok] - m1[ok]) / 63.0])
         # accepted intervals left of the first pending one tile a prefix
         ready = done_u < (u[0] if u.size else np.inf)
         if ready.any():

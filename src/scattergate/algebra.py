@@ -57,7 +57,10 @@ class SU11Element:
     atol: float = 1e-12
 
     def __post_init__(self):
-        defect = abs(self.a) ** 2 - abs(self.b) ** 2 - 1.0
+        try:
+            defect = abs(self.a) ** 2 - abs(self.b) ** 2 - 1.0
+        except OverflowError:  # float ** raises where |a| or |b| exceed 1e154
+            defect = np.inf
         if not np.isfinite(defect) or abs(defect) > self.atol:
             raise ValueError(
                 f"not an SU(1,1) pair: |a|^2-|b|^2-1 = {defect:.3e} "

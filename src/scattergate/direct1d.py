@@ -242,7 +242,7 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
     """Solve the direct problem at momentum k > 0.
 
     Launches phi = e^{-ikx} at the left window edge, propagates (phi, phi'/k)
-    with the adaptive fourth-order Magnus transfer matrix (relative
+    with the adaptive sixth-order Magnus transfer matrix (relative
     tolerance rtol over the window), and reads (a, b) at the right edge.
     """
     k = float(k)

@@ -222,8 +222,11 @@ class GateTarget(Document):
             raise ValueError("target momentum must be positive")
         if not abs(self.t) > 0:
             raise ValueError("target transmission must be nonzero")
-        defect = abs(self.t) ** 2 + abs(self.r) ** 2 - 1.0
-        if abs(defect) > 1e-10:
+        try:
+            defect = abs(self.t) ** 2 + abs(self.r) ** 2 - 1.0
+        except OverflowError:  # float ** raises where |t| or |r| exceed 1e154
+            defect = np.inf
+        if not np.isfinite(defect) or abs(defect) > 1e-10:
             raise ValueError(f"|t|^2 + |r|^2 - 1 = {defect:.3e} violates unitarity")
 
 

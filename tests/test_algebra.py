@@ -28,6 +28,10 @@ class TestSU11Element:
         with pytest.raises(ValueError):
             SU11Element(1.0, 1.0)
 
+    def test_rejects_huge_amplitudes_without_overflow(self):
+        with pytest.raises(ValueError):
+            SU11Element(1e200, 1.0)
+
     def test_atol_loosens_check(self):
         a = np.sqrt(2.0) * (1.0 + 3e-10)
         with pytest.raises(ValueError):

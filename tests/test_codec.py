@@ -253,6 +253,13 @@ def test_non_finite_gate_target_rejected():
             GateTarget(k=k, t=t, r=r)
 
 
+def test_huge_gate_target_rejected_without_overflow():
+    # |t|^2 overflows a float beyond 1e154; the check must still say ValueError
+    for t, r in ((1.3e154, 0.8j), (0.6, 1e200)):
+        with pytest.raises(ValueError, match="unitarity"):
+            GateTarget(k=1.0, t=t, r=r)
+
+
 def test_nan_smatrix_fails_the_su2_gate():
     env = LorentzianPulseSum(terms=((1.0, 0.1),))
     spec = PulseSpec(env)

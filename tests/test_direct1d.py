@@ -114,6 +114,13 @@ class TestSolveScattering:
             c = solve_scattering(pot, k)
             assert abs(abs(c.a) ** 2 - abs(c.b) ** 2 - 1.0) < 1e-8
 
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    def test_long_tails_keep_the_flux(self, k):
+        # about 10^5 nearly equal steps cross the 1/x^2 tails of this window;
+        # a det - 1 that leans one way by 1e-17 per step adds up past 1e-12
+        c = solve_scattering(LorentzianSum(pairs=((1.0, 0.3), (0.2, -0.1))), k)
+        assert abs(abs(c.a) ** 2 - abs(c.b) ** 2 - 1.0) <= 1e-12
+
     def test_conjugation_symmetry(self):
         # launching e^{+ikx} instead propagates the conjugate solution
         pot = SquareWell(q0=-3.0, x0=0.0, length=1.0)

@@ -204,11 +204,11 @@ GOLDEN_STDOUT = {
         '0.0732379869201535]}\n'
     ),
     "twolevel": (
-        '{"subcommand": "twolevel", "S": [[[0.82105435155757056, '
-        '-0.3550537228183922], [1.7951594772886396e-15, -0.44699732180538121]], '
-        '[[1.7879250556118058e-15, -0.44699732180536861], [0.82105435155756767, '
-        '0.3550537228183987]]], "a": [0.82105435155757056, -0.3550537228183922], '
-        '"b": [1.7879250556118058e-15, -0.44699732180536861]}\n'
+        '{"subcommand": "twolevel", "S": [[[0.82105435155756401, '
+        '-0.35505372281840714], [4.4057165559735971e-15, -0.44699732180538015]], '
+        '[[4.4482678546630298e-15, -0.44699732180536977], [0.82105435155755679, '
+        '0.35505372281842329]]], "a": [0.82105435155756401, -0.35505372281840714], '
+        '"b": [4.4482678546630298e-15, -0.44699732180536977]}\n'
     ),
     "entangle": (
         '{"schmidt_values": [1.9143904405240877, 0.43444210344141071, '
@@ -227,8 +227,8 @@ GOLDEN_STDOUT = {
     ),
     "monodromy": (
         '{"subcommand": "monodromy", "monodromy": [[[-1.7273493399920397e-16, '
-        '1.0000000000000009], [0, 0]], [[0, 0], [-6.1712631536688302e-17, '
-        '-1.0000000000000009]]], "trace": [-2.3444756553589228e-16, 0]}\n'
+        '1.0000000000000009], [0, 0]], [[0, 0], [-1.7273493399920397e-16, '
+        '-1.0000000000000009]]], "trace": [-3.4546986799840794e-16, 0]}\n'
     ),
 }
 

@@ -1,6 +1,7 @@
 """The Magnus transfer matrix: exact constant steps for any 2x2 generator,
-both directions, Liouville's determinant, poles grazing a monodromy loop,
-and bounded work on bad or rough generators."""
+both directions, Liouville's determinant, the step's order and unbiased
+determinant, poles grazing a monodromy loop, and bounded work on bad or rough
+generators."""
 
 import warnings
 
@@ -13,6 +14,7 @@ from scattergate._magnus import transfer_matrix
 from scattergate.direct1d import LorentzianSum, _tilted
 from scattergate.errors import NumericalError
 from scattergate.fuchsian import CircleLoop, FuchsianSystem, monodromy
+from scattergate.twolevel import LorentzianPulse, PulseSpec, scattering_matrix
 
 # the one-pole residue of the benchmark's monodromy request
 ONE_POLE = np.array([[0.21 + 0.1j, 0.3], [-0.12j, -0.05]])
@@ -85,14 +87,27 @@ def test_determinant_is_exp_of_integrated_trace():
 
 @pytest.mark.parametrize("gen", [complex_flow, schrodinger(lambda x: 2.0 + np.sin(3.0 * x), 1.3)],
                          ids=["complex", "schrodinger"])
-def test_one_step_has_fifth_order_local_error(gen):
-    # the commutator term lifts the step from second to fourth order: halving
-    # h must cut the one-step error about 32-fold, not 8-fold
+def test_one_step_has_seventh_order_local_error(gen):
+    # the three-node step is of sixth order: halving h must cut the one-step
+    # error about 2^7 = 128-fold
     errs = []
     for h in (0.2, 0.1):
         one = _magnus._steps(gen, 0.3, h, np.zeros(1), np.ones(1), "test")[0]
         errs.append(np.abs(one - transfer_matrix(gen, 0.3, 0.3 + h, 1e-13, "test")).max())
-    assert errs[0] / errs[1] > 20.0
+    assert errs[0] / errs[1] > 90.0
+
+
+def test_oscillatory_steps_keep_det_one_unbiased():
+    # long 1/x^2 tails take many steps with the same h and nearly the same r;
+    # an r^2 or a sqrt(r^2) that always rounds one way would add up in the flux
+    rng = np.random.default_rng(20261019)
+    span, n = 2e4, 200_000
+    x = rng.uniform(1000.0, 20000.0, n)
+    h = rng.choice([0.5, 1.0, 2.0, 4.0], n)
+    gen = schrodinger(lambda x: 1.0 + 0.04 / (x * x + 1.0), 1.0)
+    m = _magnus._steps(gen, 0.0, span, x / span, h / span, "test").astype(np.longdouble)
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    assert np.mean(det - 1.0) <= 2e-17
 
 
 @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
@@ -121,6 +136,20 @@ def test_refinement_budget_bounds_the_intervals(monkeypatch, budget):
     with pytest.raises(NumericalError, match="more than 200 Magnus intervals"):
         transfer_matrix(schrodinger(lambda x: 1e4 * np.sin(40.0 * x) ** 2, 1.0),
                         0.0, 10.0, 1e-10, "test")
+
+
+def test_hopeless_solve_ends_at_once(budget):
+    # the pending intervals alone exceed the budget long before they are run
+    budget_error = f"more than {_magnus._MAX_INTERVALS} Magnus intervals"
+    with pytest.raises(NumericalError, match=budget_error):
+        scattering_matrix(PulseSpec(LorentzianPulse(1.0, 1e300)))
+
+
+def test_overflowing_steps_warn_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="S-matrix integration failed"):
+            scattering_matrix(PulseSpec(LorentzianPulse(1.0, 1e300)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-10])
