@@ -22,10 +22,7 @@ principal root r.  The trace enters the same exponent as r, so decaying
 frames never overflow.  The step is exact wherever A is constant and keeps
 its accuracy at large h k, so a free stretch costs one step whatever its
 length (Iserles, BIT 42, 561 (2002); Blanes, Casas, Oteo & Ros, Phys. Rep.
-470, 151 (2009)).  An oscillatory step takes r together with its rounding
-residual: a long 1/x^2 tail repeats nearly the same step many thousand
-times, and an r^2 or a sqrt(r^2) that rounds the same way each time would
-add up in det M and so in the flux |a|^2 - |b|^2 = 1.
+470, 151 (2009)).
 
 Refinement runs in rounds, vectorized over up to _CHUNK pending intervals:
 one step M1 is compared with two half-steps M2.  An interval whose
@@ -82,20 +79,6 @@ def _bracket(x, y):
     return px * qy - py * qx, 2.0 * (dx * py - px * dy), 2.0 * (qx * dy - dx * qy)
 
 
-def _halves(v):
-    # Veltkamp's split of v into a 26-bit high part and the exact rest
-    c = (2.0 ** 27 + 1.0) * v
-    hi = c - (c - v)
-    return hi, v - hi
-
-
-def _product_error(a, b, ab):
-    # a b - ab exactly for ab = fl(a b) (Dekker)
-    a_hi, a_lo = _halves(a)
-    b_hi, b_lo = (a_hi, a_lo) if b is a else _halves(b)
-    return ((a_hi * b_hi - ab) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
 def _steps(gen, x_from, span, u, du, what):
     """Stacked one-step propagators over the fractions [u, u + du] of the span."""
     h = du * span
@@ -116,8 +99,7 @@ def _steps(gen, x_from, span, u, du, what):
         outer = _bracket([c - 20.0 * v1 - v3 for v1, v3, c in zip(a1, a3, c1)],
                          [v2 + c for v2, c in zip(a2, c2)])
         n00, n01, n10 = (h * (v1 + v3 / 12.0 + (h / 240.0) * b) for v1, v3, b in zip(a1, a3, outer))
-        square, product = n00 * n00, n01 * n10
-        r2 = square + product
+        r2 = n00 * n00 + n01 * n10
         real = not any(np.iscomplexobj(v) for v in (tau, n00, n01, n10))
         # e^tau cosh r and e^tau sinh(r)/r, with tau inside the exponent of
         # the growing branch; (1 - e^{-2r})/2 is exact for small r
@@ -126,18 +108,8 @@ def _steps(gen, x_from, span, u, du, what):
         half_gap = -0.5 * np.expm1(-2.0 * r)
         if real:
             grow = r2 > 0.0
-            # r + dr is sqrt(-(n00^2 + n01 n10)) to twice the precision of r,
-            # from the exact roundings of n00^2, n01 n10, their sum and r^2
-            # (where r2 < 0, |product| > square, so the sum's is exact); it
-            # keeps det = 1 unbiased over many nearly equal steps
-            lost = (_product_error(n00, n00, square) + _product_error(n01, n10, product)
-                    + (square - (r2 - product)))
-            dr = ((np.abs(r2) - r * r) - _product_error(r, r, r * r) - lost) / (2.0 * r)
-            # 0 where r = 0, and where r is too large to split
-            dr = np.where(np.isfinite(dr), dr, 0.0)
-            cos, sin = np.cos(r), np.sin(r)
-            sinc = np.where(r == 0.0, 1.0, (sin + (cos - sin / r) * dr) / r)
-            cosh_part = np.where(grow, e * (1.0 - half_gap), np.exp(tau) * (cos - sin * dr))
+            sinc = np.where(r == 0.0, 1.0, np.sin(r) / r)
+            cosh_part = np.where(grow, e * (1.0 - half_gap), np.exp(tau) * np.cos(r))
             sinh_part = np.where(grow, e * half_gap / r, np.exp(tau) * sinc)
         else:
             cosh_part = e * (1.0 - half_gap)

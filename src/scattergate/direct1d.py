@@ -18,6 +18,22 @@ e^{-eta x}(phi, phi'), which stays bounded along the decaying solution.
 On a table the propagator starts from the knots, and a Lorentzian sum runs
 outward from its peak at x = 0, so a narrow well is not stepped over; the
 even profile makes the leftward span the mirror image of the rightward one.
+
+Lorentzian profiles (these potentials and the pulses of ``twolevel``) decay
+like 1/x^2, so a cut where |Q| is small still drops an area of order the
+root of the cut.  Their solves propagate only the core |x| <= T, the reach
+of ``_lorentzian_window`` at _TAIL_CUT (at least 12 widths), and take each
+tail as the exponential of its first-order Magnus term.  Its moments
+int f(x) e^{-i delta x} dx are exact: arctan integrals where |delta| T is
+subnormal or 0, else, with 2ab / (x^2 + a^2) = -ib (1/(x - ia) - 1/(x + ia))
+and s(z) = e^z E1(z) (Abramowitz & Stegun 5.1), e^{-i delta T} sum -ib
+[s(delta a + i delta T) - s(-delta a + i delta T)] on the right and its
+conjugate on the left, finite at every width, strength and detuning.  A
+potential's tails act on the amplitudes of psi = alpha e^{-ikx} + beta e^{ikx},
+(alpha, beta)' = (iQ/2k) [[-1, -e^{2ikx}], [e^{-2ikx}, 1]] (alpha, beta): the
+right tail is exp((i/2k) [[-m0, -m+], [conj m+, m0]]), m0 and m+ the moments
+at delta = 0 and -2k, and the left one takes conj m+ for m+.  The window
+keeps its 1e-10 decay contract for bound states, sampling and documents.
 """
 
 from __future__ import annotations
@@ -27,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
+from scipy.special import exp1
 
 from ._magnus import transfer_matrix
 from ._samples import FLOOR, SampleTable, checked_grid, sample_fields
@@ -35,6 +52,8 @@ from .codec import Document
 from .errors import NumericalError
 
 _RTOL = 1e-10
+# |profile| at the edge of a Lorentzian core; the tails beyond are exact
+_TAIL_CUT = 1e-7
 
 
 class PotentialSpec(Document, tag="variant", noun="potential", derived=("window",)):
@@ -143,15 +162,50 @@ def _lorentzian_window(pairs, cut=FLOOR):
     return (-pad, pad)
 
 
+def _scaled_e1(z):
+    # s(z) = e^z E1(z): neither factor leaves the float range for |z| <= 600;
+    # beyond, eight terms of A&S 5.1.51, s ~ sum_n (-1)^n n! / z^(n+1), err by
+    # about 8!/|z|^8 < 3e-18 near the imaginary axis, where T >= 12 a puts z
+    if abs(z) <= 600.0:
+        return complex(np.exp(z) * exp1(z))
+    w, acc = 1.0 / z, 1.0
+    for n in range(7, 0, -1):
+        acc = 1.0 - n * w * acc
+    return w * acc
+
+
+def _lorentzian_tails(pairs, delta):
+    """Core half-width T and the tail moments of _lorentzian times
+    e^{-i delta x} over (T, inf) and (-inf, -T), as in the module notes; the
+    profile is real and even, so the left moment is the right one's conjugate."""
+    T = _lorentzian_window(pairs, _TAIL_CUT)[1]
+    if abs(delta) * T < np.finfo(float).tiny:
+        right = complex(sum(2.0 * b * (np.pi / 2.0 - np.arctan(T / a)) for a, b in pairs))
+    else:
+        right = complex(np.exp(-1j * delta * T) * sum(
+            -1j * b * (_scaled_e1(complex(delta * a, delta * T))
+                       - _scaled_e1(complex(-delta * a, delta * T)))
+            for a, b in pairs))
+    return T, right, right.conjugate()
+
+
+def _expm_traceless(n):
+    # e^N = cosh(w) I + (sinh(w)/w) N for a traceless 2x2 N, as N^2 = w^2 I;
+    # where it overflows, the callers' checks refuse the non-finite factor
+    with np.errstate(all="ignore"):
+        w = np.sqrt(n[0, 0] * n[0, 0] + n[0, 1] * n[1, 0] + 0j)
+        return np.cosh(w) * np.eye(2) + (np.sinh(w) / w if w else 1.0) * n
+
+
 @dataclass(frozen=True, eq=False)
 class LorentzianSum(PotentialSpec):
     """Q(x) = sum_j 2 a_j b_j / (x^2 + a_j^2).
 
     The 1/x^2 tails force a very wide support window to honour the
-    |Q| <= 1e-10 decay contract, and still the window drops a tail area of
-    about 2 sqrt(2 a b 1e-10) per term: |T| moves by 2e-6 at a = 1, b = 0.02.
-    A solve propagates the half window from the peak at x = 0 to the right;
-    Q is even, so the leftward span is P M P, P = diag(1, -1), for that span M.
+    |Q| <= 1e-10 decay contract.  A solve propagates only the core |x| <= T
+    where |Q| > 1e-7, from the peak at x = 0 to the right (Q is even, so the
+    leftward span is P M P, P = diag(1, -1), for that span M), and takes
+    each tail beyond as the exponential of its exact moments (module notes).
     """
 
     pairs: tuple[tuple[float, float], ...]
@@ -232,6 +286,16 @@ class ScatterCoeffs:
         return tau(self.a, self.b, atol=1e-8 * (1.0 + abs(self.b) ** 2))
 
 
+def _tail_factors(pairs, k):
+    # core half-width T and the left and right tail factors of a Lorentzian
+    # sum in the amplitude frame (module notes); the left one carries conj m+
+    T, plus, minus = _lorentzian_tails(pairs, -2.0 * k)
+    m0 = _lorentzian_tails(pairs, 0.0)[1].real
+    left, right = (_expm_traceless((0.5j / k) * np.array([[-m0, -m], [np.conj(m), m0]]))
+                   for m in (minus, plus))
+    return T, left, right
+
+
 def _knots(q):
     # where the Magnus propagator starts, so that it cannot step over a
     # narrow well; a run of zero samples is one interval, crossed exactly
@@ -243,7 +307,8 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
 
     Launches phi = e^{-ikx} at the left window edge, propagates (phi, phi'/k)
     with the adaptive sixth-order Magnus transfer matrix (relative
-    tolerance rtol over the window), and reads (a, b) at the right edge.
+    tolerance rtol over the window), and reads (a, b) at the right edge.  A
+    Lorentzian sum propagates its core between exact tail factors instead.
     """
     k = float(k)
     if not 0 < k < np.inf:
@@ -258,21 +323,28 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
         return 0.0, k, -(k * k + q(x)) / k, 0.0
 
     lorentzian, what = isinstance(q, LorentzianSum), f"scattering (k = {k})"
-    knots = _knots(q)
-    if lorentzian:  # first-round knots a_min 2^m to the edge: no step from the peak is wider
-        amin = min(a for a, _ in q.pairs)
-        knots = amin * 2.0 ** np.arange(np.log2(x1) - np.log2(amin) if x1 < np.inf else 0)
-    m = transfer_matrix(gen, 0.0 if lorentzian else x0, x1, rtol, what, knots)
     if lorentzian:
+        if not np.isfinite(x1):  # the decay window overflows, though T need not
+            raise ValueError(f"{what} integration span ({x0}, {x1}) is not finite")
+        x1, left, right = _tail_factors(q.pairs, k)
+        x0 = -x1
+        # first-round knots a_min 2^m to the core edge: no step from the peak is wider
+        amin = min(a for a, _ in q.pairs)
+        knots = amin * 2.0 ** np.arange(np.log2(x1) - np.log2(amin))
+        m = transfer_matrix(gen, 0.0, x1, rtol, what, knots)
         # Q is even, so the span from 0 to x0 = -x1 is P m P, P = diag(1, -1);
         # det = 1 (traceless generator): its adjugate inverts, where LU loses a tiny |T|
         (m00, m01), (m10, m11) = m
         m = m @ np.array([[m11, m01], [m10, m00]])
+    else:
+        m = transfer_matrix(gen, x0, x1, rtol, what, _knots(q))
     # (phi, phi'/k) starts as e^{-ikx0} (1, -i); phi +- i phi'/k picks out 2a, 2b
     y0 = m[0, 0] - 1j * m[0, 1]
     y1 = m[1, 0] - 1j * m[1, 1]
     a = 0.5 * np.exp(1j * k * (x1 - x0)) * (y0 + 1j * y1)
     b = 0.5 * np.exp(-1j * k * (x1 + x0)) * (y0 - 1j * y1)
+    if lorentzian:  # the core's amplitude map is [[a, conj b], [b, conj a]]
+        a, b = right @ np.array([[a, np.conj(b)], [b, np.conj(a)]]) @ left[:, 0]
     return ScatterCoeffs(k=k, a=complex(a), b=complex(b))
 
 

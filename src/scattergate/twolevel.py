@@ -31,20 +31,14 @@ The propagation always spans the envelope's own window, outside which
 round of steps starts at the table's knots, so a pulse in a wide zero tail
 is not stepped over.
 
-Algebraic (Lorentzian) envelopes decay like 1/t^2, so cutting the time
-integration where |E| drops below a threshold would still lose an area of
-order sqrt(threshold).  The core runs on |t| <= T, the reach of
-``direct1d._lorentzian_window`` at 1e-7, which is at least 12 widths.  Only
-the half from the common peak t = 0 to T is propagated, so nodes next to a
-narrow peak keep full relative precision (a span that ends at or crosses it
-rounds them to T eps: 5e-9 in S for a = 1e-12); the envelope is real and
-even, so the other half is its conjugate.  Each tail is a first-order
-Magnus factor of its moment int c(t) dt, the left one the conjugate of the
-right: arctan integrals where |delta| T is subnormal or 0, else exact.  With
-2ab / (t^2 + a^2) = -ib (1/(t - ia) - 1/(t + ia)) and s(z) = e^z E1(z)
-(Abramowitz & Stegun 5.1), the right moment is e^{-i delta T} sum -ib
-[s(delta a + i delta T) - s(-delta a + i delta T)], finite at every width,
-strength and detuning.
+Algebraic (Lorentzian) envelopes take the tail rule of ``direct1d``: the
+core runs on |t| <= T, where |E| > 1e-7, and each tail is the exponential
+of its first-order Magnus term -i [[0, M], [conj M, 0]], M the exact moment
+int c(t) dt, the left one the conjugate of the right.  Only the half from
+the common peak t = 0 to T is propagated, so nodes next to a narrow peak
+keep full relative precision (a span that ends at or crosses it rounds them
+to T eps: 5e-9 in S for a = 1e-12); the envelope is real and even, so the
+other half is its conjugate.
 """
 
 from __future__ import annotations
@@ -54,16 +48,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import exp1
 
 from ._magnus import transfer_matrix
 from ._samples import SampleTable, sample_fields
 from .codec import Document
-from .direct1d import _lorentzian, _lorentzian_window
+from .direct1d import _expm_traceless, _lorentzian, _lorentzian_tails, _lorentzian_window
 from .errors import NumericalError
 
 _RTOL = 1e-11
-_TAIL_CUT = 1e-7
 
 
 class PulseEnvelope(Document, tag="variant", noun="pulse envelope"):
@@ -189,51 +181,9 @@ class PulseSpec(Document):
         return out if out.ndim else complex(out)
 
 
-def _magnus_factor(moment):
-    # exp(-i [[0, M], [conj M, 0]]) in closed form
-    m = abs(moment)
-    if m < np.finfo(float).tiny:  # within 2.3e-308 of I; numpy's moment / m overflows
-        return np.eye(2, dtype=complex)
-    u = moment / m
-    return np.array(
-        [
-            [np.cos(m), -1j * np.sin(m) * u],
-            [-1j * np.sin(m) * np.conj(u), np.cos(m)],
-        ],
-        dtype=complex,
-    )
-
-
 def _frame(phase):
     # D = diag(e^{i phase / 2}, e^{-i phase / 2}) of the rotating frame
     return np.diag(np.exp([0.5j * phase, -0.5j * phase]))
-
-
-def _scaled_e1(z):
-    # s(z) = e^z E1(z): neither factor leaves the float range for |z| <= 600;
-    # beyond, eight terms of A&S 5.1.51, s ~ sum_n (-1)^n n! / z^(n+1), err by
-    # about 8!/|z|^8 < 3e-18 near the imaginary axis, where T >= 12 a puts z
-    if abs(z) <= 600.0:
-        return complex(np.exp(z) * exp1(z))
-    w, acc = 1.0 / z, 1.0
-    for n in range(7, 0, -1):
-        acc = 1.0 - n * w * acc
-    return w * acc
-
-
-def _lorentzian_tails(terms, delta):
-    """Core half-width T and tail moments int c(t) dt over (T, inf) / (-inf, -T),
-    as in the module notes; the left moment of the real envelope is the
-    conjugate of the right one."""
-    T = _lorentzian_window(terms, _TAIL_CUT)[1]
-    if abs(delta) * T < np.finfo(float).tiny:
-        right = complex(sum(2.0 * b * (np.pi / 2.0 - np.arctan(T / a)) for a, b in terms))
-    else:
-        right = complex(np.exp(-1j * delta * T) * sum(
-            -1j * b * (_scaled_e1(complex(delta * a, delta * T))
-                       - _scaled_e1(complex(-delta * a, delta * T)))
-            for a, b in terms))
-    return T, right, right.conjugate()
 
 
 def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
@@ -266,10 +216,14 @@ def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
         y = transfer_matrix(gen, start, hi, rtol, "S-matrix", knots)
         if start > lo:
             # the real, even envelope makes the half from 0 to lo = -hi the
-            # conjugate of this one (module notes)
-            y = y @ np.linalg.inv(np.conj(y))
+            # conjugate of this one (module notes); det Y = 1 (traceless
+            # generator), so the adjugate of conj(Y) is its inverse
+            (y00, y01), (y10, y11) = np.conj(y)
+            y = y @ np.array([[y11, -y01], [-y10, y00]])
         core = _frame(-delta * hi) @ y @ _frame(delta * lo)
-    s = _magnus_factor(m_right) @ core @ _magnus_factor(m_left)
+    left, right = (_expm_traceless(-1j * np.array([[0.0, m], [np.conj(m), 0.0]]))
+                   for m in (m_left, m_right))
+    s = right @ core @ left
     defect = np.linalg.norm(s.conj().T @ s - np.eye(2))
     # written so that a NaN defect fails the gate too
     if not (defect <= 1e-8 and abs(np.linalg.det(s) - 1.0) <= 1e-8):

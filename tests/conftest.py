@@ -52,11 +52,13 @@ def envelope_rhs(q, k):
     return rhs
 
 
-def dop853_scattering(q, k):
-    """Amplitude pair (a, b) by DOP853 at rtol 1e-12 on the envelope, launched
-    as e^{-ikx}: an oracle independent of the package's Magnus propagator."""
-    sol = solve_ivp(envelope_rhs(q, k), q.window, np.array([0.0j, 1.0 + 0.0j]),
-                    method="DOP853", rtol=1e-12, atol=1e-15)
+def dop853_scattering(q, k, span=None, launch=(1.0, 0.0)):
+    """Amplitude pair (a, b) of a e^{-ikx} + b e^{ikx} at the end of span (the
+    window by default) by DOP853 at rtol 1e-12 on the envelope, launched as
+    launch[0] e^{-ikx} + launch[1] e^{ikx}: an oracle independent of the
+    package's Magnus propagator."""
+    sol = solve_ivp(envelope_rhs(q, k), q.window if span is None else span,
+                    np.array(launch[::-1], dtype=complex), method="DOP853", rtol=1e-12, atol=1e-15)
     u, v = sol.y[:, -1]
     return complex(v), complex(u)
 

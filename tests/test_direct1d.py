@@ -116,8 +116,8 @@ class TestSolveScattering:
 
     @pytest.mark.parametrize("k", [0.5, 2.0])
     def test_long_tails_keep_the_flux(self, k):
-        # about 10^5 nearly equal steps cross the 1/x^2 tails of this window;
-        # a det - 1 that leans one way by 1e-17 per step adds up past 1e-12
+        # the 1/x^2 tails beyond the core are exact SU(1, 1) factors, so no
+        # long run of nearly equal steps can add up a det - 1
         c = solve_scattering(LorentzianSum(pairs=((1.0, 0.3), (0.2, -0.1))), k)
         assert abs(abs(c.a) ** 2 - abs(c.b) ** 2 - 1.0) <= 1e-12
 
@@ -195,10 +195,12 @@ class TestMagnusAgainstOracle:
         assert abs(abs(c.a) ** 2 - abs(c.b) ** 2 - 1.0) <= 1e-12 * abs(c.a) ** 2
 
     def test_lorentzian_matches_dop853(self):
-        # the DOP853 oracle crawls across the +-2e4 window: one fixed case
+        # the DOP853 oracle integrates the core |x| <= T between the solve's
+        # own tail factors
         pot = LorentzianSum(pairs=((1.0, 0.02),))
         c = solve_scattering(pot, 1.0)
-        a, b = dop853_scattering(pot, 1.0)
+        t_core, left, right = direct1d._tail_factors(pot.pairs, 1.0)
+        a, b = right @ dop853_scattering(pot, 1.0, (-t_core, t_core), left[:, 0])
         assert abs(c.a - a) <= 1e-9
         assert abs(c.b - b) <= 1e-9
         assert abs(abs(c.a) ** 2 - abs(c.b) ** 2 - 1.0) <= 1e-12
@@ -338,7 +340,50 @@ class TestNarrowLorentzians:
         monkeypatch.setattr(direct1d, "transfer_matrix", spy)
         q = LorentzianSum(((1.0, 0.3), (0.2, -0.1)))
         solve_scattering(q, 0.7)
-        assert calls == [(0.0, q.window[1])]
+        assert calls == [(0.0, direct1d._lorentzian_tails(q.pairs, 0.0)[0])]
+
+
+def windowed_transmission(q, k, width):
+    # T of a LorentzianSum cut to |x| <= width, with no tail factors
+    def gen(x):
+        return 0.0, k, -(k * k + q(x)) / k, 0.0
+
+    amin = min(a for a, _ in q.pairs)
+    m = transfer_matrix(gen, 0.0, width, 1e-10, "reference",
+                        amin * 2.0 ** np.arange(np.log2(width / amin)))
+    (m00, m01), (m10, m11) = m
+    m = m @ np.array([[m11, m01], [m10, m00]])
+    y0, y1 = m[0, 0] - 1j * m[0, 1], m[1, 0] - 1j * m[1, 1]
+    return 1.0 / (0.5 * np.exp(2j * k * width) * (y0 + 1j * y1))
+
+
+class TestLorentzianTails:
+    """A Lorentzian sum propagates its core |x| <= T and takes the 1/x^2
+    tails beyond as exact moments."""
+
+    @pytest.mark.parametrize("pairs, k", [
+        (((1.0, 0.02),), 1.0),
+        (((1.0, 0.3), (0.2, -0.1)), 0.5),
+        (((1.0, 0.3), (0.2, -0.1)), 2.0),
+    ])
+    def test_tails_match_wide_windows(self, pairs, k, budget):
+        # a cut at |x| = W drops a tail that moves T like 1/W: extrapolate
+        # windows of 2e5 and 2e6; a 1e-10 window cut missed by 2.0e-6
+        q = LorentzianSum(pairs)
+        near, far = (windowed_transmission(q, k, w) for w in (2e5, 2e6))
+        want = (10.0 * far - near) / 9.0
+        assert abs(solve_scattering(q, k).transmission - want) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(-0.5, 0.5)),
+                          min_size=1, max_size=3).map(tuple),
+           k=st.floats(0.2, 5.0))
+    def test_flux_and_parity(self, pairs, k):
+        # Q is even, so R conj(T) = b / |a|^2 is imaginary
+        c = solve_scattering(LorentzianSum(pairs), k)
+        scale = 1e-12 * abs(c.a) ** 2
+        assert abs(abs(c.a) ** 2 - abs(c.b) ** 2 - 1.0) <= scale
+        assert abs(c.b.real) <= scale
 
 
 class TestBoundStates:

@@ -204,11 +204,11 @@ GOLDEN_STDOUT = {
         '0.0732379869201535]}\n'
     ),
     "twolevel": (
-        '{"subcommand": "twolevel", "S": [[[0.82105435155756401, '
-        '-0.35505372281840714], [4.4057165559735971e-15, -0.44699732180538015]], '
-        '[[4.4482678546630298e-15, -0.44699732180536977], [0.82105435155755679, '
-        '0.35505372281842329]]], "a": [0.82105435155756401, -0.35505372281840714], '
-        '"b": [4.4482678546630298e-15, -0.44699732180536977]}\n'
+        '{"subcommand": "twolevel", "S": [[[0.821054351557581, '
+        '-0.35505372281842412], [-1.4391599150440681e-18, -0.44699732180539131]], '
+        '[[1.1192147783022201e-17, -0.44699732180538088], [0.82105435155758089, '
+        '0.35505372281842407]]], "a": [0.821054351557581, -0.35505372281842412], '
+        '"b": [1.1192147783022201e-17, -0.44699732180538088]}\n'
     ),
     "entangle": (
         '{"schmidt_values": [1.9143904405240877, 0.43444210344141071, '

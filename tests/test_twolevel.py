@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
-from scattergate import twolevel
+from scattergate import direct1d, twolevel
 from scattergate._magnus import transfer_matrix
 from scattergate.algebra import SIGMA1, entanglement_verdict, operator_schmidt
 from scattergate.codec import from_json
@@ -160,7 +160,7 @@ class TestScatteringMatrix:
         spec = PulseSpec(envelope=LorentzianPulse(a=1.0, b=0.2), detuning=3.0)
 
         def at_cut(cut):
-            monkeypatch.setattr(twolevel, "_TAIL_CUT", cut)
+            monkeypatch.setattr(direct1d, "_TAIL_CUT", cut)
             return scattering_matrix(spec)
 
         s5, s6, s7 = at_cut(1e-5), at_cut(1e-6), at_cut(1e-7)
@@ -180,7 +180,7 @@ class TestScatteringMatrix:
     @pytest.mark.parametrize("delta", [1e200, -1e200])
     def test_tail_moments_at_huge_detuning(self, delta):
         # e^{delta a} overflows: the scaled e^z E1(z) takes its large-|z| series
-        t_core, right, left = twolevel._lorentzian_tails(((1.0, 0.25),), delta)
+        t_core, right, left = direct1d._lorentzian_tails(((1.0, 0.25),), delta)
         assert np.isfinite(t_core) and t_core > 0
         assert np.isfinite(right) and np.isfinite(left)
         assert abs(right) < 1e-200 and abs(left) < 1e-200
@@ -204,13 +204,13 @@ class TestScatteringMatrix:
     def test_left_tail_is_the_conjugate_of_the_right(self, delta):
         # |z| is 3 at delta = 1e-3, below the switch of s(z) = e^z E1(z) to its
         # series, and 1500 at delta = 0.5, above it
-        _, right, left = twolevel._lorentzian_tails(((1.0, 0.25), (2.0, -0.1)), delta)
+        _, right, left = direct1d._lorentzian_tails(((1.0, 0.25), (2.0, -0.1)), delta)
         assert left == np.conj(right) and abs(right) > 0
 
     @pytest.mark.parametrize("delta", [1e-3, 0.5, -2.0, 3.0])
     def test_tail_moments_against_quad(self, delta):
         terms = ((1.0, 0.25), (2.0, -0.1))
-        cut, right, _ = twolevel._lorentzian_tails(terms, delta)
+        cut, right, _ = direct1d._lorentzian_tails(terms, delta)
 
         def env(t):
             return sum(2.0 * a * b / (t * t + a * a) for a, b in terms)
@@ -226,7 +226,7 @@ class TestScatteringMatrix:
         z = modulus * np.exp(1j * angle)
         with mpmath.workdps(40):
             want = complex(mpmath.exp(z) * mpmath.expint(1, z))
-        assert abs(twolevel._scaled_e1(z) - want) <= 2e-14 * abs(want)
+        assert abs(direct1d._scaled_e1(z) - want) <= 2e-14 * abs(want)
 
     @pytest.mark.parametrize("b, delta", [(1e-20, 1.0), (1e-12, 0.5), (1e-9, 0.5)])
     def test_weak_pulse_is_right_in_relative_terms(self, b, delta, budget):
@@ -243,8 +243,8 @@ class TestScatteringMatrix:
         np.testing.assert_allclose(s.conj().T @ s, np.eye(2), rtol=0, atol=1e-12)
         assert abs(np.linalg.det(s) - 1.0) <= 1e-12
         # the same S from a core of 200 widths
-        monkeypatch.setattr(twolevel, "_TAIL_CUT", 2e4 / 2e8**2)
-        assert twolevel._lorentzian_tails(pulse.envelope.terms, 1e-3)[0] == pytest.approx(2e8)
+        monkeypatch.setattr(direct1d, "_TAIL_CUT", 2e4 / 2e8**2)
+        assert direct1d._lorentzian_tails(pulse.envelope.terms, 1e-3)[0] == pytest.approx(2e8)
         np.testing.assert_allclose(s, scattering_matrix(pulse), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -253,7 +253,7 @@ class TestScatteringMatrix:
         terms = tuple(zip(rng.uniform(0.1, 3.0, 3), rng.uniform(-0.5, 0.5, 3)))
         delta = rng.uniform(-3.0, 3.0)
         env = LorentzianPulseSum(terms)
-        cut = twolevel._lorentzian_tails(terms, delta)[0]
+        cut = direct1d._lorentzian_tails(terms, delta)[0]
 
         def gen(t):
             e = env(t)
@@ -273,7 +273,7 @@ class TestScatteringMatrix:
         monkeypatch.setattr(twolevel, "transfer_matrix", spy)
         terms = ((1.0, 0.25), (0.3, -0.1))
         scattering_matrix(PulseSpec(LorentzianPulseSum(terms), detuning=0.7))
-        assert calls == [(0.0, twolevel._lorentzian_tails(terms, 0.7)[0])]
+        assert calls == [(0.0, direct1d._lorentzian_tails(terms, 0.7)[0])]
 
     def test_soliton_pulse_is_reflectionless(self):
         s = scattering_matrix(soliton_pulse())
