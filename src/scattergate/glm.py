@@ -23,9 +23,15 @@ the pulse envelope is read off the diagonal of the solution.
 
 The kernel is tabulated once, on a z grid padded until its end decays, by a
 phase recurrence in z: each row is the last one times e^{ik dz}, on any k grid.
-At each node the equation is discretized by Simpson's rule (Nystroem) and
-solved by conjugate gradients on its symmetrized, positive definite form;
-the Hankel products cost O(n log n) by FFT and no n x n matrix is formed.
+For a potential, the trapezoid (Nystroem) discretization on one uniform s grid
+is a single matrix I + ds Hankel(C) whose trailing blocks are the systems of
+every node, so the pivots of its reverse Cholesky factorization give the whole
+diagonal K(s, s) at once: discrete layer peeling (Bruckstein & Kailath, SIAM
+Rev. 29, 359 (1987)).  A generalized Schur recursion on its displacement
+generator (Kailath & Sayed, SIAM Rev. 37, 297 (1995)) takes the pivots in
+O(n^2) time and O(n) memory.  A pulse node is solved on its own by conjugate
+gradients on the symmetrized, positive definite form of Simpson's rule; the
+Hankel products cost O(n log n) by FFT and no n x n matrix is formed.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ from .twolevel import TabulatedPulse
 # kernel z-grid points: far beyond any data a Nystroem solve can take
 _MAX_Z_POINTS = 10**7
 _FD_STEP = 0.01  # half-width of the central difference Q = 2 dK(x, x)/dx
+_NOT_POSITIVE_DEFINITE = (
+    "Nystroem matrix is not positive definite; the data are not physical scattering data"
+)
 
 
 def _trapezoid_weights(x):
@@ -96,6 +105,8 @@ class MarchenkoKernel:
     bound_terms: tuple = ()
 
     def __post_init__(self):
+        # K(x, x) tables of marchenko_diagonal, one per step ds
+        object.__setattr__(self, "_diagonals", {})
         dtype = complex if np.iscomplexobj(self.refl) else float
         table = SampleTable(*sample_fields(self, "z", "refl", dtype))
         dz = np.diff(table.grid)
@@ -196,10 +207,7 @@ def _cg_solve(apply, b):
         ap = apply(p)
         curvature = np.vdot(p, ap).real
         if not curvature > 0:
-            raise NumericalError(
-                "Nystroem matrix is not positive definite; the data are not "
-                "physical scattering data"
-            )
+            raise NumericalError(_NOT_POSITIVE_DEFINITE)
         alpha = rr / curvature
         y += alpha * p
         r -= alpha * ap
@@ -216,32 +224,118 @@ def _check_residual(resid, rhs):
         )
 
 
-def marchenko_diagonal(kernel: MarchenkoKernel, x: float, ds: float = 0.05) -> float:
-    """Diagonal value K(x, x) of the layer-stripping solution.
+def _schur_pivots(h):
+    """Cholesky pivots L_kk^2 of A = I + Hankel(h), A_ij = delta_ij + h[i + j],
+    less one, for h of odd length 2m - 1, in O(m) memory.
 
-    Nystroem discretization on s = x + j ds with composite Simpson weights w;
-    the integral is truncated where the kernel tabulation ends.  The system
-    (I + H W) u = -c is solved by conjugate gradients in its symmetrized form
-    (I + S) D u = -D c, with S = D H D and D = diag(sqrt(w)), each product
-    with the Hankel matrix H taken by FFT.  I + S is symmetric positive
-    definite for physical scattering data; otherwise NumericalError is
-    raised.  The residual is checked on the unscaled system.  The kernel
-    must be real: pulse kernels go through recover_pulse.
+    Each Schur complement of A is I + T, and the recursion runs on T, so a
+    pivot near one keeps its difference from one to full relative precision.
+    With Y = Z + Z^T (Z the down shift) the identity commutes with Y, so
+    Y A - A Y = sum_p (v_p u_p^T - u_p v_p^T) has nonzero rows and columns
+    only at 0 and m - 1: u_0 = e_0, v_0 = (0, h_0 .. h_{m-2}), u_1 = e_{m-1},
+    v_1 = (h_m .. h_{2m-2}, 0).  Each step takes the pivot a = 1 + t_0[0] and
+    the rest b = t_0[1:] of the first column e_0 + t_0 of I + T.  Its second
+    column is e_1 + t_1 = Y (e_0 + t_0) - (Y A - A Y) e_0, where the
+    displacement of a Schur complement gains the pair
+    (b_p s_0^T - s_0 b_p^T)/a_p, s_0 = e_0 + t_0, of the previous pivot
+    (a_p, b_p), which cancels one step later.  Then the next t_0 is
+    t_1[1:] - b t_1[0]/a, and every generator row g becomes g[1:] - b g[0]/a;
+    u_1 stays the last unit vector.  A pivot that is not positive and
+    finite means A is not positive definite.
     """
-    if not ds > 0:
-        raise ValueError("ds must be positive")
-    c2, w = _nystroem_system(kernel, x, ds)
-    if np.iscomplexobj(c2):
+    m = (h.size + 1) // 2
+    # rows: t_0, then u_0, v_0, v_1; row views shrink from the left
+    rows = np.zeros((4, m))
+    rows[0] = h[:m]
+    rows[1, 0] = 1.0
+    rows[2, 1:] = h[: m - 1]
+    rows[3, :-1] = h[m:]
+    less_one = np.empty(m)
+    coef = np.zeros(4)
+    a_p, b_p = np.inf, np.zeros(m)
+    for j in range(m):
+        r = rows[:, j:]
+        t0 = r[0]
+        less_one[j] = t0[0]
+        a = 1.0 + t0[0]
+        if not 0.0 < a < np.inf:
+            raise NumericalError(_NOT_POSITIVE_DEFINITE)
+        if j == m - 1:
+            return less_one
+        coef[:3] = b_p[0] / a_p, r[2, 0], -r[1, 0]
+        t1 = coef @ r - (a / a_p) * b_p
+        t1[0] += b_p[0] / a_p
+        t1[1:] += t0[:-1]
+        t1[:-1] += t0[1:]
+        t1[-1] += r[3, 0]
+        b_p, a_p = t0[1:].copy(), a
+        t0[:] = t1
+        rows[:, j + 1 :] -= np.outer(r[:, 0], b_p / a)
+
+
+def _trapezoid_diagonal(c, w):
+    """K(s_i, s_i) at the n nodes s_i = z_0/2 + i w, from the 2n - 1 samples
+    c_m = C(z_0 + m w), by the trapezoid rule of step w.
+
+    Node i's system is the trailing block G[i:, i:] of G = I + w Hankel(c),
+    with the trailing part of column i of Hankel(c) on its right: so with
+    G = U U^T, U upper triangular, its solution starts with
+    K_0 = -(1 - 1/U_ii^2)/w.  The node's own first weight w/2 is a scalar
+    Sherman-Morrison step, K = K_0/(1 + (w/2) K_0) = -2 d/(w (2 + d)) with
+    d = U_ii^2 - 1.  The first node, the worst conditioned, is held to
+    1e-6 max(1, |K|) against a conjugate-gradient solve of its system.
+    """
+    n = (c.size + 1) // 2
+    d = _schur_pivots(w * c[::-1])[::-1]
+    k = -2.0 * d / (w * (2.0 + d))
+    scale = np.sqrt(np.r_[0.5 * w, np.full(n - 1, w)])
+    s = _fft_hankel(c, scale)
+    u = _cg_solve(lambda y: y + s(y), -scale * c[:n]) / scale
+    _check_residual(k[:1] - u[:1], u[:1])
+    return k
+
+
+def _diagonal_table(kernel, ds):
+    # the trapezoid rule at ds and ds/2 on one grid from z[0]/2, to the
+    # kernel's end; Richardson's (4 K_{ds/2} - K_ds)/3 is fourth order
+    n = int(np.floor((kernel.z[-1] - kernel.z[0]) / (2.0 * ds))) + 1
+    c = kernel(kernel.z[0] + 0.5 * ds * np.arange(4 * n - 3))
+    if np.iscomplexobj(c):
         raise ValueError(
             "marchenko_diagonal needs a real (potential) kernel; pulse kernels "
             "go through recover_pulse"
         )
-    d = np.sqrt(w)
-    rhs = -c2[: w.size]
-    s = _fft_hankel(c2, d)
-    u = _cg_solve(lambda y: y + s(y), d * rhs) / d
-    _check_residual(u + _hankel_apply(c2, w * u) - rhs, rhs)
-    return float(u[0])
+    coarse = _trapezoid_diagonal(c[::2], ds)
+    fine = _trapezoid_diagonal(c, 0.5 * ds)
+    s = kernel.z[0] / 2.0 + ds * np.arange(n)
+    return SampleTable(s, (4.0 * fine[::2] - coarse) / 3.0)
+
+
+def marchenko_diagonal(kernel: MarchenkoKernel, x: float, ds: float = 0.05) -> float:
+    """Diagonal value K(x, x) of the layer-stripping solution.
+
+    Read from the kernel's table of the whole diagonal at step ds, built on
+    its first call: on the grid s = z[0]/2 + j ds, with the integral truncated
+    where the kernel tabulation ends, the trapezoid rule at ds and at ds/2
+    gives every node at once from one Schur factorization each (see
+    _trapezoid_diagonal), Richardson extrapolation makes it fourth order, and
+    a quintic spline reads it at x.  The factorization needs a positive
+    definite Nystroem matrix, as physical scattering data give; otherwise
+    NumericalError is raised.  So it is when the first, worst conditioned node
+    of either grid differs from a conjugate-gradient solve of its own system
+    by more than 1e-6 max(1, |K|).  x must lie at or right of z[0]/2 and at
+    least 4 ds left of z[-1]/2.  The kernel must be real: pulse kernels go
+    through recover_pulse.
+    """
+    if not ds > 0:
+        raise ValueError("ds must be positive")
+    if not x >= kernel.z[0] / 2.0:
+        raise ValueError(f"kernel tabulated for z >= {kernel.z[0]:g}; got {2.0 * x:g}")
+    if not (kernel.z[-1] / 2.0 - x) / ds >= 4.0:
+        raise ValueError("node too close to the kernel truncation edge")
+    if ds not in kernel._diagonals:
+        kernel._diagonals[ds] = _diagonal_table(kernel, ds)
+    return float(kernel._diagonals[ds](x))
 
 
 _END_DECAY = 1e-4
@@ -287,7 +381,8 @@ def solve_marchenko(
 ) -> RecoveredPotential:
     """Recover the potential on the given nodes from a tabulated kernel.
 
-    Q(x) = 2 dK(x, x)/dx by a central difference of half-width 0.01.
+    Q(x) = 2 dK(x, x)/dx by a central difference of half-width 0.01, both
+    values read from the one diagonal table of marchenko_diagonal.
     """
     x = checked_grid(x)
 

@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.linalg import hilbert
+from scipy.linalg import hankel, hilbert
 
 from scattergate import glm
+from scattergate._samples import SampleTable
 from scattergate.cli import main
 from scattergate.codec import from_json
 from scattergate.direct1d import BoundState, SquareWell, Tabulated, solve_scattering
@@ -348,8 +349,9 @@ class TestPulseRecovery:
 
 
 # ---------------------------------------------------------------------------
-# conjugate-gradient Nystroem solves against the dense LU of the
-# unsymmetrized system
+# node solves against dense oracles: the potential's trapezoid diagonal
+# against dense reverse Cholesky factorizations, and the pulse's
+# conjugate-gradient solves against the dense LU of the unsymmetrized system
 
 
 def nystroem_reference(kernel, x, ds):
@@ -371,16 +373,54 @@ def scaled_reference(w, h):
     return d[:, None] * h * d
 
 
-def lu_diagonal(kernel, x, ds):
-    c2, w, h = nystroem_reference(kernel, x, ds)
-    return np.linalg.solve(np.eye(w.size) + h * w, -c2[: w.size])[0], w.size
+def trapezoid_order(kernel, ds):
+    # the nodes s = z[0]/2 + j ds whose samples C(s + s') the kernel holds
+    return int(np.floor((kernel.z[-1] - kernel.z[0]) / (2.0 * ds))) + 1
 
 
-def assert_matches_lu(kernel, x, ds):
-    want, n = lu_diagonal(kernel, x, ds)
-    got = marchenko_diagonal(kernel, x, ds)
-    assert abs(got - want) <= 1e-10 * abs(want), (x, n, got, want)
-    return n
+def flipped_sequence(kernel, w, n):
+    """h with J G J = I + Hankel(h) for the trapezoid matrix
+    G = I + w Hankel(c) of the grid s = z[0]/2 + j w, c_m = C(z[0] + m w),
+    and J the reversal: h = w c reversed."""
+    return w * kernel(kernel.z[0] + w * np.arange(2 * n - 1))[::-1]
+
+
+def identity_plus_hankel(h):
+    n = (h.size + 1) // 2
+    return np.eye(n) + hankel(h[:n], h[n - 1 :])
+
+
+def cholesky_nodes(kernel, w, n):
+    """Every node's K(s_i, s_i) from the dense reverse Cholesky factor U of
+    G = U U^T: -(1 - 1/U_ii^2)/w, then the node's own first weight w/2."""
+    a = identity_plus_hankel(flipped_sequence(kernel, w, n))
+    pivots = np.diag(np.linalg.cholesky(a))[::-1] ** 2
+    k0 = -(1.0 - 1.0 / pivots) / w
+    return k0 / (1.0 + 0.5 * w * k0)
+
+
+def cholesky_table(kernel, ds):
+    """The trapezoid rule at ds and ds/2, Richardson and the quintic spline,
+    each grid factored densely."""
+    n = trapezoid_order(kernel, ds)
+    coarse, fine = cholesky_nodes(kernel, ds, n), cholesky_nodes(kernel, 0.5 * ds, 2 * n - 1)
+    return SampleTable(kernel.z[0] / 2.0 + ds * np.arange(n), (4.0 * fine[::2] - coarse) / 3.0)
+
+
+def assert_matches_cholesky(kernel, xs, ds):
+    table = cholesky_table(kernel, ds)
+    for x in xs:
+        want, got = table(x), marchenko_diagonal(kernel, x, ds)
+        assert abs(got - want) <= 1e-10 * abs(want), (x, got, want)
+
+
+def grid_spectra_minimum(kernel, ds):
+    # the lowest eigenvalue of the trapezoid matrices at ds and ds/2
+    n = trapezoid_order(kernel, ds)
+    return min(
+        np.linalg.eigvalsh(identity_plus_hankel(flipped_sequence(kernel, w, m)))[0]
+        for w, m in ((ds, n), (0.5 * ds, 2 * n - 1))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -397,27 +437,43 @@ def gate_kernel():
 
 
 class TestCholeskySolve:
-    """Nystroem node solves against dense LU, and the spectrum they rely on."""
+    """Node solves against dense factorizations, and the spectrum they rely on."""
 
     def test_gate_kernel_matches_lu(self, gate_kernel):
+        # -55.01 is the first node's left difference point; every node reads
+        # the table of one trapezoid grid and of its half-step grid
         _, kernel = gate_kernel
-        # -55.01 is the first node's left difference point: the largest order
-        sizes = [assert_matches_lu(kernel, x, 0.15) for x in (-55.01, -54.99, -20.0, 10.0, 46.01)]
-        assert sizes[0] == 1241
+        assert trapezoid_order(kernel, 0.15) == 1242
+        assert_matches_cholesky(kernel, (-55.01, -54.99, -20.0, 10.0, 46.01), 0.15)
 
     def test_gate_spectrum_is_positive(self, gate_kernel):
         _, kernel = gate_kernel
-        _, w, h = nystroem_reference(kernel, -55.01, 0.15)
-        ev = np.linalg.eigvalsh(np.eye(w.size) + scaled_reference(w, h))
+        h = flipped_sequence(kernel, 0.15, trapezoid_order(kernel, 0.15))
+        ev = np.linalg.eigvalsh(identity_plus_hankel(h))
         assert 0.3 < ev[0] and ev[-1] < 1.7
+
+    @pytest.mark.parametrize("i", [0, 1, 57, 275])
+    def test_reverse_cholesky_pivots_give_the_node_solves(self, i):
+        # node i's trapezoid system on its own: weights w/2, w, w, ... on
+        # s_i, s_{i+1}, ...; its solution starts with K(s_i, s_i)
+        kernel = marchenko_kernel(soliton_data([BoundState(1.0, 1.0)]), np.arange(-8.0, 20.0, 0.02))
+        w, n = 0.02, trapezoid_order(kernel, 0.02)
+        c = kernel(kernel.z[0] + w * np.arange(2 * n - 1))
+        idx = np.arange(i, n)
+        weights = np.full(n - i, w)
+        weights[0] = 0.5 * w
+        h = c[np.add.outer(idx, idx)]
+        want = np.linalg.solve(np.eye(n - i) + h * weights, -c[2 * i : i + n])[0]
+        got = cholesky_nodes(kernel, w, n)[i]
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_extended_gate_kernel_equals_one_shot_build(self, gate_kernel):
         data, kernel = gate_kernel
         assert np.array_equal(kernel.refl, marchenko_kernel(data, kernel.z).refl)
 
     # two-soliton nodes stop at x = -2: further left the condition number of
-    # I + S grows as e^{4 |x|} (3.6e6 at x = -3.5), and there LU and
-    # Cholesky differ by their shared cond * eps roundoff (1.6e-10)
+    # the node's system grows as e^{4 |x|} (3.6e6 at x = -3.5), and there two
+    # factorizations differ by their shared cond * eps roundoff
     @pytest.mark.parametrize("x", [-2.0, -1.0, 0.0, 0.4, 3.0])
     @pytest.mark.parametrize(
         "states",
@@ -426,7 +482,7 @@ class TestCholeskySolve:
     )
     def test_soliton_kernels_match_lu(self, states, x):
         kernel = marchenko_kernel(soliton_data(states), np.arange(-8.0, 20.0, 0.02))
-        assert_matches_lu(kernel, x, 0.02)
+        assert_matches_cholesky(kernel, (x,), 0.02)
 
     @pytest.mark.parametrize("t", [-1.5, 0.0, 0.7])
     def test_pulse_sample_matches_lu(self, t):
@@ -465,14 +521,12 @@ class TestCholeskySolve:
         data = ReflectionData(k=k, R=R, bound_states=bound)
         assert all(g > 0 for g in bound_state_weights(data))
         kernel = marchenko_kernel(data, np.arange(-2.5, 12.0, 0.02))
-        c2, w, h = nystroem_reference(kernel, x, 0.05)
-        ev = np.linalg.eigvalsh(np.eye(w.size) + scaled_reference(w, h))
-        assert ev[0] > 0
+        assert grid_spectra_minimum(kernel, 0.05) > 0
         # K(x, x) can pass through zero, so the error is relative to the
         # larger of K(x, x) and the kernel itself
-        want, _ = lu_diagonal(kernel, x, 0.05)
+        want = cholesky_table(kernel, 0.05)(x)
         got = marchenko_diagonal(kernel, x, 0.05)
-        assert abs(got - want) <= 1e-10 * max(abs(want), np.max(np.abs(c2)))
+        assert abs(got - want) <= 1e-10 * max(abs(want), np.max(np.abs(kernel(kernel.z[kernel.z >= 2.0 * x]))))
 
 
 def random_kernel(n, dtype, seed):
@@ -546,15 +600,15 @@ class TestConjugateGradientSolve:
         x=st.floats(-1.0, 1.0),
     )
     def test_indefinite_data_raise(self, bumps, states, x):
-        # bound states of either sign: wherever the dense spectrum of I + S
-        # has a negative eigenvalue the solve must refuse the data
+        # bound states of either sign: wherever the dense spectrum of a
+        # trapezoid matrix, at ds or ds/2, has a negative eigenvalue the
+        # solve must refuse the data
         k = np.arange(-8.0, 8.0 + 0.01, 0.01)
         R = mirrored_reflection(k, bumps)
         bound = tuple(BoundState(eta, sign * b) for eta, b, sign in states)
         data = ReflectionData(k=k, R=R, bound_states=bound)
         kernel = marchenko_kernel(data, np.arange(-2.5, 12.0, 0.02))
-        _, w, h = nystroem_reference(kernel, x, 0.05)
-        assume(np.linalg.eigvalsh(np.eye(w.size) + scaled_reference(w, h))[0] < 0)
+        assume(grid_spectra_minimum(kernel, 0.05) < 0)
         with pytest.raises(NumericalError):
             marchenko_diagonal(kernel, x, 0.05)
 
@@ -566,14 +620,52 @@ class TestConjugateGradientSolve:
             glm._cg_solve(lambda y: h @ y, np.ones(12))
 
     def test_inaccurate_solve_raises(self, monkeypatch):
-        # the one-soliton kernel gives K(0, 0) = -1; a Hankel product at half
-        # its size leaves a residual that the check on the unscaled system sees
-        kernel = marchenko_kernel(soliton_data([BoundState(1.0, 1.0)]), np.arange(-8.0, 20.0, 0.02))
-        assert marchenko_diagonal(kernel, 0.0, 0.02) == pytest.approx(-1.0, abs=1e-8)
+        # the one-soliton kernel gives K(0, 0) = -1.  A generator row
+        # v_1 = (h_m .. h_{2m-2}) off by 10% makes the recursion factor
+        # another matrix, which the conjugate-gradient solve of each grid's
+        # first node sees
+        data, grid = soliton_data([BoundState(1.0, 1.0)]), np.arange(-8.0, 20.0, 0.02)
+        assert marchenko_diagonal(marchenko_kernel(data, grid), 0.0, 0.02) == pytest.approx(-1.0, abs=1e-8)
+        pivots = glm._schur_pivots
+
+        def corrupted(h):
+            m = (h.size + 1) // 2
+            return pivots(np.r_[h[:m], 1.1 * h[m:]])
+
+        monkeypatch.setattr(glm, "_schur_pivots", corrupted)
+        with pytest.raises(NumericalError, match="Nystroem solve lost accuracy"):
+            marchenko_diagonal(marchenko_kernel(data, grid), 0.0, 0.02)
+
+    def test_inaccurate_pulse_solve_raises(self, monkeypatch):
+        # a Hankel product at half its size leaves a residual that the check
+        # on the unscaled pulse system sees
+        z = np.arange(-4.0, 14.0, 0.01)
+        refl = 0.3 * np.exp(-((z - 1.0) ** 2)) * np.exp(0.7j * z)
+        kernel = MarchenkoKernel(z=z, refl=refl, bound_terms=((1.0 - 0.5j, 0.8 + 0.3j),))
+        glm._pulse_sample(kernel, 0.0, 0.04)
         product = glm._fft_hankel
         monkeypatch.setattr(glm, "_fft_hankel", lambda c2, d: lambda y: 0.5 * product(c2, d)(y))
         with pytest.raises(NumericalError, match="Nystroem solve lost accuracy"):
-            marchenko_diagonal(kernel, 0.0, 0.02)
+            glm._pulse_sample(kernel, 0.0, 0.04)
+
+    def test_ill_conditioned_window_raises(self):
+        # the two-soliton kernel grows like e^{4|x|} to the left; from
+        # x = -5.5 the factorization holds the first node to only 1e-5
+        # relative, which would leave Q off by 1.5e-2 there: refused
+        data = soliton_data([BoundState(1.0, -1.0), BoundState(2.0, 1.0)])
+        with pytest.raises(NumericalError, match="Nystroem solve lost accuracy"):
+            recover_potential(data, np.arange(-5.5, 3.5 + 1e-9, 0.25), ds=0.02, check_decay=False)
+
+    def test_nodes_off_the_table_raise(self):
+        kernel = marchenko_kernel(soliton_data([BoundState(1.0, 1.0)]), np.arange(-2.0, 20.0, 0.02))
+        # the table starts at z[0]/2 = -1 and reads 0 to its left
+        assert marchenko_diagonal(kernel, -1.0, 0.1) == pytest.approx(-2.0 / (1.0 + np.exp(-2.0)), abs=1e-5)
+        with pytest.raises(ValueError, match="kernel tabulated for z >= -2"):
+            marchenko_diagonal(kernel, -1.0 - 1e-9, 0.1)
+        edge = kernel.z[-1] / 2.0
+        assert np.isfinite(marchenko_diagonal(kernel, edge - 0.401, 0.1))
+        with pytest.raises(ValueError, match="too close to the kernel truncation edge"):
+            marchenko_diagonal(kernel, edge - 0.399, 0.1)
 
     def test_complex_kernel_refused(self):
         z = np.arange(-2.0, 10.0, 0.05)
@@ -584,6 +676,38 @@ class TestConjugateGradientSolve:
     def test_zero_kernel_gives_zero(self):
         kernel = MarchenkoKernel(z=np.arange(-2.0, 10.0, 0.05), refl=np.zeros(240))
         assert marchenko_diagonal(kernel, 0.0, 0.1) == 0.0
+
+
+class TestSchurRecursion:
+    """The O(m)-memory Schur pivots of I + Hankel(h), less one, against dense
+    Cholesky."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        m=st.integers(2, 200), amp=st.floats(0.01, 2.0), rate=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pivots_match_dense_cholesky(self, m, amp, rate, seed):
+        # random entries of a decaying envelope amp e^{-rate j}
+        j = np.arange(2 * m - 1)
+        h = amp * np.random.default_rng(seed).uniform(-1.0, 1.0, j.size) * np.exp(-rate * j)
+        a = identity_plus_hankel(h)
+        assume(np.linalg.eigvalsh(a)[0] > 0)
+        want = np.diag(np.linalg.cholesky(a)) ** 2
+        assert np.max(np.abs(1.0 + glm._schur_pivots(h) - want) / want) <= 1e-12
+
+    def test_gate_system_pivots(self, gate_kernel):
+        # the first 1241 nodes of the gate kernel's trapezoid grid at ds 0.15
+        _, kernel = gate_kernel
+        h = flipped_sequence(kernel, 0.15, 1241)
+        want = np.diag(np.linalg.cholesky(identity_plus_hankel(h))) ** 2
+        assert np.max(np.abs(1.0 + glm._schur_pivots(h) - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("h", [[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, np.nan, 0.0], [np.inf, 0.0, 0.0]])
+    def test_non_positive_or_non_finite_pivot_raises(self, h):
+        # [[1, 2], [2, 1]] has pivots 1 and -3; [[-1, 0], [0, 1]] starts with -1
+        with pytest.raises(NumericalError, match="not positive definite"):
+            glm._schur_pivots(np.array(h))
 
 
 NEGATIVE_NORMING = soliton_data([BoundState(1.0, -1.0)])

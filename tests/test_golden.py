@@ -193,8 +193,8 @@ GOLDEN_STDOUT = {
     ),
     "inverse potential": (
         '{"subcommand": "inverse", "kind": "potential", "variant": "tabulated", '
-        '"x": [-3, -1.5, 0, 1.5, 3], "q": [0.019733348513395477, 0.36143045894929671, '
-        '1.9999322262513664, 0.36143082200966459, 0.019733370305059263], '
+        '"x": [-3, -1.5, 0, 1.5, 3], "q": [0.019733365040708328, 0.3614306461062089, '
+        '1.9999330058004361, 0.36143083984310903, 0.019733370331990411], '
         '"window": [-3, 3]}\n'
     ),
     "inverse pulse": (
