@@ -143,11 +143,13 @@ class SechSquared(PotentialSpec):
 
 def _lorentzian(pairs, x, dtype):
     # sum_j 2 a_j b_j / (x^2 + a_j^2) in dtype: the profile of the Lorentzian
-    # potentials here and of the Lorentzian pulses of twolevel
+    # potentials here and of the Lorentzian pulses of twolevel, written as
+    # 2 (b/a) / (1 + (x/a)^2) so that no width underflows x^2 + a^2
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=dtype)
     for a, b in pairs:
-        out = out + 2.0 * a * b / (x * x + a * a)
+        u = x / a
+        out = out + 2.0 * (b / a) / (1.0 + u * u)
     return out if out.ndim else dtype(out)
 
 

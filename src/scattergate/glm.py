@@ -23,15 +23,17 @@ the pulse envelope is read off the diagonal of the solution.
 
 The kernel is tabulated once, on a z grid padded until its end decays, by a
 phase recurrence in z: each row is the last one times e^{ik dz}, on any k grid.
-For a potential, the trapezoid (Nystroem) discretization on one uniform s grid
-is a single matrix I + ds Hankel(C) whose trailing blocks are the systems of
-every node, so the pivots of its reverse Cholesky factorization give the whole
-diagonal K(s, s) at once: discrete layer peeling (Bruckstein & Kailath, SIAM
-Rev. 29, 359 (1987)).  A generalized Schur recursion on its displacement
-generator (Kailath & Sayed, SIAM Rev. 37, 297 (1995)) takes the pivots in
-O(n^2) time and O(n) memory.  A pulse node is solved on its own by conjugate
-gradients on the symmetrized, positive definite form of Simpson's rule; the
-Hankel products cost O(n log n) by FFT and no n x n matrix is formed.
+For a potential, the matrix I + ds Hankel(C) on one uniform s grid holds the
+system of every node as a trailing block, so its reverse Cholesky factor gives
+the whole diagonal K(s, s) at once: discrete layer peeling (Bruckstein &
+Kailath, SIAM Rev. 29, 359 (1987)).  Each node takes Gregory's sixth-order
+end weights at its own endpoint; they differ from 1 on its first five points
+only, so a 5 x 5 system built from the factor's band next to the diagonal
+gives the node.  A generalized Schur recursion on the displacement generator
+(Kailath & Sayed, SIAM Rev. 37, 297 (1995)) takes that band in O(n^2) time
+and O(n) memory.  A pulse node is solved on its own by conjugate gradients on
+the symmetrized, positive definite form of Simpson's rule; the Hankel
+products cost O(n log n) by FFT and no n x n matrix is formed.
 """
 
 from __future__ import annotations
@@ -224,9 +226,26 @@ def _check_residual(resid, rhs):
         )
 
 
-def _schur_pivots(h):
-    """Cholesky pivots L_kk^2 of A = I + Hankel(h), A_ij = delta_ij + h[i + j],
-    less one, for h of odd length 2m - 1, in O(m) memory.
+# Gregory's end weights for a node with q = 1 .. 5 grid points at or right of
+# it: row q - 1 is the trapezoid rule corrected by forward differences up to
+# order q - 1 (Fornberg, SIAM Rev. 63, 167 (2021)), padded with the interior
+# weight 1.  The last row is exact for polynomials of degree five, and a
+# smooth integrand's error falls like ds^6.
+_GREGORY = np.array([
+    [1 / 2, 1, 1, 1, 1],
+    [5 / 12, 13 / 12, 1, 1, 1],
+    [3 / 8, 7 / 6, 23 / 24, 1, 1],
+    [251 / 720, 299 / 240, 211 / 240, 739 / 720, 1],
+    [95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160],
+])
+_BAND = _GREGORY.shape[1]
+
+
+def _schur_band(h):
+    """The first _BAND entries of every Schur column of A = I + Hankel(h),
+    A_ij = delta_ij + h[i + j], less the unit diagonal, for h of odd length
+    2m - 1, in O(m) memory.  Row j holds t_0 of step j: the pivot L_jj^2 less
+    one, then L[j + e, j] L_jj for e >= 1 (A = L L^T), zero past m.
 
     Each Schur complement of A is I + T, and the recursion runs on T, so a
     pivot near one keeps its difference from one to full relative precision.
@@ -244,51 +263,72 @@ def _schur_pivots(h):
     finite means A is not positive definite.
     """
     m = (h.size + 1) // 2
-    # rows: t_0, then u_0, v_0, v_1; row views shrink from the left
-    rows = np.zeros((4, m))
-    rows[0] = h[:m]
+    # rows: t_0, then u_0, v_0, v_1, and b_p; row views shrink from the left,
+    # and the zero columns past m fill the last steps' band rows
+    rows = np.zeros((5, m + _BAND - 1))
+    rows[0, :m] = h[:m]
     rows[1, 0] = 1.0
-    rows[2, 1:] = h[: m - 1]
-    rows[3, :-1] = h[m:]
-    less_one = np.empty(m)
-    coef = np.zeros(4)
-    a_p, b_p = np.inf, np.zeros(m)
+    rows[2, 1:m] = h[: m - 1]
+    rows[3, : m - 1] = h[m:]
+    band = np.empty((m, _BAND))
+    coef = np.zeros(5)
+    a_p = np.inf
     for j in range(m):
-        r = rows[:, j:]
+        band[j] = rows[0, j : j + _BAND]
+        r = rows[:, j:m]
         t0 = r[0]
-        less_one[j] = t0[0]
         a = 1.0 + t0[0]
         if not 0.0 < a < np.inf:
             raise NumericalError(_NOT_POSITIVE_DEFINITE)
         if j == m - 1:
-            return less_one
-        coef[:3] = b_p[0] / a_p, r[2, 0], -r[1, 0]
-        t1 = coef @ r - (a / a_p) * b_p
-        t1[0] += b_p[0] / a_p
+            return band
+        coef[0], coef[1], coef[2], coef[4] = r[4, 0] / a_p, r[2, 0], -r[1, 0], -a / a_p
+        t1 = coef @ r
+        t1[0] += coef[0]
         t1[1:] += t0[:-1]
         t1[:-1] += t0[1:]
         t1[-1] += r[3, 0]
-        b_p, a_p = t0[1:].copy(), a
+        r[4] = t0
         t0[:] = t1
-        rows[:, j + 1 :] -= np.outer(r[:, 0], b_p / a)
+        r[:4, 1:] -= r[:4, :1] * (r[4, 1:] / a)
+        a_p = a
 
 
-def _trapezoid_diagonal(c, w):
-    """K(s_i, s_i) at the n nodes s_i = z_0/2 + i w, from the 2n - 1 samples
-    c_m = C(z_0 + m w), by the trapezoid rule of step w.
+def _gregory_diagonal(c, ds):
+    """K(s_i, s_i) at the n nodes s_i = z_0/2 + i ds, from the 2n - 1 samples
+    c_m = C(z_0 + m ds), node i with the weights ds omega_b on s_{i + b}.
 
-    Node i's system is the trailing block G[i:, i:] of G = I + w Hankel(c),
-    with the trailing part of column i of Hankel(c) on its right: so with
-    G = U U^T, U upper triangular, its solution starts with
-    K_0 = -(1 - 1/U_ii^2)/w.  The node's own first weight w/2 is a scalar
-    Sherman-Morrison step, K = K_0/(1 + (w/2) K_0) = -2 d/(w (2 + d)) with
-    d = U_ii^2 - 1.  The first node, the worst conditioned, is held to
-    1e-6 max(1, |K|) against a conjugate-gradient solve of its system.
+    Node i's system is (I + (G_i - I) Omega) u = -(G_i - I) e_0 / ds, where
+    G_i = G[i:, i:] is the trailing block of G = I + ds Hankel(c) and
+    Omega = diag(omega) differs from I only on the first r = _BAND points.
+    Times G_i^-1 its first r rows close on themselves; with G = U U^T, U upper
+    triangular, (G_i^-1)[:r, :r] = (V V^T)^-1 for the block V = U[i:i+r, i:i+r],
+    and times V V^T they read (I + M Omega_r) u_r = -M e_0 / ds with
+    M = V V^T - I: node i's own r x r system.  The band of _schur_band holds
+    every V, and M = E + E^T + E E^T with E = V - I keeps its difference from
+    I to full relative precision.  The first node, the worst conditioned, is
+    held to 1e-6 max(1, |K|) against a conjugate-gradient solve of its system.
     """
     n = (c.size + 1) // 2
-    d = _schur_pivots(w * c[::-1])[::-1]
-    k = -2.0 * d / (w * (2.0 + d))
-    scale = np.sqrt(np.r_[0.5 * w, np.full(n - 1, w)])
+    r = _BAND
+    # column p of U above its diagonal, U[p - e, p], padded with identity
+    # columns so the last nodes' blocks are the identity past the edge
+    above = np.zeros((n + r - 1, r))
+    above[:n] = _schur_band(ds * c[::-1])[::-1]
+    root = np.sqrt(1.0 + above[:, 0])
+    above[:, 1:] /= root[:, None]
+    above[:, 0] /= 1.0 + root  # sqrt(1 + d) - 1
+    cols = np.arange(n)[:, None] + np.arange(r)
+    upper, right = np.triu_indices(r)
+    e = np.zeros((n, r, r))
+    e[:, upper, right] = above[cols[:, right], right - upper]
+    m = e + e.transpose(0, 2, 1) + e @ e.transpose(0, 2, 1)
+    # a node with q < r points to its right takes Gregory's row q - 1
+    omega = _GREGORY[np.minimum(n - np.arange(n), r) - 1]
+    k = np.linalg.solve(np.eye(r) + m * omega[:, None, :], -m[:, :, :1] / ds)[:, 0, 0]
+    w = np.full(n, ds)
+    w[:r] *= omega[0, :n]
+    scale = np.sqrt(w)
     s = _fft_hankel(c, scale)
     u = _cg_solve(lambda y: y + s(y), -scale * c[:n]) / scale
     _check_residual(k[:1] - u[:1], u[:1])
@@ -296,19 +336,16 @@ def _trapezoid_diagonal(c, w):
 
 
 def _diagonal_table(kernel, ds):
-    # the trapezoid rule at ds and ds/2 on one grid from z[0]/2, to the
-    # kernel's end; Richardson's (4 K_{ds/2} - K_ds)/3 is fourth order
+    # one grid from z[0]/2 at step ds to the kernel's end
     n = int(np.floor((kernel.z[-1] - kernel.z[0]) / (2.0 * ds))) + 1
-    c = kernel(kernel.z[0] + 0.5 * ds * np.arange(4 * n - 3))
+    c = kernel(kernel.z[0] + ds * np.arange(2 * n - 1))
     if np.iscomplexobj(c):
         raise ValueError(
             "marchenko_diagonal needs a real (potential) kernel; pulse kernels "
             "go through recover_pulse"
         )
-    coarse = _trapezoid_diagonal(c[::2], ds)
-    fine = _trapezoid_diagonal(c, 0.5 * ds)
     s = kernel.z[0] / 2.0 + ds * np.arange(n)
-    return SampleTable(s, (4.0 * fine[::2] - coarse) / 3.0)
+    return SampleTable(s, _gregory_diagonal(c, ds))
 
 
 def marchenko_diagonal(kernel: MarchenkoKernel, x: float, ds: float = 0.05) -> float:
@@ -316,16 +353,18 @@ def marchenko_diagonal(kernel: MarchenkoKernel, x: float, ds: float = 0.05) -> f
 
     Read from the kernel's table of the whole diagonal at step ds, built on
     its first call: on the grid s = z[0]/2 + j ds, with the integral truncated
-    where the kernel tabulation ends, the trapezoid rule at ds and at ds/2
-    gives every node at once from one Schur factorization each (see
-    _trapezoid_diagonal), Richardson extrapolation makes it fourth order, and
-    a quintic spline reads it at x.  The factorization needs a positive
-    definite Nystroem matrix, as physical scattering data give; otherwise
-    NumericalError is raised.  So it is when the first, worst conditioned node
-    of either grid differs from a conjugate-gradient solve of its own system
-    by more than 1e-6 max(1, |K|).  x must lie at or right of z[0]/2 and at
-    least 4 ds left of z[-1]/2.  The kernel must be real: pulse kernels go
-    through recover_pulse.
+    where the kernel tabulation ends, each node takes Gregory's end weights at
+    its own endpoint, sixth order where five points lie at or right of it and
+    the order its points allow nearer the end.  One Schur recursion records
+    the band of the grid's reverse Cholesky factor next to its diagonal, and
+    one batched 5 x 5 solve turns the band into every node (see
+    _gregory_diagonal); a quintic spline reads the table at x.  The
+    factorization needs a positive definite Nystroem matrix, as physical
+    scattering data give; otherwise NumericalError is raised.  So it is when
+    the first, worst conditioned node differs from a conjugate-gradient solve
+    of its own system by more than 1e-6 max(1, |K|).  x must lie at or right of
+    z[0]/2 and at least 4 ds left of z[-1]/2.  The kernel must be real: pulse
+    kernels go through recover_pulse.
     """
     if not ds > 0:
         raise ValueError("ds must be positive")

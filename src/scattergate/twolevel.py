@@ -216,8 +216,10 @@ def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
         y = transfer_matrix(gen, start, hi, rtol, "S-matrix", knots)
         if start > lo:
             # the real, even envelope makes the half from 0 to lo = -hi the
-            # conjugate of this one (module notes); det Y = 1 (traceless
-            # generator), so the adjugate of conj(Y) is its inverse
+            # conjugate of this one (module notes); Y over sqrt(det Y) has
+            # det 1 to rounding, as the traceless generator keeps it, so the
+            # adjugate of conj(Y) is its inverse
+            y = y / np.sqrt(y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0])
             (y00, y01), (y10, y11) = np.conj(y)
             y = y @ np.array([[y11, -y01], [-y10, y00]])
         core = _frame(-delta * hi) @ y @ _frame(delta * lo)

@@ -349,8 +349,8 @@ class TestPulseRecovery:
 
 
 # ---------------------------------------------------------------------------
-# node solves against dense oracles: the potential's trapezoid diagonal
-# against dense reverse Cholesky factorizations, and the pulse's
+# node solves against dense oracles: the potential's Gregory-weighted diagonal
+# against dense reverse Cholesky factorizations and dense node solves, and the pulse's
 # conjugate-gradient solves against the dense LU of the unsymmetrized system
 
 
@@ -373,15 +373,15 @@ def scaled_reference(w, h):
     return d[:, None] * h * d
 
 
-def trapezoid_order(kernel, ds):
+def node_count(kernel, ds):
     # the nodes s = z[0]/2 + j ds whose samples C(s + s') the kernel holds
     return int(np.floor((kernel.z[-1] - kernel.z[0]) / (2.0 * ds))) + 1
 
 
 def flipped_sequence(kernel, w, n):
-    """h with J G J = I + Hankel(h) for the trapezoid matrix
-    G = I + w Hankel(c) of the grid s = z[0]/2 + j w, c_m = C(z[0] + m w),
-    and J the reversal: h = w c reversed."""
+    """h with J G J = I + Hankel(h) for the matrix G = I + w Hankel(c) of the
+    grid s = z[0]/2 + j w, c_m = C(z[0] + m w), and J the reversal: h = w c
+    reversed."""
     return w * kernel(kernel.z[0] + w * np.arange(2 * n - 1))[::-1]
 
 
@@ -390,21 +390,57 @@ def identity_plus_hankel(h):
     return np.eye(n) + hankel(h[:n], h[n - 1 :])
 
 
+# Gregory's end weights (Fornberg, SIAM Rev. 63, 167 (2021)) of a node with
+# q = 1 .. 5 grid points at or right of it; every further weight is 1
+GREGORY = (
+    (1 / 2,),
+    (5 / 12, 13 / 12),
+    (3 / 8, 7 / 6, 23 / 24),
+    (251 / 720, 299 / 240, 211 / 240, 739 / 720),
+    (95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160),
+)
+BAND = len(GREGORY[-1])
+
+
+def gregory_weights(w, q):
+    """The weights of a node with q grid points, s_i .. s_{i+q-1}."""
+    weights = np.full(q, w)
+    end = GREGORY[min(q, BAND) - 1]
+    weights[: len(end)] *= end
+    return weights
+
+
+def dense_node(c, w, i, n):
+    """Node i's Gregory-weighted system on its own, c_m = C(z[0] + m w): its
+    solution u_b = K(s_i, s_{i+b}) starts with K(s_i, s_i)."""
+    idx = np.arange(i, n)
+    h = c[np.add.outer(idx, idx)]
+    return np.linalg.solve(np.eye(n - i) + h * gregory_weights(w, n - i), -c[2 * i : i + n])[0]
+
+
 def cholesky_nodes(kernel, w, n):
     """Every node's K(s_i, s_i) from the dense reverse Cholesky factor U of
-    G = U U^T: -(1 - 1/U_ii^2)/w, then the node's own first weight w/2."""
-    a = identity_plus_hankel(flipped_sequence(kernel, w, n))
-    pivots = np.diag(np.linalg.cholesky(a))[::-1] ** 2
-    k0 = -(1.0 - 1.0 / pivots) / w
-    return k0 / (1.0 + 0.5 * w * k0)
+    G = U U^T: node i's Gregory system, reduced by the block
+    V = U[i:i+r, i:i+r] to (I + M Omega) u = -M e_0 / w, where
+    M = V V^T - I = E + E^T + E E^T, E = V - I, keeps its difference from I."""
+    lower = np.linalg.cholesky(identity_plus_hankel(flipped_sequence(kernel, w, n)))
+    u = np.eye(n + BAND - 1)
+    u[:n, :n] = lower[::-1, ::-1]
+    out = np.empty(n)
+    for i in range(n):
+        e = u[i : i + BAND, i : i + BAND] - np.eye(BAND)
+        m = e + e.T + e @ e.T
+        omega = np.ones(BAND)
+        omega[: min(n - i, BAND)] = gregory_weights(1.0, min(n - i, BAND))
+        out[i] = np.linalg.solve(np.eye(BAND) + m * omega, -m[:, 0] / w)[0]
+    return out
 
 
 def cholesky_table(kernel, ds):
-    """The trapezoid rule at ds and ds/2, Richardson and the quintic spline,
-    each grid factored densely."""
-    n = trapezoid_order(kernel, ds)
-    coarse, fine = cholesky_nodes(kernel, ds, n), cholesky_nodes(kernel, 0.5 * ds, 2 * n - 1)
-    return SampleTable(kernel.z[0] / 2.0 + ds * np.arange(n), (4.0 * fine[::2] - coarse) / 3.0)
+    """The nodes of the one grid at ds, factored densely, and the quintic
+    spline."""
+    n = node_count(kernel, ds)
+    return SampleTable(kernel.z[0] / 2.0 + ds * np.arange(n), cholesky_nodes(kernel, ds, n))
 
 
 def assert_matches_cholesky(kernel, xs, ds):
@@ -415,12 +451,9 @@ def assert_matches_cholesky(kernel, xs, ds):
 
 
 def grid_spectra_minimum(kernel, ds):
-    # the lowest eigenvalue of the trapezoid matrices at ds and ds/2
-    n = trapezoid_order(kernel, ds)
-    return min(
-        np.linalg.eigvalsh(identity_plus_hankel(flipped_sequence(kernel, w, m)))[0]
-        for w, m in ((ds, n), (0.5 * ds, 2 * n - 1))
-    )
+    # the lowest eigenvalue of the matrix I + ds Hankel(c) of the grid at ds
+    n = node_count(kernel, ds)
+    return np.linalg.eigvalsh(identity_plus_hankel(flipped_sequence(kernel, ds, n)))[0]
 
 
 @pytest.fixture(scope="module")
@@ -441,29 +474,25 @@ class TestCholeskySolve:
 
     def test_gate_kernel_matches_lu(self, gate_kernel):
         # -55.01 is the first node's left difference point; every node reads
-        # the table of one trapezoid grid and of its half-step grid
+        # the table of the one grid at ds; at 46.01 |K| is about 5e-4
         _, kernel = gate_kernel
-        assert trapezoid_order(kernel, 0.15) == 1242
+        assert node_count(kernel, 0.15) == 1242
         assert_matches_cholesky(kernel, (-55.01, -54.99, -20.0, 10.0, 46.01), 0.15)
 
     def test_gate_spectrum_is_positive(self, gate_kernel):
         _, kernel = gate_kernel
-        h = flipped_sequence(kernel, 0.15, trapezoid_order(kernel, 0.15))
+        h = flipped_sequence(kernel, 0.15, node_count(kernel, 0.15))
         ev = np.linalg.eigvalsh(identity_plus_hankel(h))
         assert 0.3 < ev[0] and ev[-1] < 1.7
 
     @pytest.mark.parametrize("i", [0, 1, 57, 275])
     def test_reverse_cholesky_pivots_give_the_node_solves(self, i):
-        # node i's trapezoid system on its own: weights w/2, w, w, ... on
-        # s_i, s_{i+1}, ...; its solution starts with K(s_i, s_i)
+        # node i's Gregory system on its own against the oracle's reduction
+        # of it through the dense reverse Cholesky factor
         kernel = marchenko_kernel(soliton_data([BoundState(1.0, 1.0)]), np.arange(-8.0, 20.0, 0.02))
-        w, n = 0.02, trapezoid_order(kernel, 0.02)
+        w, n = 0.02, node_count(kernel, 0.02)
         c = kernel(kernel.z[0] + w * np.arange(2 * n - 1))
-        idx = np.arange(i, n)
-        weights = np.full(n - i, w)
-        weights[0] = 0.5 * w
-        h = c[np.add.outer(idx, idx)]
-        want = np.linalg.solve(np.eye(n - i) + h * weights, -c[2 * i : i + n])[0]
+        want = dense_node(c, w, i, n)
         got = cholesky_nodes(kernel, w, n)[i]
         assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -600,9 +629,9 @@ class TestConjugateGradientSolve:
         x=st.floats(-1.0, 1.0),
     )
     def test_indefinite_data_raise(self, bumps, states, x):
-        # bound states of either sign: wherever the dense spectrum of a
-        # trapezoid matrix, at ds or ds/2, has a negative eigenvalue the
-        # solve must refuse the data
+        # bound states of either sign: wherever the dense spectrum of the
+        # grid's matrix I + ds Hankel(c) has a negative eigenvalue the solve
+        # must refuse the data
         k = np.arange(-8.0, 8.0 + 0.01, 0.01)
         R = mirrored_reflection(k, bumps)
         bound = tuple(BoundState(eta, sign * b) for eta, b, sign in states)
@@ -622,17 +651,17 @@ class TestConjugateGradientSolve:
     def test_inaccurate_solve_raises(self, monkeypatch):
         # the one-soliton kernel gives K(0, 0) = -1.  A generator row
         # v_1 = (h_m .. h_{2m-2}) off by 10% makes the recursion factor
-        # another matrix, which the conjugate-gradient solve of each grid's
+        # another matrix, which the conjugate-gradient solve of the grid's
         # first node sees
         data, grid = soliton_data([BoundState(1.0, 1.0)]), np.arange(-8.0, 20.0, 0.02)
         assert marchenko_diagonal(marchenko_kernel(data, grid), 0.0, 0.02) == pytest.approx(-1.0, abs=1e-8)
-        pivots = glm._schur_pivots
+        band = glm._schur_band
 
         def corrupted(h):
             m = (h.size + 1) // 2
-            return pivots(np.r_[h[:m], 1.1 * h[m:]])
+            return band(np.r_[h[:m], 1.1 * h[m:]])
 
-        monkeypatch.setattr(glm, "_schur_pivots", corrupted)
+        monkeypatch.setattr(glm, "_schur_band", corrupted)
         with pytest.raises(NumericalError, match="Nystroem solve lost accuracy"):
             marchenko_diagonal(marchenko_kernel(data, grid), 0.0, 0.02)
 
@@ -679,8 +708,8 @@ class TestConjugateGradientSolve:
 
 
 class TestSchurRecursion:
-    """The O(m)-memory Schur pivots of I + Hankel(h), less one, against dense
-    Cholesky."""
+    """The O(m)-memory Schur band of I + Hankel(h): its first column, the
+    pivots less one, and the rest against dense Cholesky."""
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -694,20 +723,87 @@ class TestSchurRecursion:
         a = identity_plus_hankel(h)
         assume(np.linalg.eigvalsh(a)[0] > 0)
         want = np.diag(np.linalg.cholesky(a)) ** 2
-        assert np.max(np.abs(1.0 + glm._schur_pivots(h) - want) / want) <= 1e-12
+        assert np.max(np.abs(1.0 + glm._schur_band(h)[:, 0] - want) / want) <= 1e-12
 
     def test_gate_system_pivots(self, gate_kernel):
-        # the first 1241 nodes of the gate kernel's trapezoid grid at ds 0.15
+        # the first 1241 nodes of the gate kernel's grid at ds 0.15
         _, kernel = gate_kernel
         h = flipped_sequence(kernel, 0.15, 1241)
         want = np.diag(np.linalg.cholesky(identity_plus_hankel(h))) ** 2
-        assert np.max(np.abs(1.0 + glm._schur_pivots(h) - want) / want) <= 1e-12
+        assert np.max(np.abs(1.0 + glm._schur_band(h)[:, 0] - want) / want) <= 1e-12
 
     @pytest.mark.parametrize("h", [[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, np.nan, 0.0], [np.inf, 0.0, 0.0]])
     def test_non_positive_or_non_finite_pivot_raises(self, h):
         # [[1, 2], [2, 1]] has pivots 1 and -3; [[-1, 0], [0, 1]] starts with -1
         with pytest.raises(NumericalError, match="not positive definite"):
-            glm._schur_pivots(np.array(h))
+            glm._schur_band(np.array(h))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        m=st.integers(2, 200), amp=st.floats(0.01, 2.0), rate=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_band_matches_dense_cholesky(self, m, amp, rate, seed):
+        # row j past its first entry holds L[j + e, j] L_jj, A = L L^T
+        j = np.arange(2 * m - 1)
+        h = amp * np.random.default_rng(seed).uniform(-1.0, 1.0, j.size) * np.exp(-rate * j)
+        a = identity_plus_hankel(h)
+        assume(np.linalg.eigvalsh(a)[0] > 0)
+        lower = np.linalg.cholesky(a)
+        scaled = np.vstack([lower * np.diag(lower), np.zeros((BAND, m))])
+        want = np.array([scaled[i : i + BAND, i] for i in range(m)])
+        got = glm._schur_band(h)
+        assert np.max(np.abs(got[:, 1:] - want[:, 1:])) <= 1e-12 * np.max(np.abs(want[:, 1:]), initial=1.0)
+
+
+class TestGregoryDiagonal:
+    """Every node from the one recursion's band, against dense node solves,
+    and the order of Gregory's end correction."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(8, 200), amp=st.floats(0.01, 2.0), rate=st.floats(0.05, 1.0),
+        ds=st.floats(0.02, 0.5), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_nodes_match_dense_gregory_solves(self, m, amp, rate, ds, seed):
+        # decaying random samples c_m = C(z_0 + m ds) whose grid matrix
+        # I + ds Hankel(c), and the first node's weighted system, are
+        # positive definite
+        j = np.arange(2 * m - 1)
+        c = amp * np.random.default_rng(seed).uniform(-1.0, 1.0, j.size) * np.exp(-rate * j * ds)
+        h = c[np.add.outer(np.arange(m), np.arange(m))]
+        assume(np.linalg.eigvalsh(np.eye(m) + ds * h)[0] > 0)
+        root = np.sqrt(gregory_weights(ds, m))
+        assume(np.linalg.eigvalsh(np.eye(m) + root[:, None] * h * root)[0] > 0)
+        got = glm._gregory_diagonal(c, ds)
+        want = np.array([dense_node(c, ds, i, m) for i in range(m)])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), np.max(np.abs(c))))
+
+    def test_one_soliton_diagonal_is_sixth_order(self):
+        # K(x, x) = -2/(1 + e^{2x}); the grid reaches z = 30, so that the
+        # truncated tail (about e^{-30}) stays below the quadrature error
+        kernel = marchenko_kernel(soliton_data([BoundState(1.0, 1.0)]), np.arange(-8.0, 30.0, 0.02))
+        x = np.linspace(-2.0, 2.0, 81)
+        want = -2.0 / (1.0 + np.exp(2.0 * x))
+        err = [max(abs(marchenko_diagonal(kernel, xi, ds) - wi) for xi, wi in zip(x, want)) for ds in (0.05, 0.025)]
+        assert err[0] <= 5e-8
+        assert err[0] >= 30.0 * err[1]
+
+    def test_nodes_near_the_edge_take_reduced_orders(self):
+        # a slowly decaying kernel leaves K well above rounding at the edge;
+        # node i with q = n - i < 5 points takes Gregory's row q - 1, and the
+        # last readable x, 4 ds left of the edge, reads them through the spline
+        z = np.arange(-2.0, 10.0, 0.02)
+        kernel = MarchenkoKernel(z=z, refl=0.2 * np.exp(-0.1 * z) * np.cos(z))
+        ds = 0.1
+        n = node_count(kernel, ds)
+        c = kernel(kernel.z[0] + ds * np.arange(2 * n - 1))
+        got = glm._gregory_diagonal(c, ds)
+        for i in range(n - BAND - 1, n):
+            want = dense_node(c, ds, i, n)
+            assert abs(got[i] - want) <= 1e-12 * abs(want), i
+        edge = kernel.z[-1] / 2.0
+        assert_matches_cholesky(kernel, (edge - 4.0 * ds, edge - 4.5 * ds, edge - 5.0 * ds), ds)
 
 
 NEGATIVE_NORMING = soliton_data([BoundState(1.0, -1.0)])

@@ -193,8 +193,8 @@ GOLDEN_STDOUT = {
     ),
     "inverse potential": (
         '{"subcommand": "inverse", "kind": "potential", "variant": "tabulated", '
-        '"x": [-3, -1.5, 0, 1.5, 3], "q": [0.019733365040708328, 0.3614306461062089, '
-        '1.9999330058004361, 0.36143083984310903, 0.019733370331990411], '
+        '"x": [-3, -1.5, 0, 1.5, 3], "q": [0.019733376052499807, 0.36143083222157646, '
+        '1.9999333112458273, 0.3614308410434669, 0.019733370334263593], '
         '"window": [-3, 3]}\n'
     ),
     "inverse pulse": (
@@ -204,11 +204,11 @@ GOLDEN_STDOUT = {
         '0.0732379869201535]}\n'
     ),
     "twolevel": (
-        '{"subcommand": "twolevel", "S": [[[0.821054351557581, '
-        '-0.35505372281842412], [-1.4391599150440681e-18, -0.44699732180539131]], '
-        '[[1.1192147783022201e-17, -0.44699732180538088], [0.82105435155758089, '
-        '0.35505372281842407]]], "a": [0.821054351557581, -0.35505372281842412], '
-        '"b": [1.1192147783022201e-17, -0.44699732180538088]}\n'
+        '{"subcommand": "twolevel", "S": [[[0.82105435155756035, '
+        '-0.35505372281841519], [2.1417256543004664e-17, -0.4469973218053801]], '
+        '[[4.0029928704741781e-17, -0.44699732180536977], [0.82105435155756035, '
+        '0.35505372281841519]]], "a": [0.82105435155756035, -0.35505372281841519], '
+        '"b": [4.0029928704741781e-17, -0.44699732180536977]}\n'
     ),
     "entangle": (
         '{"schmidt_values": [1.9143904405240877, 0.43444210344141071, '

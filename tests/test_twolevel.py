@@ -263,6 +263,14 @@ class TestScatteringMatrix:
         left = transfer_matrix(gen, 0.0, -cut, 1e-11, "left half")
         assert np.max(np.abs(left - np.conj(y))) <= 1e-14 * np.max(np.abs(y))
 
+    @pytest.mark.parametrize("a, b, delta", [(1.0, 0.25, -1.0), (2.0, 0.5, -2.0)])
+    def test_joined_halves_stay_unitary(self, a, b, delta):
+        # the propagated half's det Y - 1 (2.7e-14 for the first case) would
+        # pass into S through the adjugate join; Y over sqrt(det Y) keeps it out
+        s = scattering_matrix(PulseSpec(LorentzianPulse(a, b), detuning=delta))
+        assert np.linalg.norm(s.conj().T @ s - np.eye(2)) <= 3e-14
+        assert abs(np.linalg.det(s) - 1.0) <= 2e-15
+
     def test_one_half_per_solve(self, monkeypatch):
         calls = []
 
