@@ -23,16 +23,17 @@ the pulse envelope is read off the diagonal of the solution.
 
 The kernel is tabulated once, on a z grid padded until its end decays, by a
 phase recurrence in z: each row is the last one times e^{ik dz}, on any k grid.
-For a potential, the matrix I + ds Hankel(C) on one uniform s grid holds the
-system of every node as a trailing block, so its reverse Cholesky factor gives
-the whole diagonal K(s, s) at once: discrete layer peeling (Bruckstein &
-Kailath, SIAM Rev. 29, 359 (1987)).  Each node takes Gregory's sixth-order
-end weights at its own endpoint; they differ from 1 on its first five points
-only, so a 5 x 5 system built from the factor's band next to the diagonal
-gives the node.  A generalized Schur recursion on the displacement generator
-(Kailath & Sayed, SIAM Rev. 37, 297 (1995)) takes that band in O(n^2) time
-and O(n) memory.  A pulse node is solved on its own by conjugate gradients on
-the symmetrized, positive definite form of Simpson's rule; the Hankel
+Every node, of either equation, integrates on the grid s = x + j ds up to the
+kernel's end with Gregory's sixth-order end weights at its own endpoint; they
+differ from the trapezoid weight ds on its first five points only.  For a
+potential, the matrix I + ds Hankel(C) on one uniform s grid holds the system
+of every node as a trailing block, so its reverse Cholesky factor gives the
+whole diagonal K(s, s) at once: discrete layer peeling (Bruckstein & Kailath,
+SIAM Rev. 29, 359 (1987)).  A 5 x 5 system built from the factor's band next
+to the diagonal gives each node, and a generalized Schur recursion on the
+displacement generator (Kailath & Sayed, SIAM Rev. 37, 297 (1995)) takes that
+band in O(n^2) time and O(n) memory.  A pulse node is solved on its own by
+conjugate gradients on its symmetrized, positive definite system; the Hankel
 products cost O(n log n) by FFT and no n x n matrix is formed.
 """
 
@@ -156,26 +157,6 @@ def _real_rows(vals):
     return vals.real
 
 
-def _simpson_weights(n, ds):
-    # n is kept odd so the composite rule closes
-    w = np.full(n, 2.0 * ds / 3.0)
-    w[1::2] = 4.0 * ds / 3.0
-    w[0] = w[-1] = ds / 3.0
-    return w
-
-
-def _nystroem_system(kernel, x, ds):
-    # samples c2 = C(2x + j ds), j < 2n - 1, and Simpson weights w of the
-    # Nystroem discretization at x on the grid s = j ds: the system is
-    # (I + H W) u = -c2[:n] with the Hankel matrix H_ij = c2[i + j]
-    n = int(np.floor((kernel.z[-1] / 2.0 - x) / ds)) + 1
-    if n % 2 == 0:
-        n -= 1
-    if n < 5:
-        raise ValueError("node too close to the kernel truncation edge")
-    return kernel(2.0 * x + ds * np.arange(2 * n - 1)), _simpson_weights(n, ds)
-
-
 def _hankel_apply(c2, v):
     # (H v)_i = sum_j c2[i + j] v_j; np.correlate conjugates its second input
     return np.correlate(c2, np.conj(v), "valid")
@@ -239,6 +220,19 @@ _GREGORY = np.array([
     [95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160],
 ])
 _BAND = _GREGORY.shape[1]
+
+
+def _node_system(kernel, x, ds):
+    # samples c2 = C(2x + j ds), j < 2n - 1, and Gregory weights w of the
+    # Nystroem discretization at x on the grid s = x + j ds, truncated where
+    # the kernel tabulation ends: the system is (I + H W) u = -c2[:n] with the
+    # Hankel matrix H_ij = c2[i + j]
+    n = int(np.floor((kernel.z[-1] / 2.0 - x) / ds)) + 1
+    if n < _BAND:
+        raise ValueError("node too close to the kernel truncation edge")
+    w = np.full(n, ds)
+    w[:_BAND] *= _GREGORY[-1]
+    return kernel(2.0 * x + ds * np.arange(2 * n - 1)), w
 
 
 def _schur_band(h):
@@ -306,8 +300,7 @@ def _gregory_diagonal(c, ds):
     and times V V^T they read (I + M Omega_r) u_r = -M e_0 / ds with
     M = V V^T - I: node i's own r x r system.  The band of _schur_band holds
     every V, and M = E + E^T + E E^T with E = V - I keeps its difference from
-    I to full relative precision.  The first node, the worst conditioned, is
-    held to 1e-6 max(1, |K|) against a conjugate-gradient solve of its system.
+    I to full relative precision.
     """
     n = (c.size + 1) // 2
     r = _BAND
@@ -325,27 +318,26 @@ def _gregory_diagonal(c, ds):
     m = e + e.transpose(0, 2, 1) + e @ e.transpose(0, 2, 1)
     # a node with q < r points to its right takes Gregory's row q - 1
     omega = _GREGORY[np.minimum(n - np.arange(n), r) - 1]
-    k = np.linalg.solve(np.eye(r) + m * omega[:, None, :], -m[:, :, :1] / ds)[:, 0, 0]
-    w = np.full(n, ds)
-    w[:r] *= omega[0, :n]
-    scale = np.sqrt(w)
-    s = _fft_hankel(c, scale)
-    u = _cg_solve(lambda y: y + s(y), -scale * c[:n]) / scale
-    _check_residual(k[:1] - u[:1], u[:1])
-    return k
+    return np.linalg.solve(np.eye(r) + m * omega[:, None, :], -m[:, :, :1] / ds)[:, 0, 0]
 
 
 def _diagonal_table(kernel, ds):
-    # one grid from z[0]/2 at step ds to the kernel's end
-    n = int(np.floor((kernel.z[-1] - kernel.z[0]) / (2.0 * ds))) + 1
-    c = kernel(kernel.z[0] + ds * np.arange(2 * n - 1))
+    # one grid from z[0]/2 at step ds to the kernel's end; its first node, the
+    # worst conditioned, is held to 1e-6 max(1, |K|) against a
+    # conjugate-gradient solve of its own system
+    x = kernel.z[0] / 2.0
+    c, w = _node_system(kernel, x, ds)
     if np.iscomplexobj(c):
         raise ValueError(
             "marchenko_diagonal needs a real (potential) kernel; pulse kernels "
             "go through recover_pulse"
         )
-    s = kernel.z[0] / 2.0 + ds * np.arange(n)
-    return SampleTable(s, _gregory_diagonal(c, ds))
+    k = _gregory_diagonal(c, ds)
+    scale = np.sqrt(w)
+    s = _fft_hankel(c, scale)
+    u = _cg_solve(lambda y: y + s(y), -scale * c[: w.size]) / scale
+    _check_residual(k[:1] - u[:1], u[:1])
+    return SampleTable(x + ds * np.arange(w.size), k)
 
 
 def marchenko_diagonal(kernel: MarchenkoKernel, x: float, ds: float = 0.05) -> float:
@@ -534,11 +526,11 @@ def transmission_derivative_at_pole(data: TwoLevelScatteringData, j: int) -> com
 
 
 def _pulse_sample(kernel, t, ds):
-    # E(t) = -2i v(t, t): with M = H W the system (I + M conj(M)) v = -c is
-    # solved by conjugate gradients as (I + S S^H) D v = -D c, Hermitian
-    # positive definite for any data because S = D H D is complex symmetric,
-    # so S^H y = conj(S conj(y))
-    c2, w = _nystroem_system(kernel, t, ds)
+    # E(t) = -2i v(t, t) on Gregory's sixth-order weights: with M = H W the
+    # system (I + M conj(M)) v = -c is solved by conjugate gradients as
+    # (I + S S^H) D v = -D c, Hermitian positive definite for any data because
+    # S = D H D is complex symmetric, so S^H y = conj(S conj(y))
+    c2, w = _node_system(kernel, t, ds)
     d = np.sqrt(w)
     rhs = -c2[: w.size]
     s = _fft_hankel(c2, d)
@@ -574,10 +566,15 @@ def recover_pulse(
         u(y) - int_t^inf conj(F(s + y)) v(s) ds = 0,
         v(y) + int_t^inf F(s + y) u(s) ds = -F(t + y).
 
-    At each node the Nystroem system for v is solved by conjugate gradients
-    as the Hermitian positive definite I + S S^H, S = D H D, with FFT
-    Hankel products (see _pulse_sample).
+    At each node the integrals, truncated where the kernel tabulation ends,
+    take the trapezoid rule at step ds with Gregory's sixth-order end weights,
+    as the potential's nodes do, and the Nystroem system for v is solved by
+    conjugate gradients as the Hermitian positive definite I + S S^H,
+    S = D H D, with FFT Hankel products (see _pulse_sample).  ds must be
+    positive.
     """
+    if not ds > 0:
+        raise ValueError("ds must be positive")
     t = checked_grid(t)
     # m_j e^{i zeta_j z} as a bound term g e^{-eta z} with rate eta = -i zeta_j
     terms = tuple(

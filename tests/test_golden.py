@@ -199,9 +199,9 @@ GOLDEN_STDOUT = {
     ),
     "inverse pulse": (
         '{"subcommand": "inverse", "kind": "pulse", "t": [-2, -1, 0, 1, 2], '
-        '"re_E": [0, 0, 0, 0, 0], "im_E": [0.073237905695967803, '
-        '0.53160387831272549, 1.9999988902383377, 0.53160444705880949, '
-        '0.0732379869201535]}\n'
+        '"re_E": [0, 0, 0, 0, 0], "im_E": [0.073237985182645876, '
+        '0.53160444508636273, 1.9999999759195852, 0.53160445743937301, '
+        '0.073237986946813091]}\n'
     ),
     "twolevel": (
         '{"subcommand": "twolevel", "S": [[[0.82105435155756035, '
