@@ -14,8 +14,10 @@ Each document type runs one field rule when built, by its constructor or
 by ``from_json`` (``Document.__post_init__``): a ``float``, ``complex``,
 ``int`` or ``bool`` field, or a tuple of these, keeps its value converted by
 the hint only if the conversion is exact and finite (2.0 for an int, not
-1.9; 1 for a float, not "1" or nan), and a document-typed field must hold
-one.  The reader passes scalars on as written, so it refuses the same values.
+1.9; 1 for a float, not "1" or nan), a ``Positive`` float (a width, rate,
+length, radius or duration) only if it is also > 0 ("eta: 0.0 is not
+positive"), and a document-typed field must hold one.  The reader passes
+scalars on as written, so it refuses the same values.
 
 Types whose variants share one base (potentials and pulse envelopes by
 ``"variant"``, loops by ``"kind"``) write that tag first, and potentials end
@@ -42,6 +44,8 @@ import numpy as np
 
 from ._samples import numbers
 
+Positive = typing.Annotated[float, "positive"]
+
 
 class Document:
     """Base of every type with a JSON document form.
@@ -53,7 +57,7 @@ class Document:
 
     and every subclass that sets the tag attribute in its own body is
     registered as that variant.  Construction runs the field rule of the
-    module notes, then the class's own range checks in ``_check``.
+    module notes, then the checks no field type states in ``_check``.
     """
 
     def __init_subclass__(cls, tag=None, noun=None, derived=(), **kwargs):
@@ -79,7 +83,7 @@ class Document:
 
 @functools.cache
 def _hints(cls) -> dict:
-    return typing.get_type_hints(cls)
+    return typing.get_type_hints(cls, include_extras=True)
 
 
 def _is_base(hint) -> bool:
@@ -98,6 +102,11 @@ def _items(hint, value) -> list:
 
 def _field(hint, value):
     # the field rule of the module notes, for one field's value
+    if hint == Positive:
+        out = _field(float, value)
+        if not out > 0:
+            raise ValueError(f"{out!r} is not positive")
+        return out
     if hint in (float, complex, int, bool):
         try:
             out = hint(value) if getattr(value, "ndim", 0) == 0 else None

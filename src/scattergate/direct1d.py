@@ -48,7 +48,7 @@ from scipy.special import exp1
 from ._magnus import transfer_matrix
 from ._samples import FLOOR, SampleTable, checked_grid, sample_fields
 from .algebra import tau
-from .codec import Document
+from .codec import Document, Positive
 from .errors import NumericalError
 
 _RTOL = 1e-10
@@ -92,13 +92,9 @@ class SquareWell(PotentialSpec):
 
     q0: float
     x0: float
-    length: float
+    length: Positive
 
     variant = "square_well"
-
-    def _check(self):
-        if not self.length > 0:
-            raise ValueError("length must be positive")
 
     @property
     def window(self):
@@ -118,14 +114,10 @@ class SechSquared(PotentialSpec):
     T(k) = (k + i eta)/(k - i eta) with R identically zero.
     """
 
-    eta: float
+    eta: Positive
     center: float = 0.0
 
     variant = "sech_squared"
-
-    def _check(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
 
     @property
     def window(self):
@@ -210,13 +202,9 @@ class LorentzianSum(PotentialSpec):
     each tail beyond as the exponential of its exact moments (module notes).
     """
 
-    pairs: tuple[tuple[float, float], ...]
+    pairs: tuple[tuple[Positive, float], ...]
 
     variant = "lorentzian_sum"
-
-    def _check(self):
-        if any(a <= 0 for a, _ in self.pairs):
-            raise ValueError("widths a_j must be positive")
 
     @property
     def window(self):
@@ -359,12 +347,8 @@ def solve_grid(q: PotentialSpec, ks, *, rtol: float = _RTOL):
 class BoundState(Document):
     """Discrete eigenvalue k = i eta with the left/right Jost ratio as norming."""
 
-    eta: float
+    eta: Positive
     norming: float
-
-    def _check(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
 
 
 def _tilted(q, eta, x_from, x_to):

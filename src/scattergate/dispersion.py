@@ -36,7 +36,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ._samples import SampleTable, sample_fields
-from .codec import Document
+from .codec import Document, Positive
 from .direct1d import BoundState, Tabulated, find_bound_states, solve_grid
 from .errors import InfeasibleTargetError, NumericalError
 
@@ -213,13 +213,11 @@ def sample_reflection(
 class GateTarget(Document):
     """Prescribed (transmission, reflection) pair at one momentum."""
 
-    k: float
+    k: Positive
     t: complex
     r: complex
 
     def _check(self):
-        if not self.k > 0:
-            raise ValueError("target momentum must be positive")
         if not abs(self.t) > 0:
             raise ValueError("target transmission must be nonzero")
         try:

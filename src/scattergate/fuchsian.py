@@ -24,7 +24,7 @@ import numpy as np
 from ._magnus import transfer_matrix
 from ._samples import numbers
 from .algebra import HADAMARD, SIGMA3
-from .codec import Document
+from .codec import Document, Positive
 from .errors import NumericalError
 
 _RTOL = 1e-10
@@ -89,15 +89,13 @@ class CircleLoop(Loop):
     """Circle {center, radius}; orientation +1 counterclockwise, -1 clockwise."""
 
     center: complex
-    radius: float
+    radius: Positive
     orientation: int = 1
     on_contour: bool = False
 
     kind = "circle"
 
     def _check(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 (ccw) or -1 (cw)")
 

@@ -53,6 +53,8 @@ from .twolevel import TabulatedPulse
 
 # kernel z-grid points: far beyond any data a Nystroem solve can take
 _MAX_Z_POINTS = 10**7
+# grid points of one Marchenko node: keeps a node's arrays to hundreds of MB
+_MAX_NODES = 2**20
 _FD_STEP = 0.01  # half-width of the central difference Q = 2 dK(x, x)/dx
 _NOT_POSITIVE_DEFINITE = (
     "Nystroem matrix is not positive definite; the data are not physical scattering data"
@@ -227,7 +229,11 @@ def _node_system(kernel, x, ds):
     # Nystroem discretization at x on the grid s = x + j ds, truncated where
     # the kernel tabulation ends: the system is (I + H W) u = -c2[:n] with the
     # Hankel matrix H_ij = c2[i + j]
-    n = int(np.floor((kernel.z[-1] / 2.0 - x) / ds)) + 1
+    n = np.floor((kernel.z[-1] / 2.0 - x) / ds) + 1
+    if not n <= _MAX_NODES:
+        raise ValueError(f"node x = {x:.6g} at step ds = {ds:.3g} needs n = {n:.3g} grid "
+                         f"points, over the limit of {_MAX_NODES}")
+    n = int(n)
     if n < _BAND:
         raise ValueError("node too close to the kernel truncation edge")
     w = np.full(n, ds)

@@ -51,7 +51,7 @@ from scipy.linalg import expm
 
 from ._magnus import transfer_matrix
 from ._samples import SampleTable, sample_fields
-from .codec import Document
+from .codec import Document, Positive
 from .direct1d import _expm_traceless, _lorentzian, _lorentzian_tails, _lorentzian_window
 from .errors import NumericalError
 
@@ -91,14 +91,10 @@ class _LorentzianTerms(PulseEnvelope):
 class LorentzianPulse(_LorentzianTerms):
     """E(t) = 2 a b / (t^2 + a^2), area 2 pi b."""
 
-    a: float
+    a: Positive
     b: float
 
     variant = "lorentzian"
-
-    def _check(self):
-        if not self.a > 0:
-            raise ValueError("need width a > 0")
 
     @property
     def terms(self):
@@ -109,13 +105,9 @@ class LorentzianPulse(_LorentzianTerms):
 class LorentzianPulseSum(_LorentzianTerms):
     """E(t) = sum_k 2 a_k b_k / (t^2 + a_k^2), area 2 pi sum b_k."""
 
-    terms: tuple[tuple[float, float], ...]
+    terms: tuple[tuple[Positive, float], ...]
 
     variant = "lorentzian_sum"
-
-    def _check(self):
-        if any(a <= 0 for a, _ in self.terms):
-            raise ValueError("widths a_k must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,13 +115,9 @@ class RectangularPulse(PulseEnvelope):
     """E(t) = x on [-T, T], zero outside."""
 
     x: complex
-    half_width: float
+    half_width: Positive
 
     variant = "rectangular"
-
-    def _check(self):
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
 
     @property
     def window(self):
@@ -264,11 +252,7 @@ class DipoleParams(Document):
     W_minus_B: float
     x: complex = 0.0
     y: float = 0.0
-    T: float = 1.0
-
-    def _check(self):
-        if not self.T > 0:
-            raise ValueError("half-duration T must be positive")
+    T: Positive = 1.0
 
 
 def _flip(d, field):

@@ -1,6 +1,7 @@
 """JSON codec: property round trips for every serializable type, the document
-forms older writers produced, the one field rule every document type runs,
-and a fuzz over whole documents."""
+forms older writers produced, the one field rule every document type runs
+(with the sign rule of its Positive fields), and a fuzz over whole
+documents."""
 
 import dataclasses
 import functools
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from scattergate.cli import main
-from scattergate.codec import Document, from_json, to_json
+from scattergate.codec import Document, Positive, from_json, to_json
 from scattergate.direct1d import (
     BoundState,
     LorentzianSum,
@@ -429,6 +430,81 @@ def test_bound_state_and_gate_target_are_documents():
 
 
 # ---------------------------------------------------------------------------
+# the sign rule: every Positive field, found from the type hints
+
+
+def _positive_paths(hint, path=()):
+    # index paths to the Positive scalars under a field hint; the first item
+    # of a variable-length tuple stands for every item
+    if hint == Positive:
+        yield path
+    elif typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        for i, item in enumerate(args[:1] if args[-1] is Ellipsis else args):
+            yield from _positive_paths(item, (*path, i))
+
+
+def _set_at(value, path, new):
+    # value (a field value or its document form) with the scalar at path set to new
+    if not path:
+        return new
+    i = path[0]
+    return [*value[:i], _set_at(value[i], path[1:], new), *value[i + 1:]]
+
+
+def _get_at(value, path):
+    for i in path:
+        value = value[i]
+    return value
+
+
+def positive_fields():
+    """(cls, field name, index path) of every Positive scalar of every document type."""
+    for cls in document_types():
+        hints = typing.get_type_hints(cls, include_extras=True)
+        for f in dataclasses.fields(cls):
+            for path in _positive_paths(hints[f.name]):
+                yield cls, f.name, path
+
+
+def test_widths_rates_lengths_radii_and_durations_are_positive():
+    found = {f"{cls.__name__}.{name}" for cls, name, _ in positive_fields()}
+    assert found >= {"SquareWell.length", "SechSquared.eta", "LorentzianSum.pairs",
+                     "BoundState.eta", "LorentzianPulse.a", "LorentzianPulseSum.terms",
+                     "RectangularPulse.half_width", "DipoleParams.T", "CircleLoop.radius",
+                     "GateTarget.k"}
+
+
+NOT_POSITIVE = {"0": 0.0, "-0": -0.0, "-1": -1.0, "nan": float("nan"),
+                "inf": float("inf"), "-inf": float("-inf")}
+
+
+@pytest.mark.parametrize("cls, name, path, bad", [
+    pytest.param(cls, name, path, bad, id=f"{cls.__name__}.{name}={label}")
+    for cls, name, path in positive_fields() for label, bad in NOT_POSITIVE.items()])
+def test_positive_field_refuses_and_names_the_field(cls, name, path, bad):
+    message = f"^{name}: {bad!r} is not positive$" if np.isfinite(bad) else f"^{name}: .* finite"
+    obj = EXAMPLES[cls]
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(obj, **{name: _set_at(getattr(obj, name), path, bad)})
+    doc = to_json(obj)
+    doc[name] = _set_at(doc[name], path, bad)
+    with pytest.raises(ValueError, match=message):
+        from_json(cls, doc)
+
+
+@pytest.mark.parametrize("cls, name, path", [
+    pytest.param(cls, name, path, id=f"{cls.__name__}.{name}") for cls, name, path in positive_fields()])
+def test_positive_field_takes_the_least_subnormal(cls, name, path):
+    obj = EXAMPLES[cls]
+    built = dataclasses.replace(obj, **{name: _set_at(getattr(obj, name), path, 5e-324)})
+    doc = to_json(obj)
+    doc[name] = _set_at(doc[name], path, 5e-324)
+    for got in (built, from_json(cls, doc)):
+        assert _get_at(getattr(got, name), path) == 5e-324
+
+
+# ---------------------------------------------------------------------------
 # whole-document fuzz: each document builds exactly, or is refused with exit 2
 
 DROP = object()
@@ -510,6 +586,17 @@ def _write(path, doc):
     return str(path)
 
 
+def _cli_argv(tmp_path, cls, doc):
+    # the command line that reads doc as a cls, with an example partner document
+    sub, flag = CLI_READERS[cls]
+    argv = [sub, flag, _write(tmp_path / "doc.json", doc)]
+    if sub == "monodromy":
+        partner = FuchsianSystem if flag == "--loop" else CircleLoop
+        other = "--system" if flag == "--loop" else "--loop"
+        argv += [other, _write(tmp_path / "other.json", to_json(EXAMPLES[partner]))]
+    return argv
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(case=st.sampled_from(document_types()).flatmap(
@@ -525,12 +612,18 @@ def test_whole_documents_build_exactly_or_exit_2(case, tmp_path, capsys, budget)
         return
     if cls not in CLI_READERS:
         return
-    sub, flag = CLI_READERS[cls]
-    argv = [sub, flag, _write(tmp_path / "doc.json", doc)]
-    if sub == "monodromy":
-        partner = FuchsianSystem if flag == "--loop" else CircleLoop
-        other = "--system" if flag == "--loop" else "--loop"
-        argv += [other, _write(tmp_path / "other.json", to_json(EXAMPLES[partner]))]
-    code = main(argv)
+    code = main(_cli_argv(tmp_path, cls, doc))
     out, err = capsys.readouterr()
     assert (code, out, len(err.splitlines())) == (2, "", 1), err
+
+
+@pytest.mark.parametrize("cls, name, path", [
+    pytest.param(cls, name, path, id=f"{cls.__name__}.{name}")
+    for cls, name, path in positive_fields() if cls in CLI_READERS])
+def test_zero_positive_field_exits_2_naming_it(cls, name, path, tmp_path, capsys):
+    doc = to_json(EXAMPLES[cls])
+    doc[name] = _set_at(doc[name], path, 0)
+    code = main(_cli_argv(tmp_path, cls, doc))
+    out, err = capsys.readouterr()
+    assert (code, out, len(err.splitlines())) == (2, "", 1), err
+    assert json.loads(err)["error"]["message"] == f"ValueError: {name}: 0.0 is not positive"

@@ -346,6 +346,18 @@ class TestPulseRecovery:
         with pytest.raises(ValueError, match="ds must be positive"):
             recover_pulse(pole_data(), x, ds=ds)
 
+    def test_tiny_step_refused_on_both_paths(self, gate_kernel, budget):
+        # ds = 1e-6 asks each node for over 1e6 grid points (about 1.9e8 on
+        # the gate kernel); the limit refuses it before the kernel is sampled
+        x = np.linspace(-1.0, 1.0, 5)
+        too_many = "ds = 1e-06 needs n = .* grid points, over the limit of 1048576"
+        with pytest.raises(ValueError, match=too_many):
+            recover_potential(soliton_data([BoundState(1.0, 1.0)]), x, ds=1e-6)
+        with pytest.raises(ValueError, match=too_many):
+            marchenko_diagonal(gate_kernel[1], 0.0, ds=1e-6)
+        with pytest.raises(ValueError, match=too_many):
+            recover_pulse(pole_data(), x, ds=1e-6)
+
     def test_json_round_trips(self):
         data = pole_data()
         back = from_json(TwoLevelScatteringData, data.to_json())

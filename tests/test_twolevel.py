@@ -66,7 +66,7 @@ class TestEnvelopes:
         assert tab(1.5) == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="a > 0"):
+        with pytest.raises(ValueError, match="^a: -1.0 is not positive$"):
             LorentzianPulse(a=-1.0, b=0.2)
         with pytest.raises(ValueError, match="positive"):
             RectangularPulse(x=1.0, half_width=0.0)
