@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .codec import Positive, checked
 from .errors import NumericalError
 
 # Gauss-Legendre nodes on [0, 1], and the weights of (A_3 - A_1) and
@@ -135,8 +136,7 @@ def transfer_matrix(gen, x_from, x_to, rtol, what, knots=None):
     ``what`` for a non-finite generator, a propagator that overflows, or
     more than _MAX_INTERVALS intervals.
     """
-    if not (np.isfinite(rtol) and rtol > 0):
-        raise ValueError(f"rtol must be positive and finite, got {rtol}")
+    rtol = checked("rtol", Positive, rtol)
     span = float(x_to) - float(x_from)
     if not np.isfinite(span):
         raise ValueError(f"{what} integration span ({x_from}, {x_to}) is not finite")

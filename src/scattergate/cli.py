@@ -35,7 +35,7 @@ from .algebra import (
     phase_gate,
     tau,
 )
-from .codec import _to_pairs, from_json, to_json
+from .codec import Positive, _field, _to_pairs, from_json, to_json
 from .direct1d import PotentialSpec, momentum_grid, solve_grid, solve_scattering
 from .dispersion import GateTarget, ReflectionData, build_scattering_data
 from .errors import InfeasibleTargetError, NumericalError
@@ -298,25 +298,18 @@ def _run_monodromy(args):
     return doc, None
 
 
-def _positive_int(text):
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return n
+def _number(*hints):
+    # argparse type: float(text), then the codec's field rule of each hint in turn
+    def parse(text):
+        try:
+            value = float(text)
+            for hint in hints:
+                value = _field(hint, value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
-
-def _finite_float(text):
-    x = float(text)
-    if not np.isfinite(x):
-        raise argparse.ArgumentTypeError("must be a finite number")
-    return x
-
-
-def _positive_float(text):
-    x = float(text)
-    if not (np.isfinite(x) and x > 0):
-        raise argparse.ArgumentTypeError("must be a positive finite number")
-    return x
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,13 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(run=run, tol_keyword=tol, csv=csv)
         sp.add_argument("--out", help="output file; a .csv suffix selects the flat table")
         if tol:
-            sp.add_argument("--tol", type=_positive_float, default=None,
+            sp.add_argument("--tol", type=_number(Positive), default=None,
                             help="numeric tolerance override for this pipeline")
         if grid:
             lo, hi, n, what = grid
-            sp.add_argument("--kmin", type=_finite_float, default=lo, help=f"{what} grid start")
-            sp.add_argument("--kmax", type=_finite_float, default=hi, help=f"{what} grid end")
-            sp.add_argument("--n", type=_positive_int, default=n, help=f"{what} grid size"
+            sp.add_argument("--kmin", type=_number(float), default=lo, help=f"{what} grid start")
+            sp.add_argument("--kmax", type=_number(float), default=hi, help=f"{what} grid end")
+            sp.add_argument("--n", type=_number(Positive, int), default=n, help=f"{what} grid size"
                             + (" (enables the scan)" if n is None else ""))
 
     sp = sub.add_parser("direct", help="scattering amplitudes of a potential")
@@ -351,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gate", help="gate constructions and the synthesis round trip")
     sp.add_argument("--target", required=True, choices=("hadamard", "not", "phase"))
-    sp.add_argument("--phi", type=_finite_float, default=np.pi / 3.0,
+    sp.add_argument("--phi", type=_number(float), default=np.pi / 3.0,
                     help="phase-family angle (phase target only)")
     common(sp, _run_gate, grid=(-55.0, 46.0, 506, "recovery"), tol="tail_tol")
 
     sp = sub.add_parser("twolevel", help="pulse scattering matrix or spectral scan")
     sp.add_argument("--pulse", required=True, help="pulse JSON document")
-    sp.add_argument("--zeta", type=_finite_float, default=None, help="single spectral point")
+    sp.add_argument("--zeta", type=_number(float), default=None, help="single spectral point")
     common(sp, _run_twolevel, grid=(-3.0, 3.0, None, "zeta"), tol="rtol")
 
     sp = sub.add_parser("entangle", help="operator Schmidt verdict of the pair gate")

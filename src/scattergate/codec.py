@@ -16,8 +16,9 @@ by ``from_json`` (``Document.__post_init__``): a ``float``, ``complex``,
 the hint only if the conversion is exact and finite (2.0 for an int, not
 1.9; 1 for a float, not "1" or nan), a ``Positive`` float (a width, rate,
 length, radius or duration) only if it is also > 0 ("eta: 0.0 is not
-positive"), and a document-typed field must hold one.  The reader passes
-scalars on as written, so it refuses the same values.
+positive"), a document-typed field must hold one, and a derived value (a
+window) must be finite.  The reader passes scalars on as written, so it
+refuses the same values; ``checked`` gives library arguments this rule.
 
 Types whose variants share one base (potentials and pulse envelopes by
 ``"variant"``, loops by ``"kind"``) write that tag first, and potentials end
@@ -57,7 +58,8 @@ class Document:
 
     and every subclass that sets the tag attribute in its own body is
     registered as that variant.  Construction runs the field rule of the
-    module notes, then the checks no field type states in ``_check``.
+    module notes, then the checks no field type states in ``_check``, then
+    the float rule on each derived value.
     """
 
     def __init_subclass__(cls, tag=None, noun=None, derived=(), **kwargs):
@@ -70,9 +72,10 @@ class Document:
     def __post_init__(self):
         hints = _hints(type(self))
         for f in dataclasses.fields(self):
-            value = _named(f.name, _field, hints[f.name], getattr(self, f.name))
-            object.__setattr__(self, f.name, value)
+            object.__setattr__(self, f.name, checked(f.name, hints[f.name], getattr(self, f.name)))
         self._check()
+        for name in getattr(self, "_derived", ()):
+            checked(name, tuple[float, ...], getattr(self, name))
 
     def _check(self):
         pass
@@ -121,6 +124,11 @@ def _field(hint, value):
     if isinstance(hint, type) and issubclass(hint, Document) and not isinstance(value, hint):
         raise TypeError(f"expected a {hint.__name__}, got {type(value).__name__}")
     return value
+
+
+def checked(name, hint, value):
+    """value converted by the field rule of hint, or ValueError naming the argument."""
+    return _named(name, _field, hint, value)
 
 
 def _named(name, rule, *args):

@@ -48,7 +48,7 @@ from scipy.special import exp1
 from ._magnus import transfer_matrix
 from ._samples import FLOOR, SampleTable, checked_grid, sample_fields
 from .algebra import tau
-from .codec import Document, Positive
+from .codec import Document, Positive, checked
 from .errors import NumericalError
 
 _RTOL = 1e-10
@@ -236,13 +236,12 @@ class Tabulated(PotentialSpec):
 
 def momentum_grid(kmin: float, kmax: float, n: int) -> np.ndarray:
     """Ascending positive momentum grid with n points."""
-    if not (0 < kmin < np.inf and n >= 1 and float(n).is_integer()):
-        raise ValueError("need a finite kmin > 0 and an integer n >= 1")
+    kmin, n = checked("kmin", Positive, kmin), checked("n", int, checked("n", Positive, n))
     if n == 1:
-        return np.array([float(kmin)])
+        return np.array([kmin])
     if not kmin < kmax < np.inf:
         raise ValueError("need a finite kmax > kmin")
-    return np.linspace(float(kmin), float(kmax), int(n))
+    return np.linspace(kmin, float(kmax), n)
 
 
 @dataclass(frozen=True)
@@ -300,9 +299,7 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
     tolerance rtol over the window), and reads (a, b) at the right edge.  A
     Lorentzian sum propagates its core between exact tail factors instead.
     """
-    k = float(k)
-    if not 0 < k < np.inf:
-        raise ValueError(f"momentum must be positive and finite, got {k}")
+    k = checked("k", Positive, k)
     if not np.isfinite(0.5 / k):
         raise ValueError(f"momentum {k} is too small: 1/(2k) overflows")
     x0, x1 = q.window
@@ -314,8 +311,6 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
 
     lorentzian, what = isinstance(q, LorentzianSum), f"scattering (k = {k})"
     if lorentzian:
-        if not np.isfinite(x1):  # the decay window overflows, though T need not
-            raise ValueError(f"{what} integration span ({x0}, {x1}) is not finite")
         x1, left, right = _tail_factors(q.pairs, k)
         x0 = -x1
         # first-round knots a_min 2^m to the core edge: no step from the peak is wider
@@ -404,8 +399,7 @@ def find_bound_states(q: PotentialSpec, eta_max: float):
     than a decay length 1/eta apart around the middle of the window (a
     table's largest sample).
     """
-    if not 0 < eta_max < np.inf:
-        raise ValueError("eta_max must be positive and finite")
+    eta_max = checked("eta_max", Positive, eta_max)
     x0, x1 = q.window
     if not x1 > x0:
         return []

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ._samples import SampleTable, sample_fields
-from .codec import Document, Positive
+from .codec import Document, Positive, checked
 from .direct1d import BoundState, Tabulated, find_bound_states, solve_grid
 from .errors import InfeasibleTargetError, NumericalError
 
@@ -159,11 +159,12 @@ def sample_reflection(
     """
     if not _K_LO < _TAPER * kmax < np.inf:
         raise ValueError(f"need a finite kmax > {_K_LO / _TAPER:g}")
-    if not 0 < dk <= kmax:
-        raise ValueError(f"need 0 < dk <= kmax, got dk = {dk}")
-    if not (n_solve >= 3 and float(n_solve).is_integer()):
-        raise ValueError(f"need an integer n_solve >= 3, got {n_solve}")
-    nodes = np.geomspace(_K_LO, kmax, int(n_solve))
+    dk, n_solve = checked("dk", Positive, dk), checked("n_solve", int, n_solve)
+    if not dk <= kmax:
+        raise ValueError(f"need dk <= kmax, got dk = {dk}")
+    if not n_solve >= 3:
+        raise ValueError(f"need n_solve >= 3, got {n_solve}")
+    nodes = np.geomspace(_K_LO, kmax, n_solve)
     coeffs = solve_grid(q, nodes)
     r_nodes = np.array([c.reflection for c in coeffs])
 

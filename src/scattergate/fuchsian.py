@@ -24,7 +24,7 @@ import numpy as np
 from ._magnus import transfer_matrix
 from ._samples import numbers
 from .algebra import HADAMARD, SIGMA3
-from .codec import Document, Positive
+from .codec import Document, Positive, checked
 from .errors import NumericalError
 
 _RTOL = 1e-10
@@ -219,10 +219,7 @@ def lorentzian_to_fuchsian(a: float, b: float):
     line: the circle |z - i/2| = 1/2 traversed clockwise.  Conjugate the
     monodromy with gauge_to_su2 to compare against the pulse S-matrix.
     """
-    a = float(a)
-    b = float(b)
-    if not a > 0:
-        raise ValueError("width a must be positive")
+    a, b = checked("a", Positive, a), checked("b", float, b)
     if a == 1.0:
         raise ValueError(
             "a = 1 sends the second pole to infinity; the image system is "
@@ -244,9 +241,7 @@ def odd_lorentzian_to_fuchsian(a: float):
     coefficients b1 = 2i at z = 0 (the image of t = infinity, sitting on
     the contour), b2 = -i at i/(a+1) and b3 = -i at i/(1-a).
     """
-    a = float(a)
-    if not a > 0:
-        raise ValueError("width a must be positive")
+    a = checked("a", Positive, a)
     if a == 1.0:
         raise ValueError(
             "a = 1 sends the third pole to infinity; the image system is "

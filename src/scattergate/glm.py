@@ -45,7 +45,7 @@ import numpy as np
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from ._samples import SampleTable, checked_grid, sample_fields
-from .codec import Document
+from .codec import Document, Positive, checked
 from .direct1d import Tabulated
 from .dispersion import ReflectionData, _dispersion, _dispersion_slope
 from .errors import NumericalError
@@ -364,15 +364,16 @@ def marchenko_diagonal(kernel: MarchenkoKernel, x: float, ds: float = 0.05) -> f
     z[0]/2 and at least 4 ds left of z[-1]/2.  The kernel must be real: pulse
     kernels go through recover_pulse.
     """
-    if not ds > 0:
-        raise ValueError("ds must be positive")
+    table = kernel._diagonals.get(ds)
+    if table is None:  # only a checked step enters the cache
+        ds = checked("ds", Positive, ds)
     if not x >= kernel.z[0] / 2.0:
         raise ValueError(f"kernel tabulated for z >= {kernel.z[0]:g}; got {2.0 * x:g}")
     if not (kernel.z[-1] / 2.0 - x) / ds >= 4.0:
         raise ValueError("node too close to the kernel truncation edge")
-    if ds not in kernel._diagonals:
-        kernel._diagonals[ds] = _diagonal_table(kernel, ds)
-    return float(kernel._diagonals[ds](x))
+    if table is None:
+        table = kernel._diagonals[ds] = _diagonal_table(kernel, ds)
+    return float(table(x))
 
 
 _END_DECAY = 1e-4
@@ -482,6 +483,7 @@ def recover_potential(
     integral equation at each node.  threads is accepted for compatibility;
     work runs serially.
     """
+    ds, tail_tol = checked("ds", Positive, ds), checked("tail_tol", Positive, tail_tol)
     x = checked_grid(x)
     kernel = _tabulate_kernel(
         data.k, data.R, _potential_terms(data), 2.0 * (x[0] - _FD_STEP) - 1e-6,
@@ -576,11 +578,10 @@ def recover_pulse(
     take the trapezoid rule at step ds with Gregory's sixth-order end weights,
     as the potential's nodes do, and the Nystroem system for v is solved by
     conjugate gradients as the Hermitian positive definite I + S S^H,
-    S = D H D, with FFT Hankel products (see _pulse_sample).  ds must be
-    positive.
+    S = D H D, with FFT Hankel products (see _pulse_sample).  ds and tail_tol
+    must be positive finite floats.
     """
-    if not ds > 0:
-        raise ValueError("ds must be positive")
+    ds, tail_tol = checked("ds", Positive, ds), checked("tail_tol", Positive, tail_tol)
     t = checked_grid(t)
     # m_j e^{i zeta_j z} as a bound term g e^{-eta z} with rate eta = -i zeta_j
     terms = tuple(

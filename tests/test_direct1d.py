@@ -154,15 +154,29 @@ class TestSolveScattering:
 
 class TestFailurePaths:
     def test_infinite_window_is_refused(self, tmp_path, capsys, budget):
-        # mass / 1e-10 overflows, so the decay window is (-inf, inf)
-        pot = LorentzianSum(((1.0, 1e300),))
-        with pytest.raises(ValueError, match="integration span .* is not finite"):
-            solve_scattering(pot, 0.5)
+        # a window that overflows is refused at build, so no document writes
+        # Infinity: 40 / eta, x0 + length, and mass / 1e-10 for a Lorentzian
+        cases = [
+            (lambda: SechSquared(eta=5e-324), {"variant": "sech_squared", "eta": 5e-324}, "-inf"),
+            (lambda: SquareWell(1.0, 1e308, 1e308),
+             {"variant": "square_well", "q0": 1.0, "x0": 1e308, "length": 1e308}, "inf"),
+            (lambda: LorentzianSum(((1e300, 1e300),)),
+             {"variant": "lorentzian_sum", "pairs": [[1e300, 1e300]]}, "-inf"),
+            (lambda: LorentzianSum(((1.0, 1e300),)),
+             {"variant": "lorentzian_sum", "pairs": [[1.0, 1e300]]}, "-inf"),
+        ]
         path = tmp_path / "pot.json"
-        path.write_text(json.dumps(pot.to_json()))
-        assert main(["direct", "--potential", str(path), "--n", "1"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "not finite" in json.loads(err)["error"]["message"]
+        for build, doc, edge in cases:
+            message = f"window: {edge} is not a finite float"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                from_json(PotentialSpec, doc)
+            path.write_text(json.dumps(doc))
+            assert main(["direct", "--potential", str(path), "--n", "1"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 1
+            assert json.loads(err)["error"]["message"] == f"ValueError: {message}"
 
     def test_overflowing_propagator_raises_without_warnings(self, budget):
         # a barrier of height 1e4 and length 10 grows the evanescent

@@ -341,9 +341,10 @@ class TestPulseRecovery:
     @pytest.mark.parametrize("ds", [0.0, np.nan, -0.04])
     def test_non_positive_step_refused_on_both_paths(self, ds):
         x = np.linspace(-1.0, 1.0, 5)
-        with pytest.raises(ValueError, match="ds must be positive"):
+        message = f"^ds: {ds!r} is not positive$" if ds == ds else "^ds: nan is not a finite float$"
+        with pytest.raises(ValueError, match=message):
             recover_potential(soliton_data([BoundState(1.0, 1.0)]), x, ds=ds)
-        with pytest.raises(ValueError, match="ds must be positive"):
+        with pytest.raises(ValueError, match=message):
             recover_pulse(pole_data(), x, ds=ds)
 
     def test_tiny_step_refused_on_both_paths(self, gate_kernel, budget):
@@ -893,6 +894,21 @@ class TestKernelTabulation:
         assert len(grids) == 3
         kernel = kernels[0]
         assert np.array_equal(kernel.refl, glm._fourier_rows(zeta, r, kernel.z))
+
+    @pytest.mark.parametrize("ds, tail_tol, name", [
+        (0.0, 1e-8, "ds"), (np.nan, 1e-8, "ds"), (np.inf, 1e-8, "ds"),
+        (0.15, 0.0, "tail_tol"), (0.15, -1e-8, "tail_tol"), (0.15, np.nan, "tail_tol")])
+    def test_bad_step_or_tolerance_forms_no_kernel_row(self, ds, tail_tol, name, gate_kernel):
+        # the arguments are checked before the kernel is tabulated (10 738 rows of
+        # the gate data, or the pulse kernel's)
+        x = np.linspace(-1.0, 1.0, 5)
+        with pytest.MonkeyPatch.context() as mp:
+            grids = spy_fourier_rows(mp)
+            with pytest.raises(ValueError, match=f"^{name}: "):
+                recover_potential(gate_kernel[0], x, ds=ds, tail_tol=tail_tol)
+            with pytest.raises(ValueError, match=f"^{name}: "):
+                recover_pulse(pole_data(), x, ds=ds, tail_tol=tail_tol)
+        assert grids == []
 
     def test_non_symmetric_reflection_is_refused(self, budget):
         # R(-k) != conj(R(k)): the end rows decay, so the full grid refuses it

@@ -17,9 +17,19 @@ import numpy as np
 import pytest
 
 import scattergate
-from scattergate.cli import main
-from scattergate.direct1d import SechSquared, find_bound_states, momentum_grid, solve_scattering
+from scattergate.cli import build_parser, main
+from scattergate.direct1d import (
+    BoundState,
+    SechSquared,
+    find_bound_states,
+    momentum_grid,
+    solve_scattering,
+)
 from scattergate.dispersion import sample_reflection
+from scattergate.fuchsian import lorentzian_to_fuchsian, monodromy
+from scattergate.glm import recover_potential, recover_pulse
+from scattergate.twolevel import LorentzianPulse, PulseSpec, scattering_matrix
+from test_glm import pole_data, soliton_data
 from test_golden import cli_cases
 
 BAD = {"NaN": float("nan"), "Infinity": float("inf")}
@@ -107,7 +117,35 @@ def test_non_finite_option_is_a_parse_error(case, option, value, tmp_path, capsy
     out, err = capsys.readouterr()
     assert_one_line_failure(code, out, err)
     assert code == 2
-    assert f"argument {option}: must be a finite number" in err
+    message = json.loads(err)["error"]["message"]
+    assert message == f"argument {option}: {value} is not a finite float"
+
+
+@pytest.mark.parametrize("option, text, message", [
+    pytest.param(option, text, message, id=f"{option}={text}") for option, text, message in [
+        ("--tol", "0", "0.0 is not positive"),
+        ("--tol", "-1", "-1.0 is not positive"),
+        ("--tol", "nan", "nan is not a finite float"),
+        ("--tol", "tight", "could not convert string to float: 'tight'"),
+        ("--n", "0", "0.0 is not positive"),
+        ("--n", "2.5", "2.5 is not a finite int"),
+        ("--n", "ten", "could not convert string to float: 'ten'"),
+    ]])
+def test_bad_number_option_names_the_option_and_value(option, text, message, tmp_path, capsys,
+                                                      budget):
+    # every number option takes the codec's field rule, after float(text)
+    direct = cli_cases(str(tmp_path))[0][1]
+    code = main(direct + [option, text])
+    out, err = capsys.readouterr()
+    assert_one_line_failure(code, out, err)
+    assert code == 2
+    assert json.loads(err)["error"]["message"] == f"argument {option}: {message}"
+
+
+def test_grid_size_reads_as_an_int_field():
+    # "1e3" is the integer 1000, as an int field of a document reads it
+    args = build_parser().parse_args(["direct", "--potential", "p.json", "--n", "1e3"])
+    assert type(args.n) is int and args.n == 1000
 
 
 def test_numpy_warnings_stay_off_stderr(tmp_path):
@@ -185,38 +223,74 @@ def test_huge_sample_grid_names_the_kernel_grid(case, tmp_path, capsys, budget):
 
 
 INF = float("inf")
+NAN = float("nan")
 WELL = SechSquared(eta=1.0)
+SOLITON = soliton_data([BoundState(1.0, 1.0)])
+PULSE = PulseSpec(LorentzianPulse(a=1.0, b=0.25))
+SYSTEM, LOOP = lorentzian_to_fuchsian(2.0, 0.25)
+X = np.linspace(-1.0, 1.0, 5)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: solve_scattering(WELL, INF),
-    lambda: find_bound_states(WELL, INF),
-    lambda: momentum_grid(0.5, INF, 3),
-    lambda: momentum_grid(INF, 5.0, 1),
-    lambda: sample_reflection(WELL, dk=0.0),
-    lambda: sample_reflection(WELL, dk=-1.0),
-    lambda: sample_reflection(WELL, kmax=INF),
-], ids=["solve k=inf", "bound states eta_max=inf", "grid kmax=inf", "grid kmin=inf",
-        "sample dk=0", "sample dk=-1", "sample kmax=inf"])
-def test_bad_scalar_argument_is_a_value_error(call, budget):
+def refusal(name, value):
+    # the anchored message of the codec's field rule for a bad float argument
+    if np.isfinite(value):
+        return f"^{name}: {value!r} is not positive$"
+    return f"^{name}: {value!r} is not a finite float$"
+
+
+def _bad_arguments():
+    # (id, call, anchored message); each argument check runs the codec's field rule
+    yield "solve k=inf", lambda: solve_scattering(WELL, INF), refusal("k", INF)
+    yield ("bound states eta_max=inf", lambda: find_bound_states(WELL, INF),
+           refusal("eta_max", INF))
+    yield "grid kmax=inf", lambda: momentum_grid(0.5, INF, 3), "^need a finite kmax > kmin$"
+    yield "grid kmin=inf", lambda: momentum_grid(INF, 5.0, 1), refusal("kmin", INF)
+    yield "sample dk=0", lambda: sample_reflection(WELL, dk=0.0), refusal("dk", 0.0)
+    yield "sample dk=-1", lambda: sample_reflection(WELL, dk=-1.0), refusal("dk", -1.0)
+    yield "sample kmax=inf", lambda: sample_reflection(WELL, kmax=INF), "^need a finite kmax > "
+    for bad in (0.0, -1e-8, NAN):
+        yield (f"potential tail_tol={bad}", lambda bad=bad: recover_potential(SOLITON, X, tail_tol=bad),
+               refusal("tail_tol", bad))
+        yield (f"pulse tail_tol={bad}", lambda bad=bad: recover_pulse(pole_data(), X, tail_tol=bad),
+               refusal("tail_tol", bad))
+    yield "potential ds=inf", lambda: recover_potential(SOLITON, X, ds=INF), refusal("ds", INF)
+    yield "pulse ds=inf", lambda: recover_pulse(pole_data(), X, ds=INF), refusal("ds", INF)
+    for bad in (0.0, NAN):
+        yield (f"solve rtol={bad}", lambda bad=bad: solve_scattering(WELL, 1.0, rtol=bad),
+               refusal("rtol", bad))
+        yield (f"S-matrix rtol={bad}", lambda bad=bad: scattering_matrix(PULSE, rtol=bad),
+               refusal("rtol", bad))
+        yield (f"monodromy rtol={bad}", lambda bad=bad: monodromy(SYSTEM, LOOP, rtol=bad),
+               refusal("rtol", bad))
+    yield ("bound states eta_max=nan", lambda: find_bound_states(WELL, NAN),
+           refusal("eta_max", NAN))
+    yield "lorentzian a=inf", lambda: lorentzian_to_fuchsian(INF, 0.25), refusal("a", INF)
+    yield "lorentzian b=nan", lambda: lorentzian_to_fuchsian(1.5, NAN), refusal("b", NAN)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(call, message, id=label) for label, call, message in _bad_arguments()])
+def test_bad_scalar_argument_is_a_value_error(call, message, budget):
     # refused up front (exit 2 through the CLI), with no numpy warning first
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             call()
 
 
-@pytest.mark.parametrize("call", [
-    lambda: momentum_grid(0.5, 5.0, 2.5),
-    lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=2.5),
-    lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=4.5),
-    lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=2),
-    lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=1),
-    lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=0),
+@pytest.mark.parametrize("call, message", [
+    (lambda: momentum_grid(0.5, 5.0, 2.5), "^n: 2.5 is not a finite int$"),
+    (lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=2.5),
+     "^n_solve: 2.5 is not a finite int$"),
+    (lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=4.5),
+     "^n_solve: 4.5 is not a finite int$"),
+    (lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=2), "^need n_solve >= 3, got 2$"),
+    (lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=1), "^need n_solve >= 3, got 1$"),
+    (lambda: sample_reflection(WELL, kmax=2.0, dk=0.01, n_solve=0), "^need n_solve >= 3, got 0$"),
 ], ids=["grid n=2.5", "sample n_solve=2.5", "sample n_solve=4.5", "sample n_solve=2",
         "sample n_solve=1", "sample n_solve=0"])
-def test_grid_size_must_be_an_integer(call, budget):
-    with pytest.raises(ValueError, match="integer n"):
+def test_grid_size_must_be_an_integer(call, message, budget):
+    with pytest.raises(ValueError, match=message):
         call()
 
 
