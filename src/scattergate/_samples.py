@@ -1,4 +1,4 @@
-"""Sample tables: the array rule, the checks every tabulated grid passes, and its spline."""
+"""Sample tables: the array rule (finite numbers, refusals named), grid checks and the spline."""
 
 from __future__ import annotations
 
@@ -14,28 +14,29 @@ FLOOR = 1e-10
 
 def numbers(values, dtype=float, name=None) -> np.ndarray:
     """values as an array of dtype; a ValueError starting with name refuses
-    booleans, strings, uneven nesting and complex entries for float.  Lists
-    are read entry by entry, as numpy reads [0, True] as integers."""
+    NaN, ±inf, booleans, strings, uneven nesting and complex entries for
+    float.  Lists are read entry by entry, as numpy reads [0, True] as ints."""
     kinds, types = ("iuf", Real) if dtype is float else ("iufc", Complex)
     numeric = isinstance(values, np.ndarray) and values.dtype.kind in kinds
     a = values if numeric else np.asarray(values, dtype=object)
     bad = [] if numeric else [v for v in a.flat if isinstance(v, bool) or not isinstance(v, types)]
     if not bad:
         try:
-            return a.astype(dtype, copy=False)
+            out = a.astype(dtype, copy=False)
+            bad = out[~np.isfinite(out)].tolist()
         except OverflowError:  # a Python int beyond the float range
             bad = [max(a.flat, key=abs)]
+        if not bad:
+            return out
     kind = "real" if dtype is float else "complex"
     raise ValueError(f"{name + ': ' if name else ''}{bad[0]!r:.40} is not a finite {kind} number")
 
 
-def checked_grid(grid, min_size: int = 4, name: str = "grid") -> np.ndarray:
+def checked_grid(grid, name: str, min_size: int = 4) -> np.ndarray:
     """The grid as a finite, strictly ascending 1-D array of >= min_size points."""
     grid = numbers(grid, float, name)
     if grid.ndim != 1 or grid.size < min_size:
         raise ValueError(f"need a 1-D grid of at least {min_size} samples")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("samples must be finite")
     if not np.all(np.diff(grid) > 0):
         raise ValueError("sample grid must be strictly ascending")
     return grid
@@ -43,12 +44,10 @@ def checked_grid(grid, min_size: int = 4, name: str = "grid") -> np.ndarray:
 
 def sample_fields(doc, grid, values, dtype=float, min_size: int = 4):
     """Check the sample fields grid and values of a frozen dataclass; store them back."""
-    g = checked_grid(getattr(doc, grid), min_size, grid)
+    g = checked_grid(getattr(doc, grid), grid, min_size)
     v = numbers(getattr(doc, values), dtype, values)
     if v.shape != g.shape:
         raise ValueError("need matching 1-D arrays of grid points and values")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("samples must be finite")
     object.__setattr__(doc, grid, g)
     object.__setattr__(doc, values, v)
     return g, v

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._samples import numbers
+from .codec import Positive, checked
+
 EYE2 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -57,6 +60,7 @@ class SU11Element:
     atol: float = 1e-12
 
     def __post_init__(self):
+        checked("atol", Positive, self.atol)
         try:
             defect = abs(self.a) ** 2 - abs(self.b) ** 2 - 1.0
         except OverflowError:  # float ** raises where |a| or |b| exceed 1e154
@@ -114,7 +118,7 @@ def su11_to_su2(a, b: complex = None, atol: float = 1e-12) -> np.ndarray:
 
 def kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Kronecker product u (x) v; unitary whenever both factors are."""
-    return np.kron(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+    return np.kron(numbers(u, complex, "u"), numbers(v, complex, "v"))
 
 
 def gate_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -124,8 +128,7 @@ def gate_distance(u: np.ndarray, v: np.ndarray) -> float:
     sqrt(2 - 2 |tr(u^dag v)| / n).  Ranges over [0, sqrt(2)]; it is zero iff
     the gates agree up to a global phase.
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    u, v = numbers(u, complex, "u"), numbers(v, complex, "v")
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
     n = u.shape[0]
@@ -161,7 +164,7 @@ def operator_schmidt(u: np.ndarray) -> SchmidtDecomposition:
     For a unitary the coefficients satisfy sum s_m^2 = 4; a product gate
     u_A (x) u_B has exactly one nonzero coefficient (s_1 = 2).
     """
-    u = np.asarray(u, dtype=complex)
+    u = numbers(u, complex, "u")
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
     m = u.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)

@@ -17,8 +17,10 @@ the hint only if the conversion is exact and finite (2.0 for an int, not
 1.9; 1 for a float, not "1" or nan), a ``Positive`` float (a width, rate,
 length, radius or duration) only if it is also > 0 ("eta: 0.0 is not
 positive"), a document-typed field must hold one, and a derived value (a
-window) must be finite.  The reader passes scalars on as written, so it
-refuses the same values; ``checked`` gives library arguments this rule.
+window) must be finite.  An array field takes the rule entry by entry, by
+``_samples.numbers`` in the type's checks ("q: nan is not a finite real
+number").  The reader passes scalars on as written, so it refuses the same
+values; ``checked`` gives library arguments this rule.
 
 Types whose variants share one base (potentials and pulse envelopes by
 ``"variant"``, loops by ``"kind"``) write that tag first, and potentials end

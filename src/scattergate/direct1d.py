@@ -299,7 +299,7 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
     tolerance rtol over the window), and reads (a, b) at the right edge.  A
     Lorentzian sum propagates its core between exact tail factors instead.
     """
-    k = checked("k", Positive, k)
+    k, rtol = checked("k", Positive, k), checked("rtol", Positive, rtol)
     if not np.isfinite(0.5 / k):
         raise ValueError(f"momentum {k} is too small: 1/(2k) overflows")
     x0, x1 = q.window
@@ -434,7 +434,7 @@ def fields_from_potentials(u: PotentialSpec, v: PotentialSpec, x):
     Returns the sampled arrays (A, Q) on the supplied grid, which must cover
     both support windows.
     """
-    x = checked_grid(x, min_size=2)
+    x = checked_grid(x, "x", min_size=2)
     lo = min(u.window[0], v.window[0])
     hi = max(u.window[1], v.window[1])
     if x[0] > lo or x[-1] < hi:

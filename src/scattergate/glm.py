@@ -138,7 +138,7 @@ class MarchenkoKernel:
 
 def marchenko_kernel(data: ReflectionData, z) -> MarchenkoKernel:
     """Tabulate the inverse-scattering kernel on the given uniform z grid."""
-    z = checked_grid(z, name="z")
+    z = checked_grid(z, "z")
     refl = _real_rows(_fourier_rows(data.k, data.R, z))
     return MarchenkoKernel(z=z, refl=refl, bound_terms=_potential_terms(data))
 
@@ -422,7 +422,7 @@ def solve_marchenko(
     Q(x) = 2 dK(x, x)/dx by a central difference of half-width 0.01, both
     values read from the one diagonal table of marchenko_diagonal.
     """
-    x = checked_grid(x)
+    x = checked_grid(x, "x")
 
     def node(xi):
         hi = marchenko_diagonal(kernel, xi + _FD_STEP, ds)
@@ -484,7 +484,7 @@ def recover_potential(
     work runs serially.
     """
     ds, tail_tol = checked("ds", Positive, ds), checked("tail_tol", Positive, tail_tol)
-    x = checked_grid(x)
+    x = checked_grid(x, "x")
     kernel = _tabulate_kernel(
         data.k, data.R, _potential_terms(data), 2.0 * (x[0] - _FD_STEP) - 1e-6,
         2.0 * x[-1] + 2.0 * _FD_STEP, tail_tol, real=True,
@@ -582,7 +582,7 @@ def recover_pulse(
     must be positive finite floats.
     """
     ds, tail_tol = checked("ds", Positive, ds), checked("tail_tol", Positive, tail_tol)
-    t = checked_grid(t)
+    t = checked_grid(t, "t")
     # m_j e^{i zeta_j z} as a bound term g e^{-eta z} with rate eta = -i zeta_j
     terms = tuple(
         (-1j * p, d / transmission_derivative_at_pole(data, j))

@@ -181,6 +181,7 @@ def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
     Magnus step, between Magnus tail factors for the algebraic envelopes,
     and returns the SU(2) S-matrix [[a, -conj(b)], [b, conj(a)]].  The
     limit does not depend on the level splitting zeta, so none is taken.
+    An empty sum (T = 0) is the identity, the Magnus step of a zero span.
     """
     env = pulse.envelope
     delta = pulse.detuning
@@ -194,23 +195,20 @@ def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
         start = lo
     knots = env._table.knots if isinstance(env, TabulatedPulse) else None
 
-    if not hi > lo:
-        core = np.eye(2, dtype=complex)
-    else:
-        def gen(t):
-            e = env(t)
-            return 0.5j * delta, -1j * e, -1j * np.conj(e), -0.5j * delta
+    def gen(t):
+        e = env(t)
+        return 0.5j * delta, -1j * e, -1j * np.conj(e), -0.5j * delta
 
-        y = transfer_matrix(gen, start, hi, rtol, "S-matrix", knots)
-        if start > lo:
-            # the real, even envelope makes the half from 0 to lo = -hi the
-            # conjugate of this one (module notes); Y over sqrt(det Y) has
-            # det 1 to rounding, as the traceless generator keeps it, so the
-            # adjugate of conj(Y) is its inverse
-            y = y / np.sqrt(y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0])
-            (y00, y01), (y10, y11) = np.conj(y)
-            y = y @ np.array([[y11, -y01], [-y10, y00]])
-        core = _frame(-delta * hi) @ y @ _frame(delta * lo)
+    y = transfer_matrix(gen, start, hi, rtol, "S-matrix", knots)
+    if start > lo:
+        # the real, even envelope makes the half from 0 to lo = -hi the
+        # conjugate of this one (module notes); Y over sqrt(det Y) has
+        # det 1 to rounding, as the traceless generator keeps it, so the
+        # adjugate of conj(Y) is its inverse
+        y = y / np.sqrt(y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0])
+        (y00, y01), (y10, y11) = np.conj(y)
+        y = y @ np.array([[y11, -y01], [-y10, y00]])
+    core = _frame(-delta * hi) @ y @ _frame(delta * lo)
     left, right = (_expm_traceless(-1j * np.array([[0.0, m], [np.conj(m), 0.0]]))
                    for m in (m_left, m_right))
     s = right @ core @ left

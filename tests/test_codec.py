@@ -1,8 +1,9 @@
 """JSON codec: property round trips for every serializable type, the document
 forms older writers produced, the one field rule every document type runs
-(with the sign rule of its Positive fields), and a fuzz over whole
-documents."""
+(with the sign rule of its Positive fields and the finiteness rule of its
+arrays), and a fuzz over whole documents."""
 
+import copy
 import dataclasses
 import functools
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from scattergate import twolevel
 from scattergate.cli import main
 from scattergate.codec import Document, Positive, from_json, to_json
 from scattergate.direct1d import (
@@ -27,7 +29,12 @@ from scattergate.direct1d import (
 from scattergate.dispersion import GateTarget, ReflectionData
 from scattergate.errors import NumericalError
 from scattergate.fuchsian import CircleLoop, FuchsianSystem, Loop, PolylineLoop
-from scattergate.glm import RecoveredPotential, RecoveredPulse, TwoLevelScatteringData
+from scattergate.glm import (
+    MarchenkoKernel,
+    RecoveredPotential,
+    RecoveredPulse,
+    TwoLevelScatteringData,
+)
 from scattergate.twolevel import (
     DipoleParams,
     LorentzianPulse,
@@ -261,13 +268,13 @@ def test_huge_gate_target_rejected_without_overflow():
             GateTarget(k=1.0, t=t, r=r)
 
 
-def test_nan_smatrix_fails_the_su2_gate():
-    env = LorentzianPulseSum(terms=((1.0, 0.1),))
-    spec = PulseSpec(env)
-    # bypass the constructor check to reach the gate with NaN tail moments
-    object.__setattr__(env, "terms", ((1.0, float("nan")),))
+def test_nan_smatrix_fails_the_su2_gate(monkeypatch):
+    # a finite core between NaN tail moments: the gate, not the span check, refuses
+    tails = twolevel._lorentzian_tails
+    monkeypatch.setattr(twolevel, "_lorentzian_tails",
+                        lambda terms, delta: (tails(terms, delta)[0], complex("nan"), complex("nan")))
     with pytest.raises(NumericalError, match="SU\\(2\\)"):
-        scattering_matrix(spec)
+        scattering_matrix(PulseSpec(LorentzianPulseSum(terms=((1.0, 0.1),))))
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +421,60 @@ def test_refused_sample_array_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["message"] == "ValueError: q: True is not a finite real number"
+
+
+# ---------------------------------------------------------------------------
+# the array rule: every array field, found from the type hints
+
+
+def array_fields():
+    """(cls, field name) of every array field (an ndarray or a tuple of them) of
+    every document type and of the Marchenko kernel table."""
+    for cls in [*document_types(), MarchenkoKernel]:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if np.ndarray in (hints[f.name], *typing.get_args(hints[f.name])):
+                yield cls, f.name
+
+
+ARRAY_EXAMPLES = {**EXAMPLES, MarchenkoKernel: MarchenkoKernel(
+    z=np.linspace(0.0, 2.0, 5), refl=np.array([1.0, 0.5, 0.25, 0.125, 0.0]))}
+
+
+def test_array_fields_are_found():
+    found = {f"{cls.__name__}.{name}" for cls, name in array_fields()}
+    assert found >= {"Tabulated.x", "Tabulated.q", "TabulatedPulse.t", "TabulatedPulse.E",
+                     "ReflectionData.k", "ReflectionData.R", "TwoLevelScatteringData.zeta",
+                     "TwoLevelScatteringData.r", "FuchsianSystem.residues",
+                     "MarchenkoKernel.z", "MarchenkoKernel.refl"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(list(array_fields())), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       data=st.data())
+def test_non_finite_array_entry_names_the_field(case, bad, data):
+    cls, name = case
+    obj = ARRAY_EXAMPLES[cls]
+    value = getattr(obj, name)
+    arrays = list(value) if isinstance(value, tuple) else [value]
+    j = data.draw(st.integers(0, len(arrays) - 1), label="array")
+    i = data.draw(st.integers(0, arrays[j].size - 1), label="entry")
+    hit = arrays[j].copy()
+    if np.iscomplexobj(hit) and data.draw(st.booleans(), label="imaginary part"):
+        hit.flat[i] = complex(hit.flat[i].real, bad)
+    else:
+        hit.flat[i] = bad
+    arrays[j] = hit
+    new = tuple(arrays) if isinstance(value, tuple) else hit
+    message = f"^{name}: .* is not a finite (real|complex) number$"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(obj, **{name: new})
+    if issubclass(cls, Document):
+        # the document of obj with the bad entry, written around the constructor
+        unchecked = copy.copy(obj)
+        object.__setattr__(unchecked, name, new)
+        with pytest.raises(ValueError, match=message):
+            from_json(cls, to_json(unchecked))
 
 
 def test_boolean_fields_take_booleans_and_0_1():

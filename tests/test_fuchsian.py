@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from scattergate.algebra import SIGMA3
+from scattergate.cli import main
 from scattergate.codec import from_json
 from scattergate.errors import NumericalError
 from scattergate.fuchsian import (
@@ -24,6 +27,10 @@ from scattergate.twolevel import (
     TabulatedPulse,
     scattering_matrix,
 )
+
+
+# a closed polyline whose segments are longer than 1.34e154, where |seg|^2 overflows
+FAR_POINTS = (-1e200, 1e200, 1e200j, -1e200)
 
 
 def random_contraction(seed, scale=0.9):
@@ -71,6 +78,12 @@ class TestSystemAndLoops:
         assert abs(circ.pole_distance(1.0j) - 0.5) < 1e-15
         square = PolylineLoop(points=(1.0, 1.0j, -1.0, -1.0j, 1.0))
         assert abs(square.pole_distance(0.0) - np.sqrt(0.5)) < 1e-12
+
+    def test_pole_distance_of_a_far_polyline(self):
+        # |segment|^2 is beyond the float range; the projection must not square it
+        far = PolylineLoop(points=FAR_POINTS)
+        assert far.pole_distance(0.0) == 0.0
+        assert far.pole_distance(1e199j) == pytest.approx(1e199, rel=1e-12)
 
     def test_system_json_round_trip(self):
         sys = two_pole_system()
@@ -146,6 +159,20 @@ class TestMonodromy:
         sys = FuchsianSystem(poles=(1.0,), residues=(SIGMA3,))
         with pytest.raises(ValueError, match="pole 0"):
             monodromy(sys, CircleLoop(center=0.0, radius=1.0 - 1e-7))
+
+    def test_far_polyline_through_a_pole_exits_2(self, tmp_path, capsys):
+        residue = [[[0.25, 0], [0, 0]], [[0, 0], [-0.25, 0]]]
+        docs = {"system": {"poles": [[0, 0]], "residues": [residue]},
+                "loop": {"kind": "polyline", "points": [[p.real, p.imag] for p in FAR_POINTS]}}
+        argv = ["monodromy"]
+        for name, doc in docs.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+            argv += [f"--{name}", str(tmp_path / name)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == \
+            "ValueError: pole 0 at 0j is within 1e-06 of the path"
 
     def test_on_contour_needs_pv(self):
         sys = FuchsianSystem(poles=(1.0,), residues=(SIGMA3,))

@@ -1,9 +1,11 @@
 """Non-finite input gives a documented exit code on one stderr line.
 
 Every numeric leaf of the golden CLI inputs is set to NaN and to Infinity in
-turn, and every subcommand gets each bad ``--tol``.  Each run must exit 2 or
-3 with exactly one stderr line; the ``budget`` fixture turns a hang into a
-failure.
+turn: each is refused with exit 2 and a message naming its field, scalar or
+array entry alike.  Every subcommand gets each bad ``--tol``.  Each run must
+exit 2 or 3 with exactly one stderr line; the ``budget`` fixture turns a
+hang into a failure.  Library arguments, matrices included, are refused as
+ValueErrors naming the argument.
 """
 
 import json
@@ -17,18 +19,31 @@ import numpy as np
 import pytest
 
 import scattergate
+from scattergate.algebra import (
+    CNOT,
+    HADAMARD,
+    SU11Element,
+    entanglement_verdict,
+    gate_distance,
+    kron,
+    operator_schmidt,
+    su11_to_su2,
+    tau,
+)
 from scattergate.cli import build_parser, main
 from scattergate.direct1d import (
     BoundState,
     SechSquared,
+    SquareWell,
+    Zero,
     find_bound_states,
     momentum_grid,
     solve_scattering,
 )
 from scattergate.dispersion import sample_reflection
-from scattergate.fuchsian import lorentzian_to_fuchsian, monodromy
+from scattergate.fuchsian import gauge_to_su2, lorentzian_to_fuchsian, monodromy
 from scattergate.glm import recover_potential, recover_pulse
-from scattergate.twolevel import LorentzianPulse, PulseSpec, scattering_matrix
+from scattergate.twolevel import LorentzianPulse, LorentzianPulseSum, PulseSpec, scattering_matrix
 from test_glm import pole_data, soliton_data
 from test_golden import cli_cases
 
@@ -70,6 +85,8 @@ def assert_one_line_failure(code, out, err):
 
 @pytest.mark.parametrize("case, flag, leaf, bad", list(_sweep()))
 def test_non_finite_leaf(case, flag, leaf, bad, tmp_path, capsys, budget):
+    # refused where it is read, naming its field: a complex array f is
+    # written as re_f and im_f, and a nested leaf names the top-level field
     _, argv = cli_cases(str(tmp_path))[case]
     path = _documents(argv)[flag]
     with open(path, encoding="utf-8") as fh:
@@ -83,7 +100,11 @@ def test_non_finite_leaf(case, flag, leaf, bad, tmp_path, capsys, budget):
         json.dump(doc, fh)
     argv = [bad_path if a == path else a for a in argv]
     code = main(argv)
-    assert_one_line_failure(code, *capsys.readouterr())
+    out, err = capsys.readouterr()
+    assert_one_line_failure(code, out, err)
+    assert code == 2
+    field = leaf[0].removeprefix("re_").removeprefix("im_")
+    assert json.loads(err)["error"]["message"].startswith(f"ValueError: {field}: "), err
 
 
 def _tol_argvs(tmp):
@@ -225,6 +246,10 @@ def test_huge_sample_grid_names_the_kernel_grid(case, tmp_path, capsys, budget):
 INF = float("inf")
 NAN = float("nan")
 WELL = SechSquared(eta=1.0)
+# windows that are empty, so no propagation runs: the solve answers a = 1, b = 0
+# (the far well's phase k (x0 + x1) is beyond the float range)
+EMPTY = {"zero": Zero(), "far well": SquareWell(1.0, 1e308, 1e-300)}
+EMPTY_SUM = PulseSpec(LorentzianPulseSum(terms=()))
 SOLITON = soliton_data([BoundState(1.0, 1.0)])
 PULSE = PulseSpec(LorentzianPulse(a=1.0, b=0.25))
 SYSTEM, LOOP = lorentzian_to_fuchsian(2.0, 0.25)
@@ -262,6 +287,17 @@ def _bad_arguments():
                refusal("rtol", bad))
         yield (f"monodromy rtol={bad}", lambda bad=bad: monodromy(SYSTEM, LOOP, rtol=bad),
                refusal("rtol", bad))
+    # an empty window checks rtol too, although it propagates nothing
+    for label, q in EMPTY.items():
+        yield (f"solve {label} rtol=nan", lambda q=q: solve_scattering(q, 1.0, rtol=NAN),
+               refusal("rtol", NAN))
+    yield ("S-matrix empty sum rtol=nan", lambda: scattering_matrix(EMPTY_SUM, rtol=NAN),
+           refusal("rtol", NAN))
+    for bad in (NAN, INF, 0.0, -1e-8):
+        yield (f"SU(1,1) atol={bad}", lambda bad=bad: SU11Element(1.0, 0.0, atol=bad),
+               refusal("atol", bad))
+    yield "tau atol=nan", lambda: tau(5.0, 0.0, atol=NAN), refusal("atol", NAN)
+    yield "su11_to_su2 atol=inf", lambda: su11_to_su2(5.0, 0.0, atol=INF), refusal("atol", INF)
     yield ("bound states eta_max=nan", lambda: find_bound_states(WELL, NAN),
            refusal("eta_max", NAN))
     yield "lorentzian a=inf", lambda: lorentzian_to_fuchsian(INF, 0.25), refusal("a", INF)
@@ -276,6 +312,44 @@ def test_bad_scalar_argument_is_a_value_error(call, message, budget):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize("q", EMPTY.values(), ids=EMPTY.keys())
+def test_empty_window_solves_exactly(q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = solve_scattering(q, 1.0)
+    assert (s.a, s.b) == (1.0, 0.0)
+
+
+def test_empty_sum_smatrix_is_the_identity():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(scattering_matrix(EMPTY_SUM), np.eye(2))
+
+
+def _bad_matrices():
+    # (id, call, argument); a 2x2 and a 4x4 unitary with one entry made non-finite
+    for label, bad in (("nan", NAN), ("inf", INF)):
+        u2, u4 = HADAMARD.copy(), CNOT.copy()
+        u2[0, 1] = u4[2, 3] = bad
+        for name, call, arg in [
+            ("gate_distance", lambda u2=u2: gate_distance(u2, HADAMARD), "u"),
+            ("gate_distance", lambda u2=u2: gate_distance(HADAMARD, u2), "v"),
+            ("operator_schmidt", lambda u4=u4: operator_schmidt(u4), "u"),
+            ("entanglement_verdict", lambda u4=u4: entanglement_verdict(u4), "u"),
+            ("kron", lambda u2=u2: kron(u2, HADAMARD), "u"),
+            ("kron", lambda u2=u2: kron(HADAMARD, u2), "v"),
+            ("gauge_to_su2", lambda u2=u2: gauge_to_su2(u2), "m"),
+        ]:
+            yield pytest.param(call, arg, label, id=f"{name} {arg}={label}")
+
+
+@pytest.mark.parametrize("call, arg, label", list(_bad_matrices()))
+def test_non_finite_matrix_is_a_value_error(call, arg, label):
+    # a NaN matrix must not read as a perfect match (gate_distance 0.0) or reach the SVD
+    with pytest.raises(ValueError, match=rf"^{arg}: \({label}\+0j\) is not a finite complex number$"):
+        call()
 
 
 @pytest.mark.parametrize("call, message", [
