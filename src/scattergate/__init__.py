@@ -32,7 +32,6 @@ from .algebra import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
-    SU11Element,
     SchmidtDecomposition,
     entanglement_verdict,
     gate_distance,

@@ -1,7 +1,8 @@
-"""Sample tables: the array rule (finite numbers, refusals named), grid checks and the spline."""
+"""Sample tables: the array rule, grid checks, the spline and the base of tabulated profiles."""
 
 from __future__ import annotations
 
+import dataclasses
 from math import factorial
 from numbers import Complex, Real
 
@@ -60,8 +61,10 @@ class SampleTable:
     Its error falls like h^6 (de Boor, A Practical Guide to Splines), at the
     price of more ringing next to a jump than a cubic's.  It is held as PPoly
     pieces in powers of x - x_i, one per sample interval, each exact at its
-    own sample.  The knots, where a propagator starts, are the samples next
-    to one with |value| >= FLOOR.
+    own sample.  The knots, where a propagator starts, are the ends of every
+    piece whose bound sum_m |c_m| h^m on |p| reaches FLOOR, so the ringing
+    past a jump, which outlasts its nonzero samples by about 25 samples on
+    each side, is never crossed by one first-round interval.
     """
 
     def __init__(self, grid, values):
@@ -72,10 +75,39 @@ class SampleTable:
         spline = make_interp_spline(grid, values, k, t)
         c = [spline(grid[:-1], nu=m) / factorial(m) for m in range(k, -1, -1)]
         self._spline = PPoly(np.array(c), grid, extrapolate=False)
-        self.knots = grid[np.convolve(np.abs(values) >= FLOOR, np.ones(3), "same") > 0]
+        h, bound = np.diff(grid), 0.0
+        for c_m in self._spline.c:  # sum_m |c_m| h^m by Horner's rule
+            bound = bound * h + np.abs(c_m)
+        hot = bound >= FLOOR
+        self.knots = grid[np.r_[hot, False] | np.r_[False, hot]]
 
     def __call__(self, x):
         xx = np.asarray(x, dtype=float)
         inside = (xx >= self.grid[0]) & (xx <= self.grid[-1])
         out = np.where(inside, self._spline(xx), 0.0)
         return out if out.ndim else out.item()
+
+
+class SampledProfile:
+    """Base of the sample-table profiles (a potential, a pulse envelope): the
+    SampleTable of the first two fields, grid and values of the subclass's
+    dtype, gives the window (the grid's ends, as the table is zero beyond),
+    the values at any points and the knots where a propagation starts."""
+
+    dtype = float
+
+    def _check(self):
+        grid, values = (f.name for f in dataclasses.fields(self)[:2])
+        table = SampleTable(*sample_fields(self, grid, values, self.dtype))
+        object.__setattr__(self, "_table", table)
+
+    @property
+    def window(self) -> tuple[float, float]:
+        return (float(self._table.grid[0]), float(self._table.grid[-1]))
+
+    @property
+    def knots(self) -> np.ndarray:
+        return self._table.knots
+
+    def __call__(self, x):
+        return self._table(x)

@@ -5,7 +5,7 @@ with |a|^2 - |b|^2 = 1.  Two different unitary matrices are attached to that
 pair here: the symmetric 2x2 scattering matrix built from the transmission
 and reflection coefficients t = 1/a, r = b/a, and the SU(2) matrix obtained
 by reweighting the columns.  Both are exactly unitary whenever the input
-satisfies the SU(1,1) constraint, which the constructors enforce.
+satisfies the SU(1,1) constraint, which both functions check on each call.
 
 The module also carries the small zoo of fixed gates used throughout the
 tests and demos, a phase-invariant distance between gates, and an operator
@@ -44,57 +44,30 @@ CNOT = np.array(
 
 def phase_gate(phi: float) -> np.ndarray:
     """diag(1, e^{i phi})."""
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=complex)
+    return np.array([[1.0, 0.0], [0.0, np.exp(1j * checked("phi", float, phi))]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class SU11Element:
-    """Amplitude pair (a, b) with |a|^2 - |b|^2 = 1.
+def _check_su11(a, b, atol):
+    # refuse a pair off |a|^2 - |b|^2 = 1 by more than atol
+    checked("atol", Positive, atol)
+    try:
+        defect = abs(a) ** 2 - abs(b) ** 2 - 1.0
+    except OverflowError:  # float ** raises where |a| or |b| exceed 1e154
+        defect = np.inf
+    if not np.isfinite(defect) or abs(defect) > atol:
+        raise ValueError(
+            f"not an SU(1,1) pair: |a|^2-|b|^2-1 = {defect:.3e} exceeds atol={atol:.1e}"
+        )
 
-    atol bounds how far the pair may sit off the constraint surface; solver
-    output that is only good to ~1e-8 should be wrapped with atol=1e-8.
+
+def tau(a: complex, b: complex, atol: float = 1e-12) -> np.ndarray:
+    """Symmetric unitary scattering matrix [[conj(b)/a, 1/a], [1/a, -b/a]].
+
+    Unitarity is exactly the SU(1,1) constraint, so the pair is checked
+    first: a ValueError refuses it where |a|^2 - |b|^2 - 1 exceeds atol
+    (solver output good to ~1e-8 passes atol=1e-8).
     """
-
-    a: complex
-    b: complex
-    atol: float = 1e-12
-
-    def __post_init__(self):
-        checked("atol", Positive, self.atol)
-        try:
-            defect = abs(self.a) ** 2 - abs(self.b) ** 2 - 1.0
-        except OverflowError:  # float ** raises where |a| or |b| exceed 1e154
-            defect = np.inf
-        if not np.isfinite(defect) or abs(defect) > self.atol:
-            raise ValueError(
-                f"not an SU(1,1) pair: |a|^2-|b|^2-1 = {defect:.3e} "
-                f"exceeds atol={self.atol:.1e}"
-            )
-
-    @property
-    def transmission(self) -> complex:
-        return 1.0 / self.a
-
-    @property
-    def reflection(self) -> complex:
-        return self.b / self.a
-
-
-def _as_pair(a, b, atol):
-    if isinstance(a, SU11Element):
-        return a.a, a.b
-    SU11Element(a, b, atol=atol)
-    return a, b
-
-
-def tau(a, b: complex = None, atol: float = 1e-12) -> np.ndarray:
-    """Symmetric unitary scattering matrix of the pair (a, b).
-
-    [[conj(b)/a, 1/a], [1/a, -b/a]].  Unitarity is exactly the SU(1,1)
-    constraint, so the pair is validated first.  Accepts either an
-    SU11Element or the two amplitudes.
-    """
-    a, b = _as_pair(a, b, atol)
+    _check_su11(a, b, atol)
     return np.array(
         [
             [np.conj(b) / a, 1.0 / a],
@@ -104,9 +77,9 @@ def tau(a, b: complex = None, atol: float = 1e-12) -> np.ndarray:
     )
 
 
-def su11_to_su2(a, b: complex = None, atol: float = 1e-12) -> np.ndarray:
-    """SU(2) matrix [[1/a, b/conj(a)], [-conj(b)/a, 1/conj(a)]]."""
-    a, b = _as_pair(a, b, atol)
+def su11_to_su2(a: complex, b: complex, atol: float = 1e-12) -> np.ndarray:
+    """SU(2) matrix [[1/a, b/conj(a)], [-conj(b)/a, 1/conj(a)]], checked as tau checks."""
+    _check_su11(a, b, atol)
     return np.array(
         [
             [1.0 / a, b / np.conj(a)],
@@ -146,7 +119,7 @@ class SchmidtDecomposition:
 
     def __post_init__(self):
         total = float(np.sum(self.coefficients**2))
-        if abs(total - 4.0) > 1e-8:
+        if not abs(total - 4.0) <= 1e-8:  # NaN fails too
             raise ValueError(f"sum s_m^2 = {total:.6f}, expected 4 for a unitary")
 
     def reconstruct(self) -> np.ndarray:

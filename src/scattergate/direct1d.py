@@ -46,7 +46,7 @@ from scipy.optimize import brentq
 from scipy.special import exp1
 
 from ._magnus import transfer_matrix
-from ._samples import FLOOR, SampleTable, checked_grid, sample_fields
+from ._samples import FLOOR, SampledProfile, checked_grid
 from .algebra import tau
 from .codec import Document, Positive, checked
 from .errors import NumericalError
@@ -62,6 +62,8 @@ class PotentialSpec(Document, tag="variant", noun="potential", derived=("window"
     Subclasses expose a support window outside which |Q| <= 1e-10 (widened
     automatically for the analytic families) and vectorized evaluation.
     """
+
+    knots = None  # only a table knows where its first round of steps starts
 
     @property
     def window(self) -> tuple[float, float]:
@@ -215,23 +217,13 @@ class LorentzianSum(PotentialSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class Tabulated(PotentialSpec):
+class Tabulated(SampledProfile, PotentialSpec):
     """Quintic-spline interpolant of samples (x, q); zero outside the grid hull."""
 
     x: np.ndarray
     q: np.ndarray
 
     variant = "tabulated"
-
-    def _check(self):
-        object.__setattr__(self, "_table", SampleTable(*sample_fields(self, "x", "q")))
-
-    @property
-    def window(self):
-        return (float(self.x[0]), float(self.x[-1]))
-
-    def __call__(self, xq):
-        return self._table(xq)
 
 
 def momentum_grid(kmin: float, kmax: float, n: int) -> np.ndarray:
@@ -285,12 +277,6 @@ def _tail_factors(pairs, k):
     return T, left, right
 
 
-def _knots(q):
-    # where the Magnus propagator starts, so that it cannot step over a
-    # narrow well; a run of zero samples is one interval, crossed exactly
-    return q._table.knots if isinstance(q, Tabulated) else None
-
-
 def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> ScatterCoeffs:
     """Solve the direct problem at momentum k > 0.
 
@@ -322,7 +308,7 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
         (m00, m01), (m10, m11) = m
         m = m @ np.array([[m11, m01], [m10, m00]])
     else:
-        m = transfer_matrix(gen, x0, x1, rtol, what, _knots(q))
+        m = transfer_matrix(gen, x0, x1, rtol, what, q.knots)
     # (phi, phi'/k) starts as e^{-ikx0} (1, -i); phi +- i phi'/k picks out 2a, 2b
     y0 = m[0, 0] - 1j * m[0, 1]
     y1 = m[1, 0] - 1j * m[1, 1]
@@ -353,7 +339,7 @@ def _tilted(q, eta, x_from, x_to):
     # The propagated variables are (w, chi/|eta|), and -eta I tilts the frame
     scale = abs(eta)
     m = transfer_matrix(lambda x: (-eta, scale, -(q(x) - eta * eta) / scale, -eta),
-                        x_from, x_to, _RTOL, f"bound-state (eta = {scale})", _knots(q))
+                        x_from, x_to, _RTOL, f"bound-state (eta = {scale})", q.knots)
     s = np.sign(eta)
     return m[0, 0] + s * m[0, 1], scale * (m[1, 0] + s * m[1, 1])
 

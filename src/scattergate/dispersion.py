@@ -90,6 +90,7 @@ class ReflectionData(Document):
             raise ValueError("|R| must decay below 1e-6 at the grid ends")
 
     def reflection_at(self, k: float) -> complex:
+        k = checked("k", float, k)
         re = np.interp(k, self.k, self.R.real)
         im = np.interp(k, self.k, self.R.imag)
         return complex(re + 1j * im)

@@ -520,11 +520,15 @@ def transmission_a_two_level(data: TwoLevelScatteringData, zeta) -> complex:
     """Transmission amplitude a(zeta) from |r| and the half-plane zeros.
 
     On the real axis |a|^2 = 1/(1 + |r|^2); the dispersion relation (see
-    dispersion) gives the phase.  Valid on the closed upper half plane.
+    dispersion) gives the phase.  Valid on the closed upper half plane but
+    for the two ends of the data grid, where the dispersion integral is
+    singular.
     """
-    zeta = complex(zeta)
+    zeta = checked("zeta", complex, zeta)
     if zeta.imag < -1e-12:
         raise ValueError("transmission amplitude defined on the upper half plane")
+    if zeta.imag <= 1e-9 and zeta.real in (data.zeta[0], data.zeta[-1]):
+        raise ValueError(f"zeta: {zeta.real!r} is an end of the data grid")
     return _dispersion(data.zeta, -np.log1p(np.abs(data.r) ** 2), data.poles, zeta)
 
 

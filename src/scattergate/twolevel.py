@@ -50,8 +50,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from ._magnus import transfer_matrix
-from ._samples import SampleTable, sample_fields
-from .codec import Document, Positive
+from ._samples import SampledProfile
+from .codec import Document, Positive, checked
 from .direct1d import _expm_traceless, _lorentzian, _lorentzian_tails, _lorentzian_window
 from .errors import NumericalError
 
@@ -65,6 +65,8 @@ class PulseEnvelope(Document, tag="variant", noun="pulse envelope"):
     automatically for the analytic families; the Lorentzian ones take the
     window rule of ``direct1d.LorentzianSum``) and vectorized evaluation.
     """
+
+    knots = None  # only a table knows where its first round of steps starts
 
     @property
     def window(self) -> tuple[float, float]:
@@ -130,23 +132,14 @@ class RectangularPulse(PulseEnvelope):
 
 
 @dataclass(frozen=True, eq=False)
-class TabulatedPulse(PulseEnvelope):
+class TabulatedPulse(SampledProfile, PulseEnvelope):
     """Complex quintic-spline interpolant of samples (t, E); zero outside."""
 
     t: np.ndarray
     E: np.ndarray
 
     variant = "tabulated"
-
-    def _check(self):
-        object.__setattr__(self, "_table", SampleTable(*sample_fields(self, "t", "E", complex)))
-
-    @property
-    def window(self):
-        return (float(self.t[0]), float(self.t[-1]))
-
-    def __call__(self, tq):
-        return self._table(tq)
+    dtype = complex
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,13 +186,12 @@ def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
         m_right = m_left = 0.0j
         lo, hi = env.window
         start = lo
-    knots = env._table.knots if isinstance(env, TabulatedPulse) else None
 
     def gen(t):
         e = env(t)
         return 0.5j * delta, -1j * e, -1j * np.conj(e), -0.5j * delta
 
-    y = transfer_matrix(gen, start, hi, rtol, "S-matrix", knots)
+    y = transfer_matrix(gen, start, hi, rtol, "S-matrix", env.knots)
     if start > lo:
         # the real, even envelope makes the half from 0 to lo = -hi the
         # conjugate of this one (module notes); Y over sqrt(det Y) has
@@ -268,11 +260,13 @@ def dipole_hamiltonian(p: DipoleParams, field: complex, interaction: float) -> n
     so at interaction = 0 the two subsystems are uncoupled and the corner
     entry (1, 4) equals y d_A d_B in general.
     """
+    field = checked("field", complex, field)
+    interaction = checked("interaction", float, interaction)
     ha = np.diag([p.W_plus_A, p.W_minus_A]).astype(complex) + _flip(p.d_A, field)
     hb = np.diag([p.W_plus_B, p.W_minus_B]).astype(complex) + _flip(p.d_B, field)
     eye = np.eye(2, dtype=complex)
     h = np.kron(ha, eye) + np.kron(eye, hb)
-    h += float(interaction) * np.kron(_flip(p.d_A, 1.0), _flip(p.d_B, 1.0))
+    h += interaction * np.kron(_flip(p.d_A, 1.0), _flip(p.d_B, 1.0))
     return h
 
 

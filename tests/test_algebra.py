@@ -6,7 +6,6 @@ from scattergate.algebra import (
     CNOT,
     HADAMARD,
     NOT_GATE,
-    SU11Element,
     entanglement_verdict,
     gate_distance,
     operator_schmidt,
@@ -19,29 +18,38 @@ from conftest import assert_unitary, random_su11, random_unitary
 
 
 class TestSU11Element:
+    """The SU(1,1) element (a, b) that tau and su11_to_su2 check on every call."""
+
     def test_accepts_valid_pair(self):
-        e = SU11Element(np.sqrt(2.0), 1.0)
-        assert e.transmission == pytest.approx(1.0 / np.sqrt(2.0))
-        assert e.reflection == pytest.approx(1.0 / np.sqrt(2.0))
+        s = tau(np.sqrt(2.0), 1.0)
+        # the transmission 1/a and the reflection b/a = -S[1, 1]
+        assert s[0, 1] == pytest.approx(1.0 / np.sqrt(2.0))
+        assert -s[1, 1] == pytest.approx(1.0 / np.sqrt(2.0))
+        assert su11_to_su2(np.sqrt(2.0), 1.0)[0, 0] == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_rejects_violation(self):
-        with pytest.raises(ValueError):
-            SU11Element(1.0, 1.0)
+        for fn in (tau, su11_to_su2):
+            with pytest.raises(ValueError, match=r"^not an SU\(1,1\) pair: .* = -1.000e\+00 "):
+                fn(1.0, 1.0)
 
     def test_rejects_huge_amplitudes_without_overflow(self):
-        with pytest.raises(ValueError):
-            SU11Element(1e200, 1.0)
+        # |a|^2 of 1e200 overflows a float: refused, not an OverflowError
+        for fn in (tau, su11_to_su2):
+            with pytest.raises(ValueError, match=r"^not an SU\(1,1\) pair: .* = inf exceeds"):
+                fn(1e200, 1.0)
 
     def test_atol_loosens_check(self):
         a = np.sqrt(2.0) * (1.0 + 3e-10)
-        with pytest.raises(ValueError):
-            SU11Element(a, 1.0)
-        SU11Element(a, 1.0, atol=1e-8)
+        for fn in (tau, su11_to_su2):
+            with pytest.raises(ValueError, match="exceeds atol=1.0e-12$"):
+                fn(a, 1.0)
+            fn(a, 1.0, atol=1e-8)
 
     def test_random_pairs_validate(self, rng):
         for _ in range(20):
             a, b = random_su11(rng, scale=rng.uniform(0.1, 5.0))
-            SU11Element(a, b)
+            tau(a, b)
+            su11_to_su2(a, b)
 
 
 class TestTau:
@@ -104,13 +112,6 @@ class TestKron:
     def test_unitary_closure(self, rng):
         u = algebra.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         assert_unitary(u, atol=1e-12)
-
-    def test_accepts_su11_element_inputs(self):
-        m = SU11Element(np.sqrt(2.0), 1.0)
-        np.testing.assert_allclose(tau(m), HADAMARD, atol=1e-14)
-        np.testing.assert_allclose(
-            su11_to_su2(m), su11_to_su2(np.sqrt(2.0), 1.0), atol=1e-15
-        )
 
 
 class TestGateDistance:

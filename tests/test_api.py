@@ -14,7 +14,7 @@ import types
 import pytest
 
 import scattergate
-from scattergate import cli, direct1d, dispersion, fuchsian, glm, twolevel
+from scattergate import algebra, cli, direct1d, dispersion, fuchsian, glm, twolevel
 
 SOLVER_MODULES = (direct1d, dispersion, glm, twolevel, fuchsian)
 
@@ -34,6 +34,8 @@ def shape(fn) -> str:
 
 
 SIGNATURES = {
+    algebra.tau: "a, b, atol",
+    algebra.su11_to_su2: "a, b, atol",
     direct1d.solve_scattering: "q, k, rtol",
     direct1d.solve_grid: "q, ks, *, rtol",
     direct1d.find_bound_states: "q, eta_max",
@@ -100,6 +102,18 @@ def test_no_module_imports_a_scipy_ode_solver():
                 found += [(path.stem, a.name) for a in node.names if a.name in solvers]
             elif isinstance(node, ast.Attribute) and node.attr in solvers:
                 found.append((path.stem, node.attr))
+    assert found == []
+
+
+def test_only_self_reads_a_sample_table():
+    # a profile's table answers through the profile (window, evaluation,
+    # knots); no module reaches into another object's _table
+    found = []
+    for path in pathlib.Path(scattergate.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "_table"
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+                found.append((path.stem, node.lineno))
     assert found == []
 
 

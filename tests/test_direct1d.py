@@ -272,6 +272,19 @@ class TestWideTables:
         for s, sign in zip(states, (-1.0, 1.0)):
             assert s.norming == pytest.approx(sign * np.exp(2.0 * s.eta * 3.71), rel=1e-4)
 
+    def test_narrow_bump_rings_into_no_first_interval(self, budget):
+        # q = 3 on three samples: the spline rings past them for about 25
+        # samples a side, which knots at the nonzero samples alone stepped
+        # over (R^2 = 0.16118729629281 on +-1000)
+        def r2(half_width, n):
+            x = np.linspace(-half_width, half_width, n)
+            c = solve_scattering(Tabulated(x, np.where(np.abs(x - 0.4) < 0.15, 3.0, 0.0)), 1.0)
+            return abs(c.reflection) ** 2
+
+        near = r2(10.0, 201)
+        assert near == pytest.approx(0.15309101261561633, abs=1e-12)
+        assert abs(r2(1000.0, 20001) - near) <= 1e-10
+
     def test_sampled_data_keeps_a_state_between_scan_points(self, budget):
         # 2001 window points on +-1000 read 19.8 of the peak 99.75, which
         # left eta_max short of the deep state at 7.81

@@ -22,11 +22,12 @@ import scattergate
 from scattergate.algebra import (
     CNOT,
     HADAMARD,
-    SU11Element,
+    SchmidtDecomposition,
     entanglement_verdict,
     gate_distance,
     kron,
     operator_schmidt,
+    phase_gate,
     su11_to_su2,
     tau,
 )
@@ -42,8 +43,15 @@ from scattergate.direct1d import (
 )
 from scattergate.dispersion import sample_reflection
 from scattergate.fuchsian import gauge_to_su2, lorentzian_to_fuchsian, monodromy
-from scattergate.glm import recover_potential, recover_pulse
-from scattergate.twolevel import LorentzianPulse, LorentzianPulseSum, PulseSpec, scattering_matrix
+from scattergate.glm import recover_potential, recover_pulse, transmission_a_two_level
+from scattergate.twolevel import (
+    DipoleParams,
+    LorentzianPulse,
+    LorentzianPulseSum,
+    PulseSpec,
+    dipole_hamiltonian,
+    scattering_matrix,
+)
 from test_glm import pole_data, soliton_data
 from test_golden import cli_cases
 
@@ -254,6 +262,8 @@ SOLITON = soliton_data([BoundState(1.0, 1.0)])
 PULSE = PulseSpec(LorentzianPulse(a=1.0, b=0.25))
 SYSTEM, LOOP = lorentzian_to_fuchsian(2.0, 0.25)
 X = np.linspace(-1.0, 1.0, 5)
+DIPOLE = DipoleParams(d_A=1.0, d_B=0.5j, W_plus_A=1.0, W_minus_A=-1.0, W_plus_B=0.5,
+                      W_minus_B=-0.5)
 
 
 def refusal(name, value):
@@ -293,11 +303,27 @@ def _bad_arguments():
                refusal("rtol", NAN))
     yield ("S-matrix empty sum rtol=nan", lambda: scattering_matrix(EMPTY_SUM, rtol=NAN),
            refusal("rtol", NAN))
+    # the SU(1,1) check of tau and su11_to_su2 reads atol first
     for bad in (NAN, INF, 0.0, -1e-8):
-        yield (f"SU(1,1) atol={bad}", lambda bad=bad: SU11Element(1.0, 0.0, atol=bad),
+        yield (f"SU(1,1) atol={bad}", lambda bad=bad: tau(1.0, 0.0, atol=bad),
                refusal("atol", bad))
-    yield "tau atol=nan", lambda: tau(5.0, 0.0, atol=NAN), refusal("atol", NAN)
-    yield "su11_to_su2 atol=inf", lambda: su11_to_su2(5.0, 0.0, atol=INF), refusal("atol", INF)
+        yield (f"su11_to_su2 atol={bad}", lambda bad=bad: su11_to_su2(1.0, 0.0, atol=bad),
+               refusal("atol", bad))
+    yield "phase_gate phi=nan", lambda: phase_gate(NAN), refusal("phi", NAN)
+    yield ("Schmidt coefficients nan", lambda: SchmidtDecomposition(np.full(4, NAN), None, None),
+           r"^sum s_m\^2 = nan, expected 4 for a unitary$")
+    yield "reflection_at k=nan", lambda: SOLITON.reflection_at(NAN), refusal("k", NAN)
+    yield ("dipole field=nan", lambda: dipole_hamiltonian(DIPOLE, NAN, 0.0),
+           "^field: nan is not a finite complex$")
+    yield ("dipole interaction=nan", lambda: dipole_hamiltonian(DIPOLE, 0.0, NAN),
+           refusal("interaction", NAN))
+    # the dispersion integral is singular at a real zeta on a grid end, even for r = 0
+    yield ("transmission zeta=nan", lambda: transmission_a_two_level(pole_data(), NAN),
+           "^zeta: nan is not a finite complex$")
+    for end in (-4.0, 4.0):
+        yield (f"transmission zeta={end}",
+               lambda end=end: transmission_a_two_level(pole_data(), end),
+               f"^zeta: {end!r} is an end of the data grid$")
     yield ("bound states eta_max=nan", lambda: find_bound_states(WELL, NAN),
            refusal("eta_max", NAN))
     yield "lorentzian a=inf", lambda: lorentzian_to_fuchsian(INF, 0.25), refusal("a", INF)

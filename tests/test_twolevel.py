@@ -379,6 +379,18 @@ class TestTabulatedPulse:
         assert abs(near[1, 0]) == pytest.approx(0.687923, abs=1e-6)
         np.testing.assert_allclose(wide, near, rtol=0, atol=1e-8)
 
+    def test_narrow_bump_rings_into_no_first_interval(self, budget):
+        # E = 1 on three samples; with knots at the nonzero samples alone
+        # the spline's ringing was stepped over: a = 0.952051 + 0.005012i
+        def a(half_width, n):
+            t = np.linspace(-half_width, half_width, n)
+            bump = TabulatedPulse(t=t, E=np.where(np.abs(t - 0.4) < 0.15, 1.0 + 0j, 0.0))
+            return scattering_matrix(PulseSpec(bump, detuning=1.0))[0, 0]  # zeta = -0.5
+
+        near = a(10.0, 201)
+        assert abs(near - (0.955633166597797 + 0.004218545006101j)) <= 1e-12
+        assert abs(a(1000.0, 20001) - near) <= 1e-10
+
     @pytest.mark.parametrize("envelope", [
         RectangularPulse(x=1.2741396422353426e-159j, half_width=1.0),
         LorentzianPulseSum(terms=((2.0, 7.710184765299076e-160),)),
