@@ -309,6 +309,8 @@ def _bad_arguments():
                refusal("atol", bad))
         yield (f"su11_to_su2 atol={bad}", lambda bad=bad: su11_to_su2(1.0, 0.0, atol=bad),
                refusal("atol", bad))
+    # off the group too: the atol refusal comes before the pair's defect
+    yield "tau atol=nan", lambda: tau(5.0, 0.0, atol=NAN), refusal("atol", NAN)
     yield "phase_gate phi=nan", lambda: phase_gate(NAN), refusal("phi", NAN)
     yield ("Schmidt coefficients nan", lambda: SchmidtDecomposition(np.full(4, NAN), None, None),
            r"^sum s_m\^2 = nan, expected 4 for a unitary$")
