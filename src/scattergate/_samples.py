@@ -1,4 +1,5 @@
-"""Sample tables: the array rule, grid checks, the spline and the base of tabulated profiles."""
+"""Profiles and their sample tables: the profile contract, the array rule,
+grid checks, the spline and the base of tabulated profiles."""
 
 from __future__ import annotations
 
@@ -88,13 +89,25 @@ class SampleTable:
         return out if out.ndim else out.item()
 
 
-class SampledProfile:
-    """Base of the sample-table profiles (a potential, a pulse envelope): the
-    SampleTable of the first two fields, grid and values of the subclass's
-    dtype, gives the window (the grid's ends, as the table is zero beyond),
-    the values at any points and the knots where a propagation starts."""
+class Profile:
+    """A potential Q(x) or pulse envelope E(t): its window, outside which |value| <=
+    FLOOR, its values as dtype at an array of points (a Python scalar at one point)
+    and the knots where a propagation's first steps start (None: even steps)."""
 
+    knots = None
     dtype = float
+
+    @property
+    def window(self) -> tuple[float, float]:
+        raise NotImplementedError
+
+    def __call__(self, x):
+        raise NotImplementedError
+
+
+class SampledProfile(Profile):
+    """Base of the sample-table profiles: the SampleTable of the first two fields,
+    grid and values of dtype, gives the window (the grid's ends), values and knots."""
 
     def _check(self):
         grid, values = (f.name for f in dataclasses.fields(self)[:2])

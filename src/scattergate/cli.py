@@ -52,6 +52,8 @@ from .twolevel import (
 log = logging.getLogger("scattergate.cli")
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+# largest --n: the bound _magnus puts on a solve's intervals and glm on a node grid
+_MAX_N = 2**20
 
 
 class CliError(Exception):
@@ -298,8 +300,8 @@ def _run_monodromy(args):
     return doc, None
 
 
-def _number(*hints):
-    # argparse type: float(text), then the codec's field rule of each hint in turn
+def _number(*hints, most=np.inf):
+    # argparse type: float(text), then the codec's field rule of each hint in turn, <= most
     def parse(text):
         try:
             value = float(text)
@@ -307,6 +309,8 @@ def _number(*hints):
                 value = _field(hint, value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+        if value > most:
+            raise argparse.ArgumentTypeError(f"{value} is over the limit of {most}")
         return value
 
     return parse
@@ -328,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
             lo, hi, n, what = grid
             sp.add_argument("--kmin", type=_number(float), default=lo, help=f"{what} grid start")
             sp.add_argument("--kmax", type=_number(float), default=hi, help=f"{what} grid end")
-            sp.add_argument("--n", type=_number(Positive, int), default=n, help=f"{what} grid size"
+            sp.add_argument("--n", type=_number(Positive, int, most=_MAX_N), default=n,
+                            help=f"{what} grid size, at most {_MAX_N}"
                             + (" (enables the scan)" if n is None else ""))
 
     sp = sub.add_parser("direct", help="scattering amplitudes of a potential")

@@ -46,7 +46,7 @@ from scipy.optimize import brentq
 from scipy.special import exp1
 
 from ._magnus import transfer_matrix
-from ._samples import FLOOR, SampledProfile, checked_grid
+from ._samples import FLOOR, Profile, SampledProfile, checked_grid
 from .algebra import tau
 from .codec import Document, Positive, checked
 from .errors import NumericalError
@@ -56,21 +56,10 @@ _RTOL = 1e-10
 _TAIL_CUT = 1e-7
 
 
-class PotentialSpec(Document, tag="variant", noun="potential", derived=("window",)):
-    """Base class for real potentials decaying at both infinities.
-
-    Subclasses expose a support window outside which |Q| <= 1e-10 (widened
-    automatically for the analytic families) and vectorized evaluation.
-    """
-
-    knots = None  # only a table knows where its first round of steps starts
-
-    @property
-    def window(self) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def __call__(self, x):
-        raise NotImplementedError
+class PotentialSpec(Profile, Document, tag="variant", noun="potential", derived=("window",)):
+    """Base class for real potentials decaying at both infinities, with the
+    contract of ``_samples.Profile`` and float values: |Q| <= 1e-10 outside
+    the window, which the analytic families widen automatically."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,20 +124,8 @@ class SechSquared(PotentialSpec):
         return out if out.ndim else float(out)
 
 
-def _lorentzian(pairs, x, dtype):
-    # sum_j 2 a_j b_j / (x^2 + a_j^2) in dtype: the profile of the Lorentzian
-    # potentials here and of the Lorentzian pulses of twolevel, written as
-    # 2 (b/a) / (1 + (x/a)^2) so that no width underflows x^2 + a^2
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape, dtype=dtype)
-    for a, b in pairs:
-        u = x / a
-        out = out + 2.0 * (b / a) / (1.0 + u * u)
-    return out if out.ndim else dtype(out)
-
-
 def _lorentzian_window(pairs, cut=FLOOR):
-    # symmetric window outside which the 1/x^2 tails of _lorentzian stay below
+    # symmetric window outside which the 1/x^2 tails of _Lorentzian stay below
     # cut, reaching at least 12 of the widest a_j to each side (NaN stays NaN)
     if not pairs:
         return (0.0, 0.0)
@@ -171,7 +148,7 @@ def _scaled_e1(z):
 
 
 def _lorentzian_tails(pairs, delta):
-    """Core half-width T and the tail moments of _lorentzian times
+    """Core half-width T and the tail moments of _Lorentzian times
     e^{-i delta x} over (T, inf) and (-inf, -T), as in the module notes; the
     profile is real and even, so the left moment is the right one's conjugate."""
     T = _lorentzian_window(pairs, _TAIL_CUT)[1]
@@ -193,8 +170,25 @@ def _expm_traceless(n):
         return np.cosh(w) * np.eye(2) + (np.sinh(w) / w if w else 1.0) * n
 
 
+class _Lorentzian(Profile):
+    # sum_j 2 a_j b_j / (x^2 + a_j^2) over the (a_j, b_j) of self.terms in dtype,
+    # written as 2 (b/a) / (1 + (x/a)^2) so that no width underflows x^2 + a^2
+
+    @property
+    def window(self):
+        return _lorentzian_window(self.terms)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape, dtype=self.dtype)
+        for a, b in self.terms:
+            u = x / a
+            out = out + 2.0 * (b / a) / (1.0 + u * u)
+        return out if out.ndim else self.dtype(out)
+
+
 @dataclass(frozen=True, eq=False)
-class LorentzianSum(PotentialSpec):
+class LorentzianSum(_Lorentzian, PotentialSpec):
     """Q(x) = sum_j 2 a_j b_j / (x^2 + a_j^2).
 
     The 1/x^2 tails force a very wide support window to honour the
@@ -209,11 +203,8 @@ class LorentzianSum(PotentialSpec):
     variant = "lorentzian_sum"
 
     @property
-    def window(self):
-        return _lorentzian_window(self.pairs)
-
-    def __call__(self, x):
-        return _lorentzian(self.pairs, x, float)
+    def terms(self):
+        return self.pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +238,7 @@ class ScatterCoeffs:
     def __post_init__(self):
         try:
             defect = (1.0 + abs(self.b) ** 2) / abs(self.a) ** 2 - 1.0
-        except OverflowError:  # float ** raises where |a| or |b| exceed 1e154
+        except (OverflowError, ZeroDivisionError):  # |a| or |b| > 1e154, or |a| < 1e-162
             defect = np.inf
         if not np.isfinite(defect) or abs(defect) > 1e-8:
             raise NumericalError(
@@ -295,12 +286,12 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
     def gen(x):
         return 0.0, k, -(k * k + q(x)) / k, 0.0
 
-    lorentzian, what = isinstance(q, LorentzianSum), f"scattering (k = {k})"
+    lorentzian, what = isinstance(q, _Lorentzian), f"scattering (k = {k})"
     if lorentzian:
-        x1, left, right = _tail_factors(q.pairs, k)
+        x1, left, right = _tail_factors(q.terms, k)
         x0 = -x1
         # first-round knots a_min 2^m to the core edge: no step from the peak is wider
-        amin = min(a for a, _ in q.pairs)
+        amin = min(a for a, _ in q.terms)
         knots = amin * 2.0 ** np.arange(np.log2(x1) - np.log2(amin))
         m = transfer_matrix(gen, 0.0, x1, rtol, what, knots)
         # Q is even, so the span from 0 to x0 = -x1 is P m P, P = diag(1, -1);
@@ -351,7 +342,8 @@ def _norming_ratio(q, eta):
     eigenfunction (where the plain ratio is 0/0) stay well conditioned.
     """
     x0, x1 = q.window
-    xm = q.x[np.argmax(q.q)] if isinstance(q, Tabulated) else 0.5 * (x0 + x1)
+    knots = () if q.knots is None else q.knots  # none on a table below FLOOR
+    xm = knots[np.argmax(q(knots))] if len(knots) else 0.5 * (x0 + x1)
     # stay within a decay length of the well: farther out the ratio is
     # dominated by the residual growing component left over from the
     # finite-precision eta root
@@ -383,7 +375,7 @@ def find_bound_states(q: PotentialSpec, eta_max: float):
     e^{-eta x}(phi, phi'); the norming constant of each root compares it
     with the right solution, propagated leftward, at three points less
     than a decay length 1/eta apart around the middle of the window (a
-    table's largest sample).
+    table's largest knot value).
     """
     eta_max = checked("eta_max", Positive, eta_max)
     x0, x1 = q.window

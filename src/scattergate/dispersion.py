@@ -37,7 +37,7 @@ from scipy.optimize import brentq
 
 from ._samples import SampleTable, sample_fields
 from .codec import Document, Positive, checked
-from .direct1d import BoundState, Tabulated, find_bound_states, solve_grid
+from .direct1d import BoundState, find_bound_states, solve_grid
 from .errors import InfeasibleTargetError, NumericalError
 
 
@@ -203,8 +203,8 @@ def sample_reflection(
     states = ()
     if x1 > x0:
         xs = np.linspace(x0, x1, 2001)
-        # a table's own samples too: a narrow well can fall between the points
-        xs = np.concatenate([xs, q.x]) if isinstance(q, Tabulated) else xs
+        # a table's knots too: a narrow well can fall between the points
+        xs = xs if q.knots is None else np.concatenate([xs, q.knots])
         qmax = float(np.max(q(xs)))
         if qmax > 1e-9:
             states = tuple(find_bound_states(q, np.sqrt(qmax) + 0.1))

@@ -50,47 +50,27 @@ import numpy as np
 from scipy.linalg import expm
 
 from ._magnus import transfer_matrix
-from ._samples import SampledProfile
+from ._samples import Profile, SampledProfile
 from .codec import Document, Positive, checked
-from .direct1d import _expm_traceless, _lorentzian, _lorentzian_tails, _lorentzian_window
+from .direct1d import _expm_traceless, _Lorentzian, _lorentzian_tails
 from .errors import NumericalError
 
 _RTOL = 1e-11
 
 
-class PulseEnvelope(Document, tag="variant", noun="pulse envelope"):
+class PulseEnvelope(Profile, Document, tag="variant", noun="pulse envelope"):
     """Base class for complex pulse envelopes E(t).
 
-    Subclasses expose a support window outside which |E| <= 1e-10 (widened
-    automatically for the analytic families; the Lorentzian ones take the
-    window rule of ``direct1d.LorentzianSum``) and vectorized evaluation.
+    The contract is ``_samples.Profile``'s, with complex values; the analytic
+    families widen their windows automatically (the Lorentzian ones by the
+    rule of ``direct1d._Lorentzian``) so that |E| <= 1e-10 outside.
     """
 
-    knots = None  # only a table knows where its first round of steps starts
-
-    @property
-    def window(self) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def __call__(self, t):
-        raise NotImplementedError
-
-
-class _LorentzianTerms(PulseEnvelope):
-    # E(t) = sum_k 2 a_k b_k / (t^2 + a_k^2) over self.terms, with the
-    # profile and window of direct1d.LorentzianSum; unregistered, so it has
-    # no document of its own
-
-    @property
-    def window(self):
-        return _lorentzian_window(self.terms)
-
-    def __call__(self, t):
-        return _lorentzian(self.terms, t, complex)
+    dtype = complex
 
 
 @dataclass(frozen=True, eq=False)
-class LorentzianPulse(_LorentzianTerms):
+class LorentzianPulse(_Lorentzian, PulseEnvelope):
     """E(t) = 2 a b / (t^2 + a^2), area 2 pi b."""
 
     a: Positive
@@ -104,7 +84,7 @@ class LorentzianPulse(_LorentzianTerms):
 
 
 @dataclass(frozen=True, eq=False)
-class LorentzianPulseSum(_LorentzianTerms):
+class LorentzianPulseSum(_Lorentzian, PulseEnvelope):
     """E(t) = sum_k 2 a_k b_k / (t^2 + a_k^2), area 2 pi sum b_k."""
 
     terms: tuple[tuple[Positive, float], ...]
@@ -139,7 +119,6 @@ class TabulatedPulse(SampledProfile, PulseEnvelope):
     E: np.ndarray
 
     variant = "tabulated"
-    dtype = complex
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +157,7 @@ def scattering_matrix(pulse: PulseSpec, *, rtol: float = _RTOL) -> np.ndarray:
     """
     env = pulse.envelope
     delta = pulse.detuning
-    if isinstance(env, _LorentzianTerms):
+    if isinstance(env, _Lorentzian):
         t_core, m_right, m_left = _lorentzian_tails(env.terms, delta)
         # every term peaks at t = 0, where the propagated half starts (module notes)
         lo, start, hi = -t_core, 0.0, t_core
@@ -282,12 +261,17 @@ def f_matrix(p: DipoleParams) -> np.ndarray:
         F = e^{i T H(0,0)} e^{-2 i T H(x,y)} e^{i T H(0,0)},
 
     the 4x4 S-matrix whose second operator-Schmidt coefficient decides
-    whether the drive entangles the two subsystems.
+    whether the drive entangles the two subsystems.  A phase T w past the
+    float range raises NumericalError.
     """
     h_free = dipole_hamiltonian(p, 0.0, 0.0)
     h_full = dipole_hamiltonian(p, p.x, p.y)
-    edge = _expm_i_hermitian(h_free, p.T)
-    return edge @ _expm_i_hermitian(h_full, -2.0 * p.T) @ edge
+    with np.errstate(all="ignore"):  # an overflowing phase is refused below
+        edge = _expm_i_hermitian(h_free, p.T)
+        f = edge @ _expm_i_hermitian(h_full, -2.0 * p.T) @ edge
+    if not np.all(np.isfinite(f)):
+        raise NumericalError(f"the phases T w of the pair Hamiltonian overflow at T = {p.T}")
+    return f
 
 
 def rect_pulse_smatrix(p: DipoleParams) -> np.ndarray:

@@ -117,6 +117,21 @@ def test_only_self_reads_a_sample_table():
     assert found == []
 
 
+def test_no_solver_tests_a_profile_class_but_the_lorentzian_one():
+    # solvers ask a profile only for its window, values and knots; the one
+    # class test left picks the exact-tail rule of the Lorentzian profiles
+    found = []
+    for mod in SOLVER_MODULES:
+        path = pathlib.Path(mod.__file__)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"):
+                classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                found += [(path.stem, node.lineno, ast.unparse(c)) for c in classes
+                          if ast.unparse(c) != "_Lorentzian"]
+    assert found == []
+
+
 def test_star_import_binds_the_public_names():
     # __all__ is derived: every public name of the package that is not a module
     ns = {}

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from scattergate.algebra import SIGMA3
-from scattergate.cli import build_parser, main
+from scattergate.cli import CliError, build_parser, main
 from scattergate.fuchsian import FuchsianSystem, CircleLoop, lorentzian_to_fuchsian
 from scattergate.twolevel import DipoleParams, LorentzianPulse, PulseSpec, scattering_matrix
 
@@ -287,6 +287,15 @@ class TestEntangle:
         doc = json.loads(out)
         assert doc["verdict"] == "product"
 
+    def test_overflowing_phase_is_numeric_failure(self, capsys, tmp_path):
+        # T w = 2e308 overflows: a numeric failure, not a parse error naming u
+        doc = {"d_A": [1.0, 0.0], "d_B": 0.5, "W_plus_A": 1e308, "W_minus_A": -1e308,
+               "W_plus_B": 0.5, "W_minus_B": -0.5, "x": [0.25, 0.0], "y": 0.5, "T": 1.0}
+        path = write_json(tmp_path / "dipole.json", doc)
+        code, out, err = run_cli(capsys, ["entangle", "--params", path])
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["kind"] == "numeric"
+
 
 class TestMonodromy:
     def test_one_pole_matches_exponential(self, capsys, tmp_path):
@@ -318,6 +327,23 @@ class TestMonodromy:
 
 
 class TestFailureModes:
+    @pytest.mark.parametrize("sub", ["direct", "inverse", "gate", "twolevel"])
+    def test_huge_grid_is_refused(self, sub, capsys, tmp_path):
+        # 1e15 points would ask for petabytes; refused before anything is read
+        argv = [sub, *tol_argv(sub, tmp_path), "--n", "1e15"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == "parse"
+        assert error["message"] == "argument --n: 1000000000000000 is over the limit of 1048576"
+
+    def test_grid_limit_is_two_to_the_twentieth(self):
+        # parsed only: a grid of 2**20 + 1 points would take minutes to run
+        parser = build_parser()
+        assert parser.parse_args(["inverse", "--data", "d.json", "--n", "1048576"]).n == 2**20
+        with pytest.raises(CliError, match="argument --n: 1048577 is over the limit"):
+            parser.parse_args(["inverse", "--data", "d.json", "--n", "1048577"])
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["direct", "--potential", "no_such.json"])
         assert code == 2

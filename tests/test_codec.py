@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from scattergate import twolevel
+from scattergate._samples import Profile
 from scattergate.cli import main
 from scattergate.codec import Document, Positive, from_json, to_json
 from scattergate.direct1d import (
@@ -302,6 +303,28 @@ INEXACT = {float: "1", complex: "1", int: 1.5, bool: "false"}
 
 def test_every_document_type_has_an_example():
     assert set(document_types()) == set(EXAMPLES)
+
+
+PROFILES = [obj for obj in EXAMPLES.values() if isinstance(obj, (PotentialSpec, PulseEnvelope))]
+
+
+def test_every_profile_variant_has_an_example():
+    registered = {*PotentialSpec._variants.values(), *PulseEnvelope._variants.values()}
+    assert registered <= {type(obj) for obj in PROFILES}
+
+
+@pytest.mark.parametrize("obj", PROFILES, ids=lambda obj: type(obj).__name__)
+def test_profile_contract(obj):
+    # every solver reads a potential or an envelope through Profile alone:
+    # its window, its values in its dtype and its knots inside the window
+    assert isinstance(obj, Profile)
+    expected = np.float64 if isinstance(obj, PotentialSpec) else np.complex128
+    assert np.dtype(obj.dtype) == expected
+    lo, hi = obj.window
+    values = obj(np.linspace(lo - 1.0, hi + 1.0, 9))
+    assert values.dtype == expected and values.shape == (9,)
+    assert type(obj(0.5 * (lo + hi))) is obj.dtype
+    assert obj.knots is None or np.all((obj.knots >= lo) & (obj.knots <= hi))
 
 
 def _leaf(hint):

@@ -16,6 +16,7 @@ from scattergate.direct1d import (
     BoundState,
     LorentzianSum,
     PotentialSpec,
+    ScatterCoeffs,
     SechSquared,
     SquareWell,
     Tabulated,
@@ -177,6 +178,12 @@ class TestFailurePaths:
             out, err = capsys.readouterr()
             assert out == "" and len(err.splitlines()) == 1
             assert json.loads(err)["error"]["message"] == f"ValueError: {message}"
+
+    @pytest.mark.parametrize("a", [0j, 1e-200])
+    def test_vanishing_a_is_refused_as_numeric(self, a):
+        # |a|^2 is 0 here: the flux check refuses it as it does an overflow
+        with pytest.raises(NumericalError, match=r"^\|T\|\^2 \+ \|R\|\^2 - 1 = inf "):
+            ScatterCoeffs(k=1.0, a=a, b=0j)
 
     def test_overflowing_propagator_raises_without_warnings(self, budget):
         # a barrier of height 1e4 and length 10 grows the evanescent
@@ -437,6 +444,15 @@ class TestBoundStates:
         # odd first excited state flips the Jost ratio sign
         assert states[0].norming == pytest.approx(-1.0, abs=1e-5)
         assert states[1].norming == pytest.approx(1.0, abs=1e-5)
+
+    def test_table_without_knots_centres_on_its_midpoint(self):
+        # every sample below 1e-10 leaves a table no knots, yet a 1-D well of
+        # any depth binds, here below the first-order eta = int Q / 2 = 8.0e-6
+        x = np.linspace(-4e5, 4e5, 8001)
+        pot = Tabulated(x, 9e-11 * np.exp(-(x / 1e5) ** 2))
+        assert pot.knots.size == 0
+        (state,) = find_bound_states(pot, 1e-4)
+        assert 0.0 < state.eta < 8.0e-6 and state.norming == pytest.approx(1.0, abs=1e-6)
 
     def test_norming_off_the_eigenvalue_raises(self):
         # 1% off the bound state at eta = 1 the two solutions do not match,

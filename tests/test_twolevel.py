@@ -8,6 +8,7 @@ exact derivative F'(0) = 2i (H(0,0) - H(x,y)).
 """
 
 import dataclasses
+import warnings
 
 import mpmath
 import numpy as np
@@ -547,6 +548,15 @@ class TestDipolePair:
             s2p = operator_schmidt(f_matrix(q)).coefficients[1]
             assert abs(s2p - s2) <= 1e-2
             assert s2p > 1e-3
+
+    def test_overflowing_phase_is_refused_without_warnings(self):
+        # T w = 2e308 is past the float range: the exponential would be NaN
+        p = generic_params(d_A=1.0, d_B=0.5, W_plus_A=1e308, W_minus_A=-1e308,
+                           W_plus_B=0.5, W_minus_B=-0.5, x=0.25, y=0.5, T=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="phases T w of the pair Hamiltonian overflow"):
+                f_matrix(p)
 
     def test_params_validation_and_json(self):
         with pytest.raises(ValueError, match="positive"):
