@@ -294,10 +294,14 @@ def solve_scattering(q: PotentialSpec, k: float, rtol: float = _RTOL) -> Scatter
         amin = min(a for a, _ in q.terms)
         knots = amin * 2.0 ** np.arange(np.log2(x1) - np.log2(amin))
         m = transfer_matrix(gen, 0.0, x1, rtol, what, knots)
-        # Q is even, so the span from 0 to x0 = -x1 is P m P, P = diag(1, -1);
-        # det = 1 (traceless generator): its adjugate inverts, where LU loses a tiny |T|
+        # Q is even, so the span from x0 = -x1 to 0 is P m^-1 P, P = diag(1, -1):
+        # the adjugate inverts, where LU loses a tiny |T|, as det m = 1 but for a
+        # rounding drift that the flux |a|^2 - |b|^2 = det^2 shows; that is divided
+        # out where det's own rounding, eps (|m00 m11| + |m01 m10|), is below rtol
         (m00, m01), (m10, m11) = m
-        m = m @ np.array([[m11, m01], [m10, m00]])
+        spread = abs(m00 * m11) + abs(m01 * m10)
+        det = m00 * m11 - m01 * m10 if spread * np.finfo(float).eps <= rtol else 1.0
+        m = m @ np.array([[m11, m01], [m10, m00]]) / det
     else:
         m = transfer_matrix(gen, x0, x1, rtol, what, q.knots)
     # (phi, phi'/k) starts as e^{-ikx0} (1, -i); phi +- i phi'/k picks out 2a, 2b

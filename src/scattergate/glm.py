@@ -22,7 +22,9 @@ and the integral equation couples two rows, but the recipe is the same and
 the pulse envelope is read off the diagonal of the solution.
 
 The kernel is tabulated once, on a z grid padded until its end decays, by a
-phase recurrence in z: each row is the last one times e^{ik dz}, on any k grid.
+phase recurrence in z on any k grid, in tiles of 16 rows: each tile's first
+row is the last tile's times e^{16 ik dz}, and a table of e^{ik j dz} gives
+its other rows.
 Every node, of either equation, integrates on the grid s = x + j ds up to the
 kernel's end with Gregory's sixth-order end weights at its own endpoint; they
 differ from the trapezoid weight ds on its first five points only.  For a
@@ -56,6 +58,7 @@ _MAX_Z_POINTS = 10**7
 # grid points of one Marchenko node: keeps a node's arrays to hundreds of MB
 _MAX_NODES = 2**20
 _FD_STEP = 0.01  # half-width of the central difference Q = 2 dK(x, x)/dx
+_TILE = 16  # kernel rows formed from one first row and the phases e^{ik j dz}
 _NOT_POSITIVE_DEFINITE = (
     "Nystroem matrix is not positive definite; the data are not physical scattering data"
 )
@@ -71,14 +74,24 @@ def _trapezoid_weights(x):
 
 def _fourier_rows(k, values, z):
     """(1/2 pi) int values(k) e^{ikz} dk, trapezoid rule in k, on the uniform
-    z grid; the rounding of N rows grows like N eps sum |w values| / 2 pi."""
-    out = np.empty(z.size, dtype=complex)
+    z grid; the rounding of N rows grows like (N / _TILE) eps sum |w values| / 2 pi.
+    Each chunk of tiles is one product of at most 2^18 multiply-adds (or one
+    tile, past 2^14 momenta), so that OpenBLAS keeps it on one thread."""
+    dz = (z[-1] - z[0]) / max(z.size - 1, 1)
+    phases = np.exp(1j * np.outer(k, dz * np.arange(_TILE)))
+    step = np.exp(1j * k * (_TILE * dz))
+    tiles = -(-z.size // _TILE)
+    chunk = min(max(1, 2**18 // (_TILE * k.size)), tiles)
+    starts = np.empty((chunk, k.size), dtype=complex)
+    out = np.empty((tiles, _TILE), dtype=complex)
     row = _trapezoid_weights(k) * values * np.exp(1j * k * z[0]) / (2.0 * np.pi)
-    step = np.exp(1j * k * (z[-1] - z[0]) / max(z.size - 1, 1))
-    for i in range(z.size):
-        out[i] = row.sum()
-        row *= step
-    return out
+    for lo in range(0, tiles, chunk):
+        n = min(chunk, tiles - lo)
+        for t in range(n):
+            starts[t] = row
+            row *= step
+        np.matmul(starts[:n], phases, out=out[lo:lo + n])
+    return out.ravel()[:z.size]
 
 
 def bound_state_weights(data: ReflectionData) -> tuple:

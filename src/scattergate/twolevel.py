@@ -262,7 +262,8 @@ def f_matrix(p: DipoleParams) -> np.ndarray:
 
     the 4x4 S-matrix whose second operator-Schmidt coefficient decides
     whether the drive entangles the two subsystems.  A phase T w past the
-    float range raises NumericalError.
+    float range, or of 1/eps or more, where rounding alone moves it by a
+    radian, raises NumericalError.
     """
     h_free = dipole_hamiltonian(p, 0.0, 0.0)
     h_full = dipole_hamiltonian(p, p.x, p.y)
@@ -271,6 +272,12 @@ def f_matrix(p: DipoleParams) -> np.ndarray:
         f = edge @ _expm_i_hermitian(h_full, -2.0 * p.T) @ edge
     if not np.all(np.isfinite(f)):
         raise NumericalError(f"the phases T w of the pair Hamiltonian overflow at T = {p.T}")
+    phase = p.T * max(np.linalg.norm(h, 2) for h in (h_free, h_full))
+    if not phase < 1.0 / np.finfo(float).eps:
+        raise NumericalError(
+            f"the phases T w of the pair Hamiltonian reach {phase:.3g} at T = {p.T}: "
+            "past 1/eps, rounding alone moves them by a radian"
+        )
     return f
 
 

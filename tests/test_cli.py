@@ -296,6 +296,14 @@ class TestEntangle:
         assert code == 3 and out == "" and len(err.splitlines()) == 1
         assert json.loads(err)["error"]["kind"] == "numeric"
 
+    def test_phase_past_one_over_eps_is_numeric_failure(self, capsys, tmp_path):
+        # T = 1e300: no overflow, but T w eps >> 1 leaves F rounding noise
+        path = write_json(tmp_path / "dipole.json", self.params_doc(T=1e300))
+        code, out, err = run_cli(capsys, ["entangle", "--params", path])
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == "numeric" and "past 1/eps" in error["message"]
+
 
 class TestMonodromy:
     def test_one_pole_matches_exponential(self, capsys, tmp_path):

@@ -928,10 +928,11 @@ class TestKernelTabulation:
         assert len(grids) == 1
 
 
-def fourier_error(k, values, z):
-    """Largest error of _fourier_rows on 31 rows spread over z, against a
-    long-double sum, relative to sum |w values| / 2 pi."""
-    rows = np.linspace(0, z.size - 1, 31).astype(int)
+def fourier_error(k, values, z, rows=31):
+    """Largest error of _fourier_rows on that many rows spread over z, first
+    and last among them, against a long-double sum, relative to
+    sum |w values| / 2 pi."""
+    rows = np.linspace(0, z.size - 1, rows).astype(int)
     got = glm._fourier_rows(k, values, z)[rows]
     wv = glm._trapezoid_weights(k) * values
     exact = np.exp(1j * np.outer(z[rows].astype(np.longdouble), k.astype(np.longdouble)))
@@ -939,25 +940,39 @@ def fourier_error(k, values, z):
     return float(np.max(np.abs(got - want)) / (np.sum(np.abs(wv)) / (2.0 * np.pi)))
 
 
+def non_uniform_momenta(n):
+    rng = np.random.default_rng(0)
+    k = np.sort(rng.uniform(-5.0, 5.0, n))
+    return k, 0.3 * np.exp(-(k**2) + 0.4j * k)
+
+
 class TestFourierRows:
-    """Each kernel row is the last one times the phase step e^{ik dz}: its
-    rounding grows with the row count, but slowly."""
+    """Rows come in tiles of glm._TILE: a tile's first row is the last
+    tile's times e^{ik _TILE dz}, and its rows are that row times a table
+    of phases, so the rounding grows with the tile count, but slowly."""
 
     def test_gate_kernel_grid(self, gate_kernel):
         data, kernel = gate_kernel
         assert kernel.z.size > 10_000
-        assert fourier_error(data.k, data.R, kernel.z) <= 1e-13
+        assert fourier_error(data.k, data.R, kernel.z) <= 2.5e-14
 
     def test_long_grid(self, gate_kernel):
         # a step from z[1] - z[0] would carry the rounding of z[0] into
         # every row: 3.2e-10 here
         data, _ = gate_kernel
         z = np.arange(200_000) * 0.0357 - 110.02
-        assert fourier_error(data.k, data.R, z) <= 1e-11
+        assert fourier_error(data.k, data.R, z) <= 2.5e-13
 
     def test_non_uniform_momenta(self):
-        rng = np.random.default_rng(0)
-        k = np.sort(rng.uniform(-5.0, 5.0, 800))
-        values = 0.3 * np.exp(-(k**2) + 0.4j * k)
+        k, values = non_uniform_momenta(800)
         z = -20.0 + np.arange(6809) * (40.0 / 6809)
-        assert fourier_error(k, values, z) <= 1e-13
+        assert fourier_error(k, values, z) <= 1e-14
+
+    # 4, 17 and 33 rows cut the last tile short; past 2^14 momenta one tile's
+    # product already reaches the 2^18 multiply-adds of a chunk
+    @pytest.mark.parametrize("momenta, n", [(800, 4), (800, 17), (800, 33), (2**14 + 100, 100)])
+    def test_every_row_of_short_and_single_tile_chunks(self, momenta, n):
+        k, values = non_uniform_momenta(momenta)
+        z = -20.0 + np.arange(n) * 0.07
+        assert glm._fourier_rows(k, values, z).shape == (n,)
+        assert fourier_error(k, values, z, rows=n) <= 1e-15

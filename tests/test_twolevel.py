@@ -558,6 +558,14 @@ class TestDipolePair:
             with pytest.raises(NumericalError, match="phases T w of the pair Hamiltonian overflow"):
                 f_matrix(p)
 
+    @pytest.mark.parametrize("T", [1e16, 1e300])
+    def test_phase_past_one_over_eps_is_refused(self, T):
+        # T max|w| = 1.96 T: past 1/eps rounding alone moves a phase by a
+        # radian, so a verdict would be noise; 1e15 still answers
+        f_matrix(generic_params(T=1e15))
+        with pytest.raises(NumericalError, match="past 1/eps"):
+            f_matrix(generic_params(T=T))
+
     def test_params_validation_and_json(self):
         with pytest.raises(ValueError, match="positive"):
             generic_params(T=0.0)
